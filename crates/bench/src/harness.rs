@@ -99,11 +99,12 @@ pub struct Experiment {
     /// default), `0` = every available core, `n` = a pool of `n`.
     /// Results are bit-identical for every value.
     pub jobs: usize,
-    /// Trace segments per profiling pass (1 = monolithic). Each shard
-    /// fast-forwards to its segment without materialising instructions
-    /// and profiles only its slice; the merge is bit-identical to the
-    /// monolithic pass, so this is purely a wall-clock/streaming knob
-    /// for paper-scale traces.
+    /// Trace segments per profiling pass (1 = one chained segment).
+    /// Every pass walks block metadata without materialising
+    /// instructions; more segments can run on worker threads and are
+    /// checkpointed one by one, and their merge is bit-identical to the
+    /// single segment, so this is purely a wall-clock/resume knob for
+    /// paper-scale traces.
     pub shards: usize,
     /// Optional artifact cache: profiling passes, selections, ground
     /// truths, and plan executions consult and populate it, so a
@@ -162,7 +163,7 @@ impl Experiment {
         let cb = CompiledBenchmark::compile(spec)?;
 
         // Plans, sharing one profiling context: the loop profile and
-        // fine intervals come from a single combined functional pass,
+        // fine intervals come from a single combined metadata walk,
         // the boundary pass runs once, and multi-level reuses the
         // COASTS selection instead of recomputing it.
         let mut ctx = ProfilingContext::new(&cb, self.coasts.projection, self.fine_interval);

@@ -11,13 +11,11 @@
 
 use crate::cache::CacheKey;
 use crate::coasts::{coasts_with, CoastsConfig, CoastsOutcome};
-use crate::pipeline::{ProfilingContext, FINE_INTERVAL, RESAMPLE_THRESHOLD};
+use crate::pipeline::{MetaWalk, ProfilingContext, FINE_INTERVAL, RESAMPLE_THRESHOLD};
 use crate::plan::{PlanPoint, SimulationPlan};
 use mlpa_phase::interval::FixedLengthProfiler;
 use mlpa_phase::simpoint::{select, SimPointConfig, SimPoints};
-use mlpa_sim::functional::Warming;
-use mlpa_sim::FunctionalSim;
-use mlpa_workloads::{CompiledBenchmark, WorkloadStream};
+use mlpa_workloads::CompiledBenchmark;
 
 /// Multi-level sampling parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -125,25 +123,26 @@ pub fn multilevel_with(
     let mut points: Vec<PlanPoint> = Vec::new();
     let mut resampled = Vec::new();
 
-    // One shared pass: coarse points are sorted, so fast-forward and
-    // profile each window in trace order.
-    let mut stream = WorkloadStream::new(cb);
-    let mut func = FunctionalSim::new(cb.program());
-    let mut pos = 0u64;
+    // One shared metadata walk: coarse points are sorted, so skip to
+    // and profile each window in trace order.
+    let mut walk = MetaWalk::new(cb);
 
     for cp in first.plan.points() {
         if cp.len <= cfg.threshold {
             points.push(*cp);
             continue;
         }
-        // Fast-forward to the coarse point.
-        let skip = cp.start.saturating_sub(pos);
-        pos += func.fast_forward(&mut stream, skip, &mut (), Warming::None, None);
-        // Profile fine intervals inside the window. A profiler holds
-        // O(dim) state (it accumulates in projected space), so one per
-        // coarse window is cheap even when num_blocks is large.
+        // Skip to the first block boundary at or past the coarse point.
+        while walk.next_before(cp.start).is_some() {}
+        // Profile fine intervals inside the window, which runs `cp.len`
+        // instructions from there. A profiler holds O(dim) state (it
+        // accumulates in projected space), so one per coarse window is
+        // cheap even when num_blocks is large.
         let mut prof = FixedLengthProfiler::new(projection, cfg.fine_interval);
-        pos += func.fast_forward(&mut stream, cp.len, &mut prof, Warming::None, None);
+        let end = walk.pos() + cp.len;
+        while let Some(m) = walk.next_before(end) {
+            prof.record(m.id, m.insts);
+        }
         let intervals = prof.finish();
         if intervals.is_empty() {
             points.push(*cp);

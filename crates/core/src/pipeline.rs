@@ -3,19 +3,19 @@
 
 use std::sync::Arc;
 
-use crate::artifact::{BoundaryArtifact, BoundaryShardArtifact, ProfileShardArtifact};
+use crate::artifact::{Artifact, BoundaryArtifact, BoundaryShardArtifact, ProfileShardArtifact};
 use crate::cache::{ArtifactCache, CacheKey};
 use crate::plan::{PlanPoint, SimulationPlan};
-use mlpa_isa::stream::InstructionStream;
-use mlpa_phase::interval::{BoundaryProfiler, FixedLengthProfiler, Interval};
-use mlpa_phase::loops::{LoopMonitor, LoopProfile};
+use mlpa_isa::stream::{BlockMeta, InstructionStream};
+use mlpa_isa::{BlockId, Instruction, Program};
+use mlpa_phase::interval::{FixedLengthProfiler, Interval};
+use mlpa_phase::loops::LoopProfile;
 use mlpa_phase::project::RandomProjection;
 use mlpa_phase::shard::{
     merge_boundary, merge_fine, merge_loops, BoundaryTracker, FineCutTracker, LoopStackTracker,
     ShardBoundaryProfiler, ShardFineProfiler, ShardLoopMonitor,
 };
 use mlpa_phase::simpoint::{select, SimPointConfig, SimPoints};
-use mlpa_sim::FunctionalSim;
 use mlpa_workloads::{CompiledBenchmark, WorkloadStream};
 
 /// The scaled fine-grained interval length: the paper's 10 M
@@ -48,15 +48,17 @@ impl ProjectionSettings {
     }
 }
 
-/// How a sharded profiling pass schedules its segments.
+/// How a profiling pass schedules its trace segments.
 ///
-/// Both drivers produce bit-identical artifacts and merges; they differ
-/// only in wall-clock shape:
+/// Every pass walks block metadata (no instruction is materialised),
+/// and both drivers produce bit-identical artifacts and merges; they
+/// differ only in wall-clock shape:
 ///
 /// * [`ShardDriver::Chained`] streams the trace **once** on the calling
 ///   thread, handing consecutive segments to freshly seeded shard
 ///   profilers — no prefix replay, so total work is one metadata walk
-///   plus the (cheap, O(1)-per-block) shard profilers.
+///   plus the (cheap, O(1)-per-block) shard profilers. A single
+///   segment always runs this way, whatever the driver.
 /// * [`ShardDriver::Threaded`] runs every segment on its own scoped
 ///   thread; each worker fast-forwards through its prefix with the
 ///   metadata walk and profiles only its slice. Wall-clock is the
@@ -79,37 +81,168 @@ pub enum ShardDriver {
 }
 
 impl ShardDriver {
-    /// Resolve `Auto` against the machine's available parallelism.
-    fn threaded(self) -> bool {
-        match self {
-            ShardDriver::Chained => false,
-            ShardDriver::Threaded => true,
-            ShardDriver::Auto => std::thread::available_parallelism().map_or(1, |n| n.get()) > 1,
+    /// Whether `shards` segments run on worker threads: never for one
+    /// segment; otherwise as the driver says, `Auto` resolved against
+    /// the machine's available parallelism.
+    fn threaded(self, shards: usize) -> bool {
+        shards > 1
+            && match self {
+                ShardDriver::Chained => false,
+                ShardDriver::Threaded => true,
+                ShardDriver::Auto => {
+                    std::thread::available_parallelism().map_or(1, |n| n.get()) > 1
+                }
+            }
+    }
+}
+
+/// A metadata walk over a benchmark's trace: block ids and sizes in
+/// trace order, with no instruction materialised.
+pub(crate) struct MetaWalk<'b> {
+    stream: WorkloadStream<'b>,
+    scratch: Vec<Instruction>,
+}
+
+impl<'b> MetaWalk<'b> {
+    pub(crate) fn new(cb: &'b CompiledBenchmark) -> MetaWalk<'b> {
+        MetaWalk { stream: WorkloadStream::new(cb), scratch: Vec::new() }
+    }
+
+    /// Instructions walked so far.
+    pub(crate) fn pos(&self) -> u64 {
+        self.stream.emitted()
+    }
+
+    /// The next block, if the walk has not yet reached instruction
+    /// `end`: walking to `end` stops at the first block boundary at or
+    /// past it.
+    pub(crate) fn next_before(&mut self, end: u64) -> Option<BlockMeta> {
+        if self.pos() >= end {
+            return None;
         }
+        self.stream.next_block_meta(&mut self.scratch)
+    }
+}
+
+/// One kind of whole-trace profiling pass, as the segment drivers see
+/// it: an O(1)-per-block tracker that carries the pass's state across
+/// segment boundaries, and a shard profiler that turns one segment
+/// into a mergeable artifact.
+trait SegmentPass: Sync {
+    /// The pass's state at a block boundary.
+    type Tracker;
+    /// One segment's mergeable product.
+    type Art: Artifact + Send;
+    /// The tracker at the start of the trace.
+    fn tracker(&self) -> Self::Tracker;
+    /// Advance `t` over one block.
+    fn advance(t: &mut Self::Tracker, m: BlockMeta);
+    /// Profile the walk's blocks up to `end`, entering with `t`'s
+    /// state; with `carry`, `t` advances through them too (a chained
+    /// segment that has a successor).
+    fn segment(
+        &self,
+        t: &mut Self::Tracker,
+        carry: bool,
+        walk: &mut MetaWalk<'_>,
+        end: u64,
+    ) -> Self::Art;
+}
+
+/// The combined pass: loop profile and fine intervals in one walk.
+struct CombinedSegments<'c> {
+    program: &'c Program,
+    projection: &'c RandomProjection,
+    fine_interval: u64,
+}
+
+impl<'c> SegmentPass for CombinedSegments<'c> {
+    type Tracker = (FineCutTracker, LoopStackTracker<'c>);
+    type Art = ProfileShardArtifact;
+
+    fn tracker(&self) -> Self::Tracker {
+        (FineCutTracker::new(self.fine_interval), LoopStackTracker::new(self.program))
+    }
+
+    fn advance((fine, loops): &mut Self::Tracker, m: BlockMeta) {
+        fine.record(m.insts);
+        loops.record(m.id);
+    }
+
+    fn segment(
+        &self,
+        t: &mut Self::Tracker,
+        carry: bool,
+        walk: &mut MetaWalk<'_>,
+        end: u64,
+    ) -> ProfileShardArtifact {
+        let mut prof = ShardFineProfiler::new(self.projection, self.fine_interval, &t.0);
+        let mut mon = ShardLoopMonitor::new(t.1.clone());
+        while let Some(m) = walk.next_before(end) {
+            if carry {
+                Self::advance(t, m);
+            }
+            prof.record(m.id, m.insts);
+            mon.record(m.id, m.insts);
+        }
+        ProfileShardArtifact { pieces: prof.finish(), loops: mon.finish() }
+    }
+}
+
+/// The boundary pass: intervals cut at every entry of `header`.
+struct BoundarySegments<'c> {
+    projection: &'c RandomProjection,
+    header: BlockId,
+}
+
+impl SegmentPass for BoundarySegments<'_> {
+    type Tracker = BoundaryTracker;
+    type Art = BoundaryShardArtifact;
+
+    fn tracker(&self) -> BoundaryTracker {
+        BoundaryTracker::new(self.header)
+    }
+
+    fn advance(t: &mut BoundaryTracker, m: BlockMeta) {
+        t.record(m.id, m.insts);
+    }
+
+    fn segment(
+        &self,
+        t: &mut BoundaryTracker,
+        carry: bool,
+        walk: &mut MetaWalk<'_>,
+        end: u64,
+    ) -> BoundaryShardArtifact {
+        let mut prof = ShardBoundaryProfiler::new(self.projection, t);
+        while let Some(m) = walk.next_before(end) {
+            if carry {
+                Self::advance(t, m);
+            }
+            prof.record(m.id, m.insts);
+        }
+        let (pieces, first_header_pos) = prof.finish();
+        BoundaryShardArtifact { pieces, first_header_pos }
     }
 }
 
 /// Cached products of one boundary-profiling pass.
 #[derive(Debug, Clone)]
 struct BoundaryPass {
-    header: mlpa_isa::BlockId,
+    header: BlockId,
     has_prologue: bool,
     intervals: Vec<Interval>,
 }
 
 /// Shared profiling context: one projection and a cache of every
-/// whole-trace functional pass over a benchmark, so the three sampling
+/// whole-trace profiling pass over a benchmark, so the three sampling
 /// stages (fine baseline, COASTS, multi-level) stop re-streaming the
 /// trace for information an earlier stage already collected.
 ///
-/// The experiment harness previously ran **five** full functional
-/// passes per benchmark: fine-interval profiling, COASTS's loop pass,
-/// COASTS's boundary pass, and then both COASTS passes *again* inside
-/// `multilevel`. With a context, [`ProfilingContext::prepare`] collects
-/// the loop profile and the fine intervals in a single combined pass
-/// (observers compose, so both profilers ride the same stream
-/// traversal), the boundary pass runs once, and every stage reuses the
-/// results — two full passes total.
+/// The loop profile and the fine intervals come from one combined pass
+/// ([`ProfilingContext::prepare`], which the lazy getters call on first
+/// use), the boundary pass runs once per header, and every stage reuses
+/// the results — two metadata walks per benchmark in total.
 ///
 /// # Example
 ///
@@ -135,9 +268,9 @@ pub struct ProfilingContext<'b> {
     fine_intervals: Option<Vec<Interval>>,
     boundary: Option<BoundaryPass>,
     cache: Option<Arc<ArtifactCache>>,
-    /// Segment shards for the profiling passes (1 = monolithic).
+    /// Trace segments per profiling pass (1 = one chained segment).
     shards: usize,
-    /// How sharded passes schedule their segments.
+    /// How multi-segment passes schedule their segments.
     driver: ShardDriver,
 }
 
@@ -163,13 +296,13 @@ impl<'b> ProfilingContext<'b> {
         }
     }
 
-    /// Split the profiling passes into `shards` trace segments run on
-    /// worker threads (1 = the monolithic single-thread pass). The
-    /// merged output is bit-identical to the monolithic pass — pinned
-    /// by `sharded_profiling.rs` and the `mlpa-phase` property tests —
-    /// so this is purely a wall-clock/streaming lever: each worker
-    /// fast-forwards to its segment with the metadata walk (no
-    /// instruction materialisation) and profiles only its slice.
+    /// Split the profiling passes into `shards` trace segments (1, the
+    /// default, is one segment walked on the calling thread). Every
+    /// count merges bit-identically to the single segment — pinned by
+    /// `sharded_profiling.rs` and the `mlpa-phase` property tests — so
+    /// this is purely a wall-clock/resume lever: two or more segments
+    /// can run on worker threads (see [`ShardDriver`]), and each of
+    /// them is checkpointed in the artifact cache as it completes.
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards.max(1);
     }
@@ -211,23 +344,11 @@ impl<'b> ProfilingContext<'b> {
             .field("interval", &self.fine_interval)
     }
 
-    fn boundary_key(&self, header: mlpa_isa::BlockId) -> CacheKey {
+    fn boundary_key(&self, header: BlockId) -> CacheKey {
         CacheKey::new()
             .field("spec", self.cb.spec())
             .field("projection", &self.settings)
             .field("header", &header.raw())
-    }
-
-    /// Key of one segment shard of the combined pass. The shard count
-    /// is part of the key: segment boundaries derive from it, so shards
-    /// of different partitions are not interchangeable (their *merge*
-    /// is identical, their pieces are not).
-    fn profile_shard_key(&self, shards: usize, k: usize) -> CacheKey {
-        self.fine_key().field("shards", &shards).field("shard", &k)
-    }
-
-    fn boundary_shard_key(&self, header: mlpa_isa::BlockId, shards: usize, k: usize) -> CacheKey {
-        self.boundary_key(header).field("shards", &shards).field("shard", &k)
     }
 
     /// The shared projection matrix.
@@ -240,11 +361,9 @@ impl<'b> ProfilingContext<'b> {
         self.settings
     }
 
-    /// Run the combined base pass eagerly: the loop monitor and the
-    /// fine-interval profiler share a single trace traversal. Call this
-    /// when both products will be needed (as the experiment harness
-    /// does); otherwise the lazy getters each run their own pass on
-    /// first use.
+    /// Run the combined base pass eagerly: the loop profile and the
+    /// fine intervals come from one metadata walk, segment by segment,
+    /// merged bit-identically. The lazy getters call this on first use.
     pub fn prepare(&mut self) {
         if self.loop_profile.is_some() && self.fine_intervals.is_some() {
             return;
@@ -260,24 +379,21 @@ impl<'b> ProfilingContext<'b> {
                 return;
             }
         }
-        if self.shards > 1 {
-            self.prepare_sharded();
-            return;
-        }
-        let _span = mlpa_obs::span("core.profile.base_pass");
-        mlpa_obs::add("core.profile.base_passes", 1);
-        let mut monitor = LoopMonitor::new(self.cb.program());
-        // The profiler accumulates in the projected space (O(dim) state
-        // and O(dim) per flush, independent of num_blocks), so carrying
-        // it alongside the loop monitor adds little to the pass.
-        let mut prof = FixedLengthProfiler::new(&self.projection, self.fine_interval);
-        FunctionalSim::new(self.cb.program())
-            .run(WorkloadStream::new(self.cb), &mut (&mut monitor, &mut prof));
-        let profile = monitor.finish();
-        let intervals = prof.finish();
+        let _span = mlpa_obs::span("core.profile.shard_pass");
+        mlpa_obs::add("core.profile.shard_passes", 1);
+        let pass = CombinedSegments {
+            program: self.cb.program(),
+            projection: &self.projection,
+            fine_interval: self.fine_interval,
+        };
+        let fine_key = self.fine_key();
+        let (pieces, loops): (Vec<_>, Vec<_>) =
+            self.run_segments(&pass, &fine_key).into_iter().map(|a| (a.pieces, a.loops)).unzip();
+        let intervals = merge_fine(pieces);
+        let profile = merge_loops(loops);
         if let Some(cache) = &self.cache {
             cache.put(&self.loop_key(), &profile);
-            cache.put(&self.fine_key(), &intervals);
+            cache.put(&fine_key, &intervals);
         }
         self.loop_profile = Some(profile);
         self.fine_intervals = Some(intervals);
@@ -291,275 +407,91 @@ impl<'b> ProfilingContext<'b> {
     /// of the stream. Both sides of every boundary apply the same rule,
     /// so the partition is exact, gap-free, and overlap-free for any
     /// actual trace length.
-    fn shard_targets(&self, shards: usize) -> Vec<u64> {
+    fn shard_targets(&self) -> Vec<u64> {
+        let shards = self.shards;
         let nominal = self.cb.spec().nominal_insts().max(1);
         let mut t: Vec<u64> = (0..shards as u64).map(|k| k * nominal / shards as u64).collect();
         t.push(u64::MAX);
         t
     }
 
-    /// The combined pass, sharded: each worker fast-forwards to its
-    /// segment with the metadata walk (cursor skips instead of
-    /// instruction materialisation, running O(1)-per-block trackers to
-    /// align the profiler state), profiles its slice, and the shards
-    /// merge bit-identically to the monolithic pass. Per-shard products
-    /// go through the artifact cache, so a killed run resumes at the
-    /// last completed segment.
-    fn prepare_sharded(&mut self) {
-        let _span = mlpa_obs::span("core.profile.shard_pass");
-        mlpa_obs::add("core.profile.shard_passes", 1);
+    /// Run `pass` over the context's trace segments under its driver
+    /// and return the per-segment artifacts in trace order.
+    ///
+    /// With more than one segment, each segment's artifact goes through
+    /// the artifact cache under the pass's `key` plus the shard count
+    /// and index, so a killed run resumes at the first missing segment.
+    /// The count is part of the key because segment boundaries derive
+    /// from it: shards of different partitions are not interchangeable
+    /// (their *merge* is identical, their pieces are not). One segment
+    /// is the whole pass: it reads and writes no checkpoint (the caller
+    /// caches the merge).
+    fn run_segments<P: SegmentPass>(&self, pass: &P, key: &CacheKey) -> Vec<P::Art> {
         let shards = self.shards;
-        let targets = self.shard_targets(shards);
-        let keys: Vec<CacheKey> = (0..shards).map(|k| self.profile_shard_key(shards, k)).collect();
-        let arts = if self.driver.threaded() {
-            self.profile_shards_threaded(&targets, &keys)
-        } else {
-            self.profile_shards_chained(&targets, &keys)
-        };
-        let mut pieces = Vec::with_capacity(shards);
-        let mut loops = Vec::with_capacity(shards);
-        for a in arts {
-            pieces.push(a.pieces);
-            loops.push(a.loops);
-        }
-        let intervals = merge_fine(pieces);
-        let profile = merge_loops(loops);
-        if let Some(cache) = &self.cache {
-            cache.put(&self.loop_key(), &profile);
-            cache.put(&self.fine_key(), &intervals);
-        }
-        self.loop_profile = Some(profile);
-        self.fine_intervals = Some(intervals);
-    }
-
-    /// Chained driver for the combined pass: stream the trace once,
-    /// carrying the cut/stack trackers continuously, and hand each
-    /// consecutive segment to freshly seeded shard profilers. No prefix
-    /// is ever replayed, so the whole pass costs one metadata walk plus
-    /// the O(1)-per-block profilers — the fast path on a single core.
-    /// Cache-hit segments still advance the stream and trackers (to
-    /// keep alignment) but skip the profiler work.
-    fn profile_shards_chained(
-        &self,
-        targets: &[u64],
-        keys: &[CacheKey],
-    ) -> Vec<ProfileShardArtifact> {
-        let cache = self.cache.clone();
-        let mut stream = WorkloadStream::new(self.cb);
-        let mut scratch = Vec::new();
-        let mut fine_t = FineCutTracker::new(self.fine_interval);
-        let mut loop_t = LoopStackTracker::new(self.cb.program());
-        let mut arts = Vec::with_capacity(keys.len());
-        for (k, key) in keys.iter().enumerate() {
-            let t_end = targets[k + 1];
-            if let Some(a) = cache.as_ref().and_then(|c| c.get::<ProfileShardArtifact>(key)) {
+        let targets = self.shard_targets();
+        let store = self.cache.as_deref().filter(|_| shards > 1);
+        // A segment's checkpoint key, and its artifact if a previous
+        // run stored one.
+        let lookup = |k: usize| {
+            let key = store.map(|_| key.clone().field("shards", &shards).field("shard", &k));
+            let hit = store.zip(key.as_ref()).and_then(|(c, key)| c.get::<P::Art>(key));
+            if hit.is_some() {
                 mlpa_obs::add("core.profile.shard_resumes", 1);
-                while stream.emitted() < t_end {
-                    let Some(m) = stream.next_block_meta(&mut scratch) else { break };
-                    fine_t.record(m.insts);
-                    loop_t.record(m.id);
-                }
-                arts.push(a);
-                continue;
             }
+            (key, hit)
+        };
+        let run = |k: usize, t: &mut P::Tracker, carry: bool, walk: &mut MetaWalk<'_>, key| {
             let _span = mlpa_obs::span("core.profile.shard");
             mlpa_obs::add("core.profile.shards_run", 1);
-            mlpa_obs::gauge_set("core.shard.total", keys.len() as u64);
-            mlpa_obs::gauge_set("core.shard.segment", k as u64);
-            let mut prof = ShardFineProfiler::new(&self.projection, self.fine_interval, &fine_t);
-            let mut mon = ShardLoopMonitor::new(loop_t.clone());
-            while stream.emitted() < t_end {
-                let Some(m) = stream.next_block_meta(&mut scratch) else { break };
-                fine_t.record(m.insts);
-                loop_t.record(m.id);
-                prof.record(m.id, m.insts);
-                mon.record(m.id, m.insts);
+            // Last-write-wins: with concurrent shards the gauge tracks
+            // whichever segment started most recently, which is the
+            // live view we want. One segment has no progress to show.
+            if shards > 1 {
+                mlpa_obs::gauge_set("core.shard.total", shards as u64);
+                mlpa_obs::gauge_set("core.shard.segment", k as u64);
             }
-            let art = ProfileShardArtifact { pieces: prof.finish(), loops: mon.finish() };
-            if let Some(c) = &cache {
+            let art = pass.segment(t, carry, walk, targets[k + 1]);
+            if let (Some(c), Some(key)) = (store, &key) {
                 c.put(key, &art);
             }
-            arts.push(art);
-        }
-        arts
-    }
-
-    /// Threaded driver for the combined pass: one scoped worker per
-    /// segment, each fast-forwarding through its prefix with the
-    /// metadata walk before profiling its slice.
-    fn profile_shards_threaded(
-        &self,
-        targets: &[u64],
-        keys: &[CacheKey],
-    ) -> Vec<ProfileShardArtifact> {
+            art
+        };
         let cb = self.cb;
-        let projection = &self.projection;
-        let fine_interval = self.fine_interval;
-        let cache = self.cache.clone();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = keys
-                .iter()
-                .enumerate()
-                .map(|(k, key)| {
-                    let cache = cache.clone();
-                    let targets = &targets;
-                    scope.spawn(move || {
-                        if let Some(c) = &cache {
-                            if let Some(a) = c.get::<ProfileShardArtifact>(key) {
-                                mlpa_obs::add("core.profile.shard_resumes", 1);
-                                return a;
-                            }
-                        }
-                        let _span = mlpa_obs::span("core.profile.shard");
-                        mlpa_obs::add("core.profile.shards_run", 1);
-                        // Last-write-wins: with concurrent shards the
-                        // gauge tracks whichever segment started most
-                        // recently, which is the live view we want.
-                        mlpa_obs::gauge_set("core.shard.total", targets.len() as u64 - 1);
-                        mlpa_obs::gauge_set("core.shard.segment", k as u64);
-                        let (t_begin, t_end) = (targets[k], targets[k + 1]);
-                        let mut stream = WorkloadStream::new(cb);
-                        let mut scratch = Vec::new();
-                        let mut fine_t = FineCutTracker::new(fine_interval);
-                        let mut loop_t = LoopStackTracker::new(cb.program());
-                        while stream.emitted() < t_begin {
-                            let Some(m) = stream.next_block_meta(&mut scratch) else { break };
-                            fine_t.record(m.insts);
-                            loop_t.record(m.id);
-                        }
-                        let mut prof = ShardFineProfiler::new(projection, fine_interval, &fine_t);
-                        let mut mon = ShardLoopMonitor::new(loop_t);
-                        while stream.emitted() < t_end {
-                            let Some(m) = stream.next_block_meta(&mut scratch) else { break };
-                            prof.record(m.id, m.insts);
-                            mon.record(m.id, m.insts);
-                        }
-                        let art =
-                            ProfileShardArtifact { pieces: prof.finish(), loops: mon.finish() };
-                        if let Some(c) = &cache {
-                            c.put(key, &art);
+        if !self.driver.threaded(shards) {
+            // Chained: one walk, the tracker carried across segments; a
+            // checkpointed segment still advances the walk and tracker
+            // (to keep alignment) but skips the profiler work.
+            let mut walk = MetaWalk::new(cb);
+            let mut t = pass.tracker();
+            return (0..shards)
+                .map(|k| match lookup(k) {
+                    (_, Some(art)) => {
+                        while let Some(m) = walk.next_before(targets[k + 1]) {
+                            P::advance(&mut t, m);
                         }
                         art
-                    })
+                    }
+                    (key, None) => run(k, &mut t, k + 1 < shards, &mut walk, key),
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        })
-    }
-
-    /// The boundary pass, sharded (see [`ProfilingContext::prepare`]'s
-    /// sharded variant): per-segment boundary pieces merge into the
-    /// monolithic pass's output bit-for-bit.
-    fn boundary_pass_sharded(&self, header: mlpa_isa::BlockId) -> (Vec<Interval>, bool) {
-        let _span = mlpa_obs::span("core.profile.shard_boundary_pass");
-        let shards = self.shards;
-        let targets = self.shard_targets(shards);
-        let keys: Vec<CacheKey> =
-            (0..shards).map(|k| self.boundary_shard_key(header, shards, k)).collect();
-        let arts = if self.driver.threaded() {
-            self.boundary_shards_threaded(&targets, &keys, header)
-        } else {
-            self.boundary_shards_chained(&targets, &keys, header)
-        };
-        merge_boundary(arts.into_iter().map(|a| (a.pieces, a.first_header_pos)))
-    }
-
-    /// Chained driver for the boundary pass — single stream, no prefix
-    /// replay, tracker carried across segment boundaries (see
-    /// [`ProfilingContext::profile_shards_chained`]).
-    fn boundary_shards_chained(
-        &self,
-        targets: &[u64],
-        keys: &[CacheKey],
-        header: mlpa_isa::BlockId,
-    ) -> Vec<BoundaryShardArtifact> {
-        let cache = self.cache.clone();
-        let mut stream = WorkloadStream::new(self.cb);
-        let mut scratch = Vec::new();
-        let mut tracker = BoundaryTracker::new(header);
-        let mut arts = Vec::with_capacity(keys.len());
-        for (k, key) in keys.iter().enumerate() {
-            let t_end = targets[k + 1];
-            if let Some(a) = cache.as_ref().and_then(|c| c.get::<BoundaryShardArtifact>(key)) {
-                mlpa_obs::add("core.profile.shard_resumes", 1);
-                while stream.emitted() < t_end {
-                    let Some(m) = stream.next_block_meta(&mut scratch) else { break };
-                    tracker.record(m.id, m.insts);
-                }
-                arts.push(a);
-                continue;
-            }
-            let _span = mlpa_obs::span("core.profile.shard");
-            mlpa_obs::add("core.profile.shards_run", 1);
-            mlpa_obs::gauge_set("core.shard.total", keys.len() as u64);
-            mlpa_obs::gauge_set("core.shard.segment", k as u64);
-            let mut prof = ShardBoundaryProfiler::new(&self.projection, &tracker);
-            while stream.emitted() < t_end {
-                let Some(m) = stream.next_block_meta(&mut scratch) else { break };
-                tracker.record(m.id, m.insts);
-                prof.record(m.id, m.insts);
-            }
-            let (pieces, first_header_pos) = prof.finish();
-            let art = BoundaryShardArtifact { pieces, first_header_pos };
-            if let Some(c) = &cache {
-                c.put(key, &art);
-            }
-            arts.push(art);
         }
-        arts
-    }
-
-    /// Threaded driver for the boundary pass — one scoped worker per
-    /// segment with prefix fast-forward.
-    fn boundary_shards_threaded(
-        &self,
-        targets: &[u64],
-        keys: &[CacheKey],
-        header: mlpa_isa::BlockId,
-    ) -> Vec<BoundaryShardArtifact> {
-        let cb = self.cb;
-        let projection = &self.projection;
-        let cache = self.cache.clone();
+        // Threaded: one scoped worker per segment, each fast-forwarding
+        // through its prefix with the tracker alone.
+        let (lookup, run, targets) = (&lookup, &run, &targets);
         std::thread::scope(|scope| {
-            let handles: Vec<_> = keys
-                .iter()
-                .enumerate()
-                .map(|(k, key)| {
-                    let cache = cache.clone();
-                    let targets = &targets;
+            let handles: Vec<_> = (0..shards)
+                .map(|k| {
                     scope.spawn(move || {
-                        if let Some(c) = &cache {
-                            if let Some(a) = c.get::<BoundaryShardArtifact>(key) {
-                                mlpa_obs::add("core.profile.shard_resumes", 1);
-                                return a;
-                            }
+                        let (key, hit) = lookup(k);
+                        if let Some(art) = hit {
+                            return art;
                         }
-                        let _span = mlpa_obs::span("core.profile.shard");
-                        mlpa_obs::add("core.profile.shards_run", 1);
-                        mlpa_obs::gauge_set("core.shard.total", targets.len() as u64 - 1);
-                        mlpa_obs::gauge_set("core.shard.segment", k as u64);
-                        let (t_begin, t_end) = (targets[k], targets[k + 1]);
-                        let mut stream = WorkloadStream::new(cb);
-                        let mut scratch = Vec::new();
-                        let mut tracker = BoundaryTracker::new(header);
-                        while stream.emitted() < t_begin {
-                            let Some(m) = stream.next_block_meta(&mut scratch) else { break };
-                            tracker.record(m.id, m.insts);
+                        let mut walk = MetaWalk::new(cb);
+                        let mut t = pass.tracker();
+                        while let Some(m) = walk.next_before(targets[k]) {
+                            P::advance(&mut t, m);
                         }
-                        let mut prof = ShardBoundaryProfiler::new(projection, &tracker);
-                        while stream.emitted() < t_end {
-                            let Some(m) = stream.next_block_meta(&mut scratch) else { break };
-                            prof.record(m.id, m.insts);
-                        }
-                        let (pieces, first_header_pos) = prof.finish();
-                        let art = BoundaryShardArtifact { pieces, first_header_pos };
-                        if let Some(c) = &cache {
-                            c.put(key, &art);
-                        }
-                        art
+                        run(k, &mut t, false, &mut walk, key)
                     })
                 })
                 .collect();
@@ -572,52 +504,26 @@ impl<'b> ProfilingContext<'b> {
 
     /// The loop (cyclic-structure) profile of the trace.
     pub fn loop_profile(&mut self) -> &LoopProfile {
-        if self.loop_profile.is_none() {
-            if let Some(cache) = &self.cache {
-                self.loop_profile = cache.get::<LoopProfile>(&self.loop_key());
-            }
-        }
-        if self.loop_profile.is_none() {
-            let _span = mlpa_obs::span("core.profile.loop_pass");
-            mlpa_obs::add("core.profile.loop_passes", 1);
-            let mut monitor = LoopMonitor::new(self.cb.program());
-            FunctionalSim::new(self.cb.program()).run(WorkloadStream::new(self.cb), &mut monitor);
-            let profile = monitor.finish();
-            if let Some(cache) = &self.cache {
-                cache.put(&self.loop_key(), &profile);
-            }
-            self.loop_profile = Some(profile);
-        }
-        self.loop_profile.as_ref().expect("just computed")
+        self.prepare();
+        self.loop_profile.as_ref().expect("prepared")
     }
 
     /// Fixed-length intervals at the context's fine interval length.
     pub fn fine_intervals(&mut self) -> &[Interval] {
-        if self.fine_intervals.is_none() {
-            if let Some(cache) = &self.cache {
-                self.fine_intervals = cache.get::<Vec<Interval>>(&self.fine_key());
-            }
-        }
-        if self.fine_intervals.is_none() {
-            let intervals = profile_fixed(self.cb, self.fine_interval, &self.projection);
-            if let Some(cache) = &self.cache {
-                cache.put(&self.fine_key(), &intervals);
-            }
-            self.fine_intervals = Some(intervals);
-        }
-        self.fine_intervals.as_ref().expect("just computed")
+        self.prepare();
+        self.fine_intervals.as_deref().expect("prepared")
     }
 
     /// Variable-length intervals cut at iterations of the cyclic
     /// structure headed by `header`, plus whether the trace has a
     /// prologue before the first header entry. Cached per header.
-    pub fn boundary_intervals(&mut self, header: mlpa_isa::BlockId) -> (&[Interval], bool) {
+    pub fn boundary_intervals(&mut self, header: BlockId) -> (&[Interval], bool) {
         let stale = self.boundary.as_ref().is_none_or(|b| b.header != header);
         if stale {
             if let Some(cache) = &self.cache {
                 if let Some(b) = cache.get::<BoundaryArtifact>(&self.boundary_key(header)) {
                     self.boundary = Some(BoundaryPass {
-                        header: mlpa_isa::BlockId::new(b.header),
+                        header: BlockId::new(b.header),
                         has_prologue: b.has_prologue,
                         intervals: b.intervals,
                     });
@@ -626,19 +532,15 @@ impl<'b> ProfilingContext<'b> {
         }
         let stale = self.boundary.as_ref().is_none_or(|b| b.header != header);
         if stale {
-            let _span = mlpa_obs::span("core.profile.boundary_pass");
-            mlpa_obs::add("core.profile.boundary_passes", 1);
-            let (intervals, has_prologue) = if self.shards > 1 {
-                self.boundary_pass_sharded(header)
-            } else {
-                let mut prof = BoundaryProfiler::new(&self.projection, header);
-                FunctionalSim::new(self.cb.program()).run(WorkloadStream::new(self.cb), &mut prof);
-                let has_prologue = prof.has_prologue();
-                (prof.finish(), has_prologue)
-            };
+            let _span = mlpa_obs::span("core.profile.shard_boundary_pass");
+            let pass = BoundarySegments { projection: &self.projection, header };
+            let key = self.boundary_key(header);
+            let arts = self.run_segments(&pass, &key);
+            let (intervals, has_prologue) =
+                merge_boundary(arts.into_iter().map(|a| (a.pieces, a.first_header_pos)));
             if let Some(cache) = &self.cache {
                 cache.put(
-                    &self.boundary_key(header),
+                    &key,
                     &BoundaryArtifact {
                         header: header.raw(),
                         has_prologue,
@@ -664,15 +566,17 @@ pub fn trace_insts(cb: &CompiledBenchmark) -> u64 {
     mlpa_isa::stream::drain_meta_count(WorkloadStream::new(cb)).instructions
 }
 
-/// Profile a benchmark into fixed-length intervals (one functional
-/// pass).
+/// Profile a benchmark into fixed-length intervals (one metadata walk).
 pub fn profile_fixed(
     cb: &CompiledBenchmark,
     interval_len: u64,
     proj: &RandomProjection,
 ) -> Vec<Interval> {
     let mut prof = FixedLengthProfiler::new(proj, interval_len);
-    FunctionalSim::new(cb.program()).run(WorkloadStream::new(cb), &mut prof);
+    let mut walk = MetaWalk::new(cb);
+    while let Some(m) = walk.next_before(u64::MAX) {
+        prof.record(m.id, m.insts);
+    }
     prof.finish()
 }
 
@@ -787,6 +691,59 @@ mod tests {
             ..BenchmarkSpec::default()
         };
         CompiledBenchmark::compile(&spec).unwrap()
+    }
+
+    /// Every profiling entry point walks block metadata: a fresh
+    /// context's lazy getters, its boundary pass and multi-level's
+    /// window re-profile materialise no instruction; a sharded context
+    /// runs its segmented pass without an explicit `prepare()`; and a
+    /// single-segment pass leaves no per-segment checkpoint behind.
+    #[test]
+    fn profiling_passes_walk_metadata_only() {
+        use crate::multilevel::{multilevel_with, MultilevelConfig};
+        let _g = crate::testobs::counter_lock();
+        let cb = two_phase_cb();
+        let header = cb.outer_header();
+        let mcfg = MultilevelConfig { threshold: 0, ..MultilevelConfig::default() };
+        let fresh = || ProfilingContext::new(&cb, mcfg.coasts.projection, mcfg.fine_interval);
+
+        // Tests outside the lock may run functional simulations at the
+        // same time, so one clean attempt proves these passes add
+        // nothing; a materialising pass would bump every attempt.
+        let clean = (0..20).any(|_| {
+            let before = mlpa_obs::counter_value("sim.functional.instructions");
+            let mut ctx = fresh();
+            ctx.loop_profile();
+            ctx.fine_intervals();
+            ctx.boundary_intervals(header);
+            assert!(!multilevel_with(&mut ctx, &mcfg).unwrap().resampled.is_empty());
+            mlpa_obs::counter_value("sim.functional.instructions") == before
+        });
+        assert!(clean, "a profiling pass materialised instructions");
+
+        let root =
+            std::env::temp_dir().join(format!("mlpa-pipeline-checkpoints-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let passes = mlpa_obs::counter_value("core.profile.shard_passes");
+        let mut ctx = fresh();
+        ctx.set_shards(4);
+        ctx.set_cache(Arc::new(ArtifactCache::open(root.join("four")).unwrap()));
+        ctx.loop_profile();
+        assert!(mlpa_obs::counter_value("core.profile.shard_passes") > passes);
+        let checkpoints = std::fs::read_dir(root.join("four/profile-shard")).unwrap().count();
+        assert_eq!(checkpoints, 4, "one checkpoint per segment");
+
+        let mut ctx = fresh();
+        ctx.set_cache(Arc::new(ArtifactCache::open(root.join("one")).unwrap()));
+        ctx.fine_intervals();
+        ctx.boundary_intervals(header);
+        for kind in ["profile-shard", "boundary-shard"] {
+            assert!(!root.join("one").join(kind).exists(), "single segment wrote {kind}");
+        }
+        for kind in ["loop-profile", "intervals", "boundary"] {
+            assert!(root.join("one").join(kind).exists(), "merged {kind} not cached");
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

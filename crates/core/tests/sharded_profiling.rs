@@ -1,8 +1,9 @@
-//! Context-level sharding integration: `ProfilingContext` with
-//! `set_shards(N)` must produce **bit-identical** profiles, selections,
-//! and estimates to the monolithic single-thread pass, and per-shard
-//! artifacts in the cache must let a killed run resume without
-//! re-profiling completed segments.
+//! Context-level sharding integration: `ProfilingContext` must produce
+//! **bit-identical** profiles, selections, and estimates for every
+//! segment count and driver — one segment included — matching the
+//! `mlpa-phase` reference observers over a materialising functional
+//! run, and per-shard artifacts in the cache must let a killed run
+//! resume without re-profiling completed segments.
 
 use std::fs;
 use std::path::PathBuf;
@@ -12,10 +13,13 @@ use mlpa_core::artifact::ProfileShardArtifact;
 use mlpa_core::cache::{ArtifactCache, CacheKey};
 use mlpa_core::pipeline::{ProfilingContext, ProjectionSettings, ShardDriver, FINE_INTERVAL};
 use mlpa_core::prelude::*;
-use mlpa_phase::interval::Interval;
-use mlpa_phase::loops::LoopProfile;
+use mlpa_phase::interval::{BoundaryProfiler, FixedLengthProfiler, Interval};
+use mlpa_phase::loops::{LoopMonitor, LoopProfile};
+use mlpa_phase::simpoint::select;
+use mlpa_sim::functional::Warming;
+use mlpa_sim::FunctionalSim;
 use mlpa_workloads::spec::{BenchmarkSpec, PhaseSpec, ScriptEntry};
-use mlpa_workloads::CompiledBenchmark;
+use mlpa_workloads::{CompiledBenchmark, WorkloadStream};
 
 fn two_phase_cb() -> CompiledBenchmark {
     let spec = BenchmarkSpec {
@@ -36,41 +40,90 @@ fn tmp_root(tag: &str) -> PathBuf {
     dir
 }
 
+type Profiles = (LoopProfile, Vec<Interval>, Vec<Interval>, bool);
+
+/// The reference: the `mlpa-phase` observers riding one materialising
+/// functional run, independent of the context's segment drivers.
+fn reference(cb: &CompiledBenchmark) -> Profiles {
+    let proj = ProjectionSettings::default().build(cb);
+    let mut monitor = LoopMonitor::new(cb.program());
+    let mut fine = FixedLengthProfiler::new(&proj, FINE_INTERVAL);
+    let mut boundary = BoundaryProfiler::new(&proj, cb.outer_header());
+    FunctionalSim::new(cb.program())
+        .run(WorkloadStream::new(cb), &mut (&mut monitor, (&mut fine, &mut boundary)));
+    let prologue = boundary.has_prologue();
+    (monitor.finish(), fine.finish(), boundary.finish(), prologue)
+}
+
+/// A context's products; without `prepare` the lazy getters run the
+/// passes, boundary pass first.
 fn profiles_with(
     cb: &CompiledBenchmark,
     shards: usize,
     driver: ShardDriver,
     cache: Option<Arc<ArtifactCache>>,
-) -> (LoopProfile, Vec<Interval>, Vec<Interval>, bool) {
+    prepare: bool,
+) -> Profiles {
     let mut ctx = ProfilingContext::new(cb, ProjectionSettings::default(), FINE_INTERVAL);
     ctx.set_shards(shards);
     ctx.set_shard_driver(driver);
     if let Some(c) = cache {
         ctx.set_cache(c);
     }
-    ctx.prepare();
+    if prepare {
+        ctx.prepare();
+    }
+    let (biv, prologue) = ctx.boundary_intervals(cb.outer_header());
+    let biv = biv.to_vec();
     let profile = ctx.loop_profile().clone();
     let fine = ctx.fine_intervals().to_vec();
-    let header = cb.outer_header();
-    let (biv, prologue) = ctx.boundary_intervals(header);
-    (profile, fine, biv.to_vec(), prologue)
+    (profile, fine, biv, prologue)
 }
 
 #[test]
-fn sharded_context_is_bit_identical_to_monolithic() {
+fn every_segment_count_matches_the_reference_observers() {
     let cb = two_phase_cb();
-    let mono = profiles_with(&cb, 1, ShardDriver::Auto, None);
+    let want = reference(&cb);
     // Scheduling is a wall-clock knob only: every shard count under
-    // every driver must reproduce the monolithic pass bit-for-bit.
+    // every driver, prepared or lazy, reproduces the reference
+    // bit-for-bit.
     for driver in [ShardDriver::Chained, ShardDriver::Threaded] {
-        for shards in [2, 3, 5, 8] {
-            let sharded = profiles_with(&cb, shards, driver, None);
-            assert_eq!(
-                sharded, mono,
-                "shards={shards} ({driver:?}) diverged from the monolithic pass"
-            );
+        for shards in [1, 2, 3, 5, 8] {
+            for prepare in [true, false] {
+                let got = profiles_with(&cb, shards, driver, None, prepare);
+                assert!(
+                    got == want,
+                    "shards={shards} ({driver:?}, prepare={prepare}) diverged from the reference"
+                );
+            }
         }
     }
+}
+
+/// Multi-level's window re-profile matches the reference: a
+/// functional fast-forward to each coarse point, then the fine
+/// profiler over the window.
+#[test]
+fn multilevel_windows_match_the_reference_observers() {
+    let cb = two_phase_cb();
+    let cfg = MultilevelConfig { threshold: 0, ..MultilevelConfig::default() };
+    let out = multilevel(&cb, &cfg).unwrap();
+    let proj = cfg.coasts.projection.build(&cb);
+    let mut stream = WorkloadStream::new(&cb);
+    let mut func = FunctionalSim::new(cb.program());
+    let mut pos = 0u64;
+    let mut want = Vec::new();
+    for cp in out.coasts.plan.points() {
+        let skip = cp.start.saturating_sub(pos);
+        pos += func.fast_forward(&mut stream, skip, &mut (), Warming::None, None);
+        let mut prof = FixedLengthProfiler::new(&proj, cfg.fine_interval);
+        pos += func.fast_forward(&mut stream, cp.len, &mut prof, Warming::None, None);
+        let intervals = prof.finish();
+        let body = if intervals.len() >= 2 { &intervals[1..] } else { &intervals[..] };
+        want.push(select(body, &cfg.fine));
+    }
+    let got: Vec<_> = out.resampled.into_iter().map(|r| r.fine).collect();
+    assert!(got == want, "multi-level windows diverged from the reference");
 }
 
 #[test]
@@ -110,7 +163,7 @@ fn shard_artifacts_resume_an_interrupted_run() {
 
     // Cold run under the threaded driver; the resumed runs below use
     // the chained driver — per-shard artifacts are driver-agnostic.
-    let pristine = profiles_with(&cb, shards, ShardDriver::Threaded, Some(cache.clone()));
+    let pristine = profiles_with(&cb, shards, ShardDriver::Threaded, Some(cache.clone()), true);
 
     // The cold run deposited one artifact per shard.
     for kind in ["profile-shard", "boundary-shard"] {
@@ -135,14 +188,14 @@ fn shard_artifacts_resume_an_interrupted_run() {
     tampered.loops.total_insts += 1_000_000;
     cache.put(&key, &tampered);
     drop_merged();
-    let poisoned = profiles_with(&cb, shards, ShardDriver::Chained, Some(cache.clone()));
+    let poisoned = profiles_with(&cb, shards, ShardDriver::Chained, Some(cache.clone()), true);
     assert_ne!(poisoned.0, pristine.0, "resume must read the cached shard artifacts");
 
     // With the real artifact restored, resume reproduces the cold run
     // bit-for-bit.
     cache.put(&key, &original);
     drop_merged();
-    let resumed = profiles_with(&cb, shards, ShardDriver::Chained, Some(cache.clone()));
+    let resumed = profiles_with(&cb, shards, ShardDriver::Chained, Some(cache.clone()), true);
     assert_eq!(resumed, pristine, "resumed run must match the uninterrupted one");
 
     let _ = fs::remove_dir_all(&root);

@@ -929,7 +929,7 @@ mod tests {
     fn require_zero_accepts_absent_or_zero_and_rejects_nonzero() {
         let mut report = sample_report();
         let checks = ReportChecks {
-            require_zero: vec!["core.truth.passes".into(), "core.profile.base_passes".into()],
+            require_zero: vec!["core.truth.passes".into(), "core.profile.shards_run".into()],
             ..ReportChecks::default()
         };
         // Absent counters pass.
@@ -938,9 +938,9 @@ mod tests {
         report.counters.push(("core.truth.passes".into(), 0));
         assert!(check_report(&report.to_json(), &checks).is_ok());
         // Nonzero fails with the counter named.
-        report.counters.push(("core.profile.base_passes".into(), 3));
+        report.counters.push(("core.profile.shards_run".into(), 3));
         let err = check_report(&report.to_json(), &checks).unwrap_err();
-        assert!(err.contains("core.profile.base_passes") && err.contains("expected 0"), "{err}");
+        assert!(err.contains("core.profile.shards_run") && err.contains("expected 0"), "{err}");
     }
 
     #[test]
