@@ -359,7 +359,7 @@ fn run(o: &Options) -> Result<(), String> {
             "suite",
             "running {} benchmarks x 3 methods x 2 configs on {} worker(s)...",
             exp.suite.len(),
-            mlpa_core::effective_jobs(exp.jobs).min(exp.suite.len().max(1)),
+            exp.workers(),
         );
         mlpa_obs::telemetry::set_run_phase("benchmarks");
         let results = exp.run(|r| {

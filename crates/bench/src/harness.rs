@@ -95,7 +95,7 @@ pub struct Experiment {
     pub fine: SimPointConfig,
     /// Fine interval length.
     pub fine_interval: u64,
-    /// Worker threads for [`Experiment::run`]: `1` = serial (the
+    /// Worker threads for [`Experiment::run`]: `1` = one worker (the
     /// default), `0` = every available core, `n` = a pool of `n`.
     /// Results are bit-identical for every value.
     pub jobs: usize,
@@ -202,7 +202,7 @@ impl Experiment {
             };
             truths[ci] = truth;
             for (mi, plan) in [&fine.plan, &co.plan, &ml.plan].into_iter().enumerate() {
-                let out = execute_plan_cached(cache, &cb, config, plan, self.warmup, 1);
+                let out = execute_plan_cached(cache, &cb, config, plan, self.warmup);
                 let est = out.estimate;
                 if ci == 0 && mi == 1 {
                     coasts_outcome_a = Some(out);
@@ -242,146 +242,170 @@ impl Experiment {
         })
     }
 
+    /// Worker threads [`Experiment::run`] uses: [`Experiment::jobs`]
+    /// with `0` resolved to every available core, capped at the suite
+    /// size (and at least one).
+    pub fn workers(&self) -> usize {
+        let jobs = match self.jobs {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
+        jobs.min(self.suite.len()).max(1)
+    }
+
     /// Run the whole suite, calling `progress` after each benchmark.
     ///
-    /// With [`Experiment::jobs`] > 1 (or 0 = all cores) benchmarks fan
-    /// out across a bounded worker pool. Results are returned in suite
-    /// order and are bit-identical to a serial run; `progress` is
-    /// always invoked on the calling thread, in suite order, as soon as
-    /// the corresponding prefix of benchmarks has completed.
+    /// Benchmarks run on a pool of [`Experiment::workers`] workers: the
+    /// calling thread is worker 0, and `workers - 1` scoped threads
+    /// join it, so the default `jobs = 1` spawns no thread. Results are
+    /// returned in suite order and are bit-identical for every worker
+    /// count. `progress` is always invoked on the calling thread, in
+    /// suite order, for the completed prefix of benchmarks — between
+    /// the calling thread's own benchmarks, and as the others finish
+    /// once it has nothing left to claim.
     ///
     /// # Errors
     ///
-    /// Fails on the first benchmark error in suite order (serially this
-    /// also aborts later benchmarks; in parallel, already-started ones
-    /// finish but their results are discarded).
+    /// Fails on the first benchmark error in suite order. No benchmark
+    /// starts after a failure; ones already running finish, but their
+    /// results are discarded. A panicking benchmark re-panics on the
+    /// calling thread with the benchmark's name attached.
     pub fn run(&self, mut progress: impl FnMut(&BenchResult)) -> Result<Vec<BenchResult>, String> {
-        let _span = mlpa_obs::span("bench.suite");
-        let workers = mlpa_core::effective_jobs(self.jobs).min(self.suite.len().max(1));
         // Progress gauges feed the live telemetry sampler and the
         // status server's benchmarks done/total fields.
         mlpa_obs::gauge_set("bench.total", self.suite.len() as u64);
         mlpa_obs::gauge_set("bench.done", 0);
-        if workers <= 1 {
-            // A single-worker guard so serial runs still report
-            // utilization.
-            let mut guard = mlpa_obs::worker("suite", 0);
-            let mut out = Vec::with_capacity(self.suite.len());
-            for spec in &self.suite {
-                let r = guard
-                    .busy(|| self.run_benchmark(spec))
-                    .map_err(|e| format!("{}: {e}", spec.name))?;
-                progress(&r);
-                mlpa_obs::gauge_set("bench.done", out.len() as u64 + 1);
-                // A counter snapshot per completed benchmark gives the
-                // trace converter its counter-series timeline.
-                mlpa_obs::emit_counters_snapshot();
-                out.push(r);
-            }
-            return Ok(out);
-        }
 
         let specs: Vec<&BenchmarkSpec> = self.suite.iter().collect();
         let next = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
         let (tx, rx) = mpsc::channel::<(usize, Outcome)>();
+        // One pool worker: claims benchmarks in suite order, sends each
+        // outcome, and calls `between` after every job.
+        let work = |w: usize, tx: mpsc::Sender<(usize, Outcome)>, between: &mut dyn FnMut()| {
+            let mut guard = mlpa_obs::worker("suite", w);
+            loop {
+                // Stop claiming new benchmarks once any has failed.
+                // Claim order guarantees the lowest-indexed failure is
+                // always executed, so the reported error is
+                // deterministic.
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(spec) = specs.get(i) else { break };
+                // A panicking benchmark must not be swallowed by the
+                // scope join: capture the payload and report it with
+                // the benchmark's name attached.
+                let r = guard.busy(|| {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        self.run_benchmark(spec).map_err(|e| format!("{}: {e}", spec.name))
+                    }))
+                });
+                let r = match r {
+                    Ok(Ok(res)) => Outcome::Done(Box::new(res)),
+                    Ok(Err(e)) => Outcome::Error(e),
+                    Err(payload) => Outcome::Panic(format!(
+                        "suite benchmark {} panicked: {}",
+                        spec.name,
+                        mlpa_core::panic_message(&*payload)
+                    )),
+                };
+                if !matches!(r, Outcome::Done(_)) {
+                    stop.store(true, Ordering::Relaxed);
+                }
+                if tx.send((i, r)).is_err() {
+                    break;
+                }
+                between();
+            }
+        };
 
         std::thread::scope(|s| {
-            for w in 0..workers {
+            for w in 1..self.workers() {
                 let tx = tx.clone();
-                let (next, stop) = (&next, &stop);
-                let specs = &specs;
-                s.spawn(move || {
-                    let mut guard = mlpa_obs::worker("suite", w);
-                    loop {
-                        // Claim benchmarks in suite order; stop claiming
-                        // new ones once any benchmark has failed. Claim
-                        // order guarantees the lowest-indexed failure is
-                        // always executed, so the reported error is
-                        // deterministic.
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(spec) = specs.get(i) else { break };
-                        // A panicking benchmark must not be swallowed by
-                        // the scope join: capture the payload and report
-                        // it with the benchmark's name attached.
-                        let r = guard.busy(|| {
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                self.run_benchmark(spec).map_err(|e| format!("{}: {e}", spec.name))
-                            }))
-                        });
-                        let r = match r {
-                            Ok(Ok(res)) => Outcome::Done(Box::new(res)),
-                            Ok(Err(e)) => Outcome::Error(e),
-                            Err(payload) => Outcome::Panic(format!(
-                                "suite benchmark {} panicked: {}",
-                                spec.name,
-                                mlpa_core::panic_message(&*payload)
-                            )),
-                        };
-                        if !matches!(r, Outcome::Done(_)) {
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                        if tx.send((i, r)).is_err() {
-                            break;
-                        }
-                    }
-                });
+                s.spawn(move || work(w, tx, &mut || {}));
             }
-            drop(tx);
-
-            let mut slots: Vec<Option<BenchResult>> = (0..specs.len()).map(|_| None).collect();
-            let mut emitted = 0usize;
-            // Keep the lowest-indexed failure of each kind so the
-            // outcome is deterministic regardless of interleaving; a
-            // panic (a bug) outranks an error (a bad benchmark).
-            let mut first_err: Option<(usize, String)> = None;
-            let mut first_panic: Option<(usize, String)> = None;
+            let mut sink = Collector::new(specs.len());
+            work(0, tx, &mut || {
+                while let Ok((i, r)) = rx.try_recv() {
+                    sink.take(i, r, &mut progress);
+                }
+            });
             for (i, r) in rx {
-                match r {
-                    Outcome::Done(res) => slots[i] = Some(*res),
-                    Outcome::Error(e) => {
-                        if first_err.as_ref().is_none_or(|(fi, _)| i < *fi) {
-                            first_err = Some((i, e));
-                        }
-                    }
-                    Outcome::Panic(msg) => {
-                        if first_panic.as_ref().is_none_or(|(fi, _)| i < *fi) {
-                            first_panic = Some((i, msg));
-                        }
-                    }
-                }
-                // Stream progress for the completed prefix, in order.
-                while let Some(Some(done)) = slots.get(emitted) {
-                    progress(done);
-                    emitted += 1;
-                    mlpa_obs::gauge_set("bench.done", emitted as u64);
-                    mlpa_obs::emit_counters_snapshot();
-                }
+                sink.take(i, r, &mut progress);
             }
-
-            if let Some((_, msg)) = first_panic {
-                panic!("{msg}");
-            }
-            if let Some((_, e)) = first_err {
-                return Err(e);
-            }
-            slots
-                .into_iter()
-                .map(|r| r.ok_or_else(|| "worker pool dropped a benchmark".to_string()))
-                .collect()
+            sink.finish()
         })
     }
 }
 
-/// Channel payload of the parallel suite pool: a finished benchmark, a
+/// Channel payload of the suite pool: a finished benchmark, a
 /// benchmark error, or a captured worker panic.
 enum Outcome {
     Done(Box<BenchResult>),
     Error(String),
     Panic(String),
+}
+
+/// The calling thread's side of the suite pool: restores suite order,
+/// streams progress for the completed prefix, and keeps the
+/// lowest-indexed failure of each kind so the outcome is deterministic
+/// regardless of interleaving; a panic (a bug) outranks an error (a bad
+/// benchmark).
+struct Collector {
+    slots: Vec<Option<BenchResult>>,
+    emitted: usize,
+    first_err: Option<(usize, String)>,
+    first_panic: Option<(usize, String)>,
+}
+
+impl Collector {
+    fn new(len: usize) -> Collector {
+        Collector {
+            slots: (0..len).map(|_| None).collect(),
+            emitted: 0,
+            first_err: None,
+            first_panic: None,
+        }
+    }
+
+    fn take(&mut self, i: usize, r: Outcome, progress: &mut impl FnMut(&BenchResult)) {
+        match r {
+            Outcome::Done(res) => self.slots[i] = Some(*res),
+            Outcome::Error(e) => {
+                if self.first_err.as_ref().is_none_or(|(fi, _)| i < *fi) {
+                    self.first_err = Some((i, e));
+                }
+            }
+            Outcome::Panic(msg) => {
+                if self.first_panic.as_ref().is_none_or(|(fi, _)| i < *fi) {
+                    self.first_panic = Some((i, msg));
+                }
+            }
+        }
+        while let Some(Some(done)) = self.slots.get(self.emitted) {
+            progress(done);
+            self.emitted += 1;
+            mlpa_obs::gauge_set("bench.done", self.emitted as u64);
+            // A counter snapshot per completed benchmark gives the
+            // trace converter its counter-series timeline.
+            mlpa_obs::emit_counters_snapshot();
+        }
+    }
+
+    fn finish(self) -> Result<Vec<BenchResult>, String> {
+        if let Some((_, msg)) = self.first_panic {
+            panic!("{msg}");
+        }
+        if let Some((_, e)) = self.first_err {
+            return Err(e);
+        }
+        self.slots
+            .into_iter()
+            .map(|r| r.ok_or_else(|| "worker pool dropped a benchmark".to_string()))
+            .collect()
+    }
 }
 
 /// Index of a method in [`BenchResult::methods`].
@@ -519,15 +543,29 @@ mod tests {
     /// Regression: a worker thread panicking mid-benchmark used to
     /// resurface only at the scope join, with the raw payload and no
     /// indication of which benchmark died. The pool must capture it and
-    /// re-panic with the benchmark's name attached.
+    /// re-panic with the benchmark's name attached, for every worker
+    /// count including the default single worker.
     #[test]
-    #[should_panic(expected = "suite benchmark eon panicked")]
-    fn parallel_run_propagates_worker_panics_with_benchmark_name() {
-        let mut exp = tiny();
-        exp.jobs = 2;
-        // Width 0 passes compilation/selection but makes DetailedSim
-        // panic inside the worker ("invalid machine config").
-        exp.configs[0].width = 0;
-        let _ = exp.run(|_| {});
+    fn run_propagates_worker_panics_with_benchmark_name() {
+        for jobs in [1, 2] {
+            let mut exp = Experiment { jobs, ..tiny() };
+            // Width 0 passes compilation/selection but makes DetailedSim
+            // panic inside the worker ("invalid machine config").
+            exp.configs[0].width = 0;
+            let payload =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run(|_| {})))
+                    .expect_err("invalid config must panic");
+            let msg = mlpa_core::panic_message(&*payload);
+            assert!(msg.contains("suite benchmark eon panicked"), "jobs={jobs}: {msg}");
+            assert!(msg.contains("invalid machine config"), "jobs={jobs}: {msg}");
+        }
+    }
+
+    #[test]
+    fn workers_resolve_jobs_against_cores_and_suite() {
+        assert_eq!(tiny().workers(), 1);
+        assert_eq!(Experiment { jobs: 8, ..tiny() }.workers(), 2);
+        assert!(Experiment { jobs: 0, ..tiny() }.workers() >= 1);
+        assert_eq!(Experiment { jobs: 4, ..tiny() }.select(&[]).workers(), 1);
     }
 }

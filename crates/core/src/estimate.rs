@@ -2,12 +2,11 @@
 //! in detail, and combine the weighted per-point metrics into a
 //! whole-program estimate.
 //!
-//! Execution is available serially ([`execute_plan`]) or across a
-//! bounded worker pool ([`execute_plan_jobs`]). Both paths produce
-//! bit-identical [`ExecutionOutcome`]s: plan points are independent
-//! regions of a deterministic trace, and warm microarchitectural state
-//! is defined as *functional warming of the whole prefix* — a property
-//! each worker can reconstruct on its own from the start of the trace.
+//! [`execute_plan`] is the one executor: a single chained traversal of
+//! the trace. Warm microarchitectural state at a point is defined as
+//! *functional warming of the whole prefix* `[0, start)`, so a point's
+//! metrics are a pure function of its start offset and never depend on
+//! which other points the plan holds.
 
 use crate::cache::{ArtifactCache, CacheKey};
 use crate::plan::SimulationPlan;
@@ -17,8 +16,6 @@ use mlpa_sim::{
     SimMetrics,
 };
 use mlpa_workloads::{CompiledBenchmark, WorkloadStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// Microarchitectural-state policy at each simulation point.
 ///
@@ -40,19 +37,14 @@ pub enum WarmupMode {
     /// `-fastfwd` behaviour.
     Cold,
     /// Functionally warm caches and predictor over each point's entire
-    /// prefix (checkpoint/warming methodology). The warm state a point
-    /// sees is a pure function of its start offset, so points can be
-    /// simulated independently — and therefore in parallel — while
-    /// staying bit-identical to serial execution.
+    /// prefix (checkpoint/warming methodology), including the regions
+    /// of earlier points. The warm state a point sees is therefore a
+    /// pure function of its start offset.
     #[default]
     Warmed,
 }
 
 /// What executing a plan cost, in actually-executed instructions.
-///
-/// Parallel execution reports the *serial-equivalent* accounting (the
-/// gaps between consecutive points), not the per-worker prefix replays,
-/// so outcomes compare across job counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecutionCost {
     /// Instructions fast-forwarded functionally.
@@ -72,15 +64,14 @@ pub struct ExecutionOutcome {
     pub cost: ExecutionCost,
 }
 
-/// Execute `plan` on `config` serially, producing the sampled estimate.
+/// Execute `plan` on `config`, producing the sampled estimate.
 ///
-/// With [`WarmupMode::Cold`] every point starts from a cold simulator
+/// One traversal of the trace visits the points in order. With
+/// [`WarmupMode::Cold`] every point starts from a cold simulator
 /// (separate `sim-outorder -fastfwd` invocations, as the paper's
 /// baseline); with [`WarmupMode::Warmed`] the caches and predictor are
 /// functionally warmed over each point's prefix before detailed
 /// simulation begins.
-///
-/// Equivalent to [`execute_plan_jobs`] with `jobs = 1`.
 ///
 /// # Example
 ///
@@ -105,71 +96,14 @@ pub fn execute_plan(
     plan: &SimulationPlan,
     mode: WarmupMode,
 ) -> ExecutionOutcome {
-    execute_plan_jobs(cb, config, plan, mode, 1)
-}
-
-/// Execute `plan` across up to `jobs` worker threads.
-///
-/// `jobs = 0` uses every available core, `jobs = 1` runs serially on
-/// the calling thread; the pool never exceeds the number of plan
-/// points. The outcome — estimate, per-point metrics, and cost — is
-/// bit-identical for every job count: each worker rebuilds its point's
-/// trace position (and, in [`WarmupMode::Warmed`], its functional warm
-/// state) independently from the start of the deterministic trace, and
-/// per-point results are recombined in plan order.
-///
-/// Plan points produced by this repo's selectors start on profiled
-/// interval boundaries, which is what makes a point's stream position
-/// reconstructible from its start offset alone.
-pub fn execute_plan_jobs(
-    cb: &CompiledBenchmark,
-    config: &MachineConfig,
-    plan: &SimulationPlan,
-    mode: WarmupMode,
-    jobs: usize,
-) -> ExecutionOutcome {
     let _span = mlpa_obs::span("core.plan.execute");
-    let workers = effective_jobs(jobs).min(plan.len());
-    let raw = if workers <= 1 {
-        execute_points_serial(cb, config, plan, mode)
-    } else {
-        execute_points_parallel(cb, config, plan, mode, workers)
-    };
-    let out = combine(plan, raw);
-    if mlpa_obs::is_enabled() {
-        mlpa_obs::add("core.plan.points", plan.len() as u64);
-        mlpa_obs::add("core.plan.functional_insts", out.cost.functional_insts);
-        mlpa_obs::add("core.plan.detailed_insts", out.cost.detailed_insts);
-    }
-    out
-}
-
-/// Resolve a `jobs` request: `0` means all available cores.
-pub fn effective_jobs(jobs: usize) -> usize {
-    if jobs == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        jobs
-    }
-}
-
-/// Per-point raw result: the stream position the detailed region
-/// started at, and its metrics.
-type PointRun = (u64, SimMetrics);
-
-fn execute_points_serial(
-    cb: &CompiledBenchmark,
-    config: &MachineConfig,
-    plan: &SimulationPlan,
-    mode: WarmupMode,
-) -> Vec<PointRun> {
     let mut stream = WorkloadStream::new(cb);
     let mut func = FunctionalSim::new(cb.program());
-    let mut runs = Vec::with_capacity(plan.len());
+    let mut per_point = Vec::with_capacity(plan.len());
+    let mut cost = ExecutionCost::default();
     let mut pos = 0u64;
-    // A single-worker guard so serial runs still report utilization.
+    // A single-worker guard so plan execution reports utilization.
     let mut worker = mlpa_obs::worker("plan", 0);
-    // One job in flight for the whole serial traversal.
     mlpa_obs::gauge_set("core.plan.inflight", 1);
 
     // Warm mode keeps one continuously-warmed state for the whole
@@ -179,24 +113,24 @@ fn execute_points_serial(
 
     for (i, p) in plan.points().iter().enumerate() {
         let _span = mlpa_obs::span_labeled("core.plan.point", &format!("point {i}"));
-        let run = worker.busy(|| {
+        let metrics = worker.busy(|| {
             let skip = p.start.saturating_sub(pos);
-            pos += match &mut warm {
+            let skipped = match &mut warm {
                 Some((hier, bu)) => {
                     func.fast_forward(&mut stream, skip, &mut (), Warming::Warm, Some((hier, bu)))
                 }
                 None => func.fast_forward(&mut stream, skip, &mut (), Warming::None, None),
             };
-            let start_pos = pos;
+            pos += skipped;
+            cost.functional_insts += skipped;
 
-            let metrics = match &mut warm {
+            let m = match &mut warm {
                 Some((hier, bu)) => {
                     // The detailed simulator runs on a fork of the stream
                     // with a snapshot of the warm state, while the primary
                     // stream warms functionally *through* the point region —
                     // so the next point's prefix state is a pure functional
-                    // warm of [0, start), exactly what a parallel worker
-                    // reconstructs.
+                    // warm of [0, start).
                     let mut fork = stream.clone();
                     let mut sim = DetailedSim::with_warm_state(
                         *config,
@@ -220,103 +154,31 @@ fn execute_points_serial(
                     sim.simulate(&mut stream, p.len)
                 }
             };
-            pos += metrics.instructions;
-            (start_pos, metrics)
+            pos += m.instructions;
+            m
         });
-        runs.push(run);
+        cost.detailed_insts += metrics.instructions;
+        per_point.push(metrics);
     }
     mlpa_obs::gauge_set("core.plan.inflight", 0);
-    runs
-}
 
-fn execute_points_parallel(
-    cb: &CompiledBenchmark,
-    config: &MachineConfig,
-    plan: &SimulationPlan,
-    mode: WarmupMode,
-    workers: usize,
-) -> Vec<PointRun> {
-    let points = plan.points();
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, Result<PointRun, String>)>();
-
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            s.spawn(move || {
-                let mut guard = mlpa_obs::worker("plan", w);
-                // Claim points dynamically: early points have short
-                // prefixes, late points long ones, so static chunking
-                // would load-imbalance badly.
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(p) = points.get(i) else { break };
-                    let span = mlpa_obs::span_labeled("core.plan.point", &format!("point {i}"));
-                    let span_id = span.id();
-                    // Single atomic op on the gauge itself: a separate
-                    // counter plus gauge_set can interleave so a stale
-                    // larger value is stored last and the level sticks
-                    // nonzero after the parallel section drains.
-                    mlpa_obs::gauge_add("core.plan.inflight", 1);
-                    // A panicking job must not be swallowed into the
-                    // joined results: capture the payload and report it
-                    // with the job's identity attached.
-                    let run = guard.busy(|| {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            simulate_point_standalone(cb, config, p.start, p.len, mode)
-                        }))
-                    });
-                    mlpa_obs::gauge_add("core.plan.inflight", -1);
-                    drop(span);
-                    let run = run.map_err(|payload| {
-                        // `&*payload`, not `&payload`: a `Box<dyn Any>`
-                        // is itself `Any`, so the un-derefed reference
-                        // would downcast against the box, never the
-                        // payload inside it.
-                        let msg = panic_message(&*payload);
-                        if span_id != 0 {
-                            format!("{msg} [obs span {span_id}]")
-                        } else {
-                            msg
-                        }
-                    });
-                    if tx.send((i, run)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-
-        let mut runs: Vec<Option<PointRun>> = vec![None; points.len()];
-        let mut failure: Option<(usize, String)> = None;
-        for (i, run) in rx {
-            match run {
-                Ok(r) => runs[i] = Some(r),
-                // Report the lowest-index failure so the error is
-                // deterministic regardless of worker interleaving.
-                Err(msg) => {
-                    if failure.as_ref().is_none_or(|(j, _)| i < *j) {
-                        failure = Some((i, msg));
-                    }
-                }
-            }
-        }
-        if let Some((i, msg)) = failure {
-            let p = &points[i];
-            panic!("plan point {i} (start={}, len={}) panicked: {msg}", p.start, p.len);
-        }
-        runs.into_iter().map(|r| r.expect("worker pool completed every claimed point")).collect()
-    })
+    let estimate = SimMetrics::weighted_estimate(
+        plan.points().iter().zip(&per_point).map(|(p, m)| (p.weight, *m)),
+    );
+    if mlpa_obs::is_enabled() {
+        mlpa_obs::add("core.plan.points", plan.len() as u64);
+        mlpa_obs::add("core.plan.functional_insts", cost.functional_insts);
+        mlpa_obs::add("core.plan.detailed_insts", cost.detailed_insts);
+    }
+    ExecutionOutcome { estimate, per_point, cost }
 }
 
 /// Render a `catch_unwind` payload (the common `&str`/`String` cases).
 ///
-/// Shared by every worker pool that must attach a job label to a
-/// propagated panic (plan execution here, the experiment suite in
-/// `mlpa-bench`). Pass `&*payload`, not `&payload`: a `Box<dyn Any>` is
-/// itself `Any`.
+/// Shared by the worker pools that must attach a job label to a
+/// propagated panic (the experiment suite in `mlpa-bench`, the
+/// `mlpa-serve` job workers). Pass `&*payload`, not `&payload`: a
+/// `Box<dyn Any>` is itself `Any`.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -325,57 +187,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Simulate one plan point from a cold start of the trace: fast-forward
-/// (warming if requested) over the prefix, then run the detailed region.
-fn simulate_point_standalone(
-    cb: &CompiledBenchmark,
-    config: &MachineConfig,
-    start: u64,
-    len: u64,
-    mode: WarmupMode,
-) -> PointRun {
-    let mut stream = WorkloadStream::new(cb);
-    let mut func = FunctionalSim::new(cb.program());
-    match mode {
-        WarmupMode::Cold => {
-            let prefix = func.fast_forward(&mut stream, start, &mut (), Warming::None, None);
-            let mut sim = DetailedSim::new(*config, cb.program());
-            (prefix, sim.simulate(&mut stream, len))
-        }
-        WarmupMode::Warmed => {
-            let mut hier = MemoryHierarchy::new(config);
-            let mut bu = BranchUnit::new(&config.predictor);
-            let prefix = func.fast_forward(
-                &mut stream,
-                start,
-                &mut (),
-                Warming::Warm,
-                Some((&mut hier, &mut bu)),
-            );
-            let mut sim = DetailedSim::with_warm_state(*config, cb.program(), hier, bu);
-            (prefix, sim.simulate(&mut stream, len))
-        }
-    }
-}
-
-/// Fold per-point runs into the outcome, reconstructing the
-/// serial-equivalent cost accounting from the recorded positions.
-fn combine(plan: &SimulationPlan, runs: Vec<PointRun>) -> ExecutionOutcome {
-    let mut cost = ExecutionCost::default();
-    let mut end_of_prev = 0u64;
-    let mut per_point = Vec::with_capacity(runs.len());
-    for (start_pos, m) in runs {
-        cost.functional_insts += start_pos.saturating_sub(end_of_prev);
-        cost.detailed_insts += m.instructions;
-        end_of_prev = start_pos + m.instructions;
-        per_point.push(m);
-    }
-    let estimate = SimMetrics::weighted_estimate(
-        plan.points().iter().zip(&per_point).map(|(p, m)| (p.weight, *m)),
-    );
-    ExecutionOutcome { estimate, per_point, cost }
 }
 
 /// Simulate the entire benchmark in detail — the ground truth the
@@ -466,17 +277,14 @@ pub fn ground_truth_segmented_cached(
     ms
 }
 
-/// [`execute_plan_jobs`] behind the artifact cache. The key covers the
-/// benchmark, machine config, warmup mode, and the full plan contents;
-/// `jobs` is deliberately excluded because execution is bit-identical
-/// across worker counts (see [`execute_plan_jobs`]).
+/// [`execute_plan`] behind the artifact cache. The key covers the
+/// benchmark, machine config, warmup mode, and the full plan contents.
 pub fn execute_plan_cached(
     cache: Option<&ArtifactCache>,
     cb: &CompiledBenchmark,
     config: &MachineConfig,
     plan: &SimulationPlan,
     mode: WarmupMode,
-    jobs: usize,
 ) -> ExecutionOutcome {
     let key = cache.map(|_| {
         CacheKey::new()
@@ -490,7 +298,7 @@ pub fn execute_plan_cached(
             return out;
         }
     }
-    let out = execute_plan_jobs(cb, config, plan, mode, jobs);
+    let out = execute_plan(cb, config, plan, mode);
     if let (Some(c), Some(k)) = (cache, &key) {
         c.put(k, &out);
     }
@@ -519,7 +327,6 @@ pub fn execute_plan_checked(
     config: &MachineConfig,
     plan: &SimulationPlan,
     mode: WarmupMode,
-    jobs: usize,
 ) -> Result<ExecutionOutcome, String> {
     let actual = crate::pipeline::trace_insts(cb);
     if plan.total_insts() != actual {
@@ -530,7 +337,7 @@ pub fn execute_plan_checked(
             cb.spec().name,
         ));
     }
-    Ok(execute_plan_jobs(cb, config, plan, mode, jobs))
+    Ok(execute_plan(cb, config, plan, mode))
 }
 
 #[cfg(test)]
@@ -616,7 +423,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
 
         let config = MachineConfig::table1_base();
-        let err = execute_plan_checked(&long, &config, &loaded, WarmupMode::Warmed, 1)
+        let err = execute_plan_checked(&long, &config, &loaded, WarmupMode::Warmed)
             .expect_err("mismatched plan accepted");
         assert!(err.contains("mismatch"), "unclear error: {err}");
         assert!(
@@ -626,7 +433,7 @@ mod tests {
 
         // The matching benchmark executes and agrees with the unchecked
         // path exactly.
-        let checked = execute_plan_checked(&short, &config, &loaded, WarmupMode::Warmed, 1)
+        let checked = execute_plan_checked(&short, &config, &loaded, WarmupMode::Warmed)
             .expect("matching plan rejected");
         let unchecked = execute_plan(&short, &config, &loaded, WarmupMode::Warmed);
         assert_eq!(checked, unchecked);
@@ -656,8 +463,8 @@ mod tests {
         let seg_warm = ground_truth_segmented_cached(c, &bench, &config, &lens);
         assert_eq!(seg_cold, seg_warm);
 
-        let exec_cold = execute_plan_cached(c, &bench, &config, &plan, WarmupMode::Warmed, 1);
-        let exec_warm = execute_plan_cached(c, &bench, &config, &plan, WarmupMode::Warmed, 1);
+        let exec_cold = execute_plan_cached(c, &bench, &config, &plan, WarmupMode::Warmed);
+        let exec_warm = execute_plan_cached(c, &bench, &config, &plan, WarmupMode::Warmed);
         assert_eq!(exec_cold, exec_warm);
         assert_eq!(exec_cold, execute_plan(&bench, &config, &plan, WarmupMode::Warmed));
 
@@ -774,57 +581,5 @@ mod tests {
         let a = ground_truth(&cb, &MachineConfig::table1_base());
         let b = ground_truth(&cb, &MachineConfig::table1_base());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn parallel_matches_serial_cold_and_warm() {
-        let cb = cb();
-        let plan = plan_of(
-            &cb,
-            &[(0.05, 0.03, 0.2), (0.2, 0.04, 0.2), (0.45, 0.03, 0.3), (0.7, 0.05, 0.3)],
-        );
-        for mode in [WarmupMode::Cold, WarmupMode::Warmed] {
-            let serial = execute_plan_jobs(&cb, &MachineConfig::table1_base(), &plan, mode, 1);
-            for jobs in [2, 4, 0] {
-                let par = execute_plan_jobs(&cb, &MachineConfig::table1_base(), &plan, mode, jobs);
-                assert_eq!(serial, par, "jobs={jobs} mode={mode:?} diverged from serial");
-            }
-        }
-    }
-
-    #[test]
-    fn effective_jobs_resolves_zero_to_cores() {
-        assert!(effective_jobs(0) >= 1);
-        assert_eq!(effective_jobs(3), 3);
-    }
-
-    /// Regression: worker panics used to be swallowed into the joined
-    /// results (the collector just hit its `expect` on a `None` slot,
-    /// losing the payload). They must surface with the failing point's
-    /// label and the original message attached.
-    #[test]
-    #[should_panic(expected = "plan point 0")]
-    fn worker_panics_propagate_with_point_label() {
-        let cb = cb();
-        let plan = plan_of(&cb, &[(0.1, 0.03, 0.5), (0.5, 0.03, 0.5)]);
-        let mut bad = MachineConfig::table1_base();
-        bad.width = 0; // DetailedSim::new panics: "invalid machine config"
-        let _ = execute_plan_jobs(&cb, &bad, &plan, WarmupMode::Cold, 2);
-    }
-
-    /// The propagated message keeps the worker's original panic text.
-    #[test]
-    fn worker_panic_message_includes_payload() {
-        let cb = cb();
-        let plan = plan_of(&cb, &[(0.1, 0.03, 0.5), (0.5, 0.03, 0.5)]);
-        let mut bad = MachineConfig::table1_base();
-        bad.width = 0;
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_plan_jobs(&cb, &bad, &plan, WarmupMode::Cold, 2)
-        }))
-        .expect_err("invalid config must panic");
-        let msg = panic_message(&*err);
-        assert!(msg.contains("plan point 0"), "missing point label: {msg}");
-        assert!(msg.contains("invalid machine config"), "missing payload: {msg}");
     }
 }

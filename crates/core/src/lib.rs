@@ -57,9 +57,9 @@ pub use attribution::{
 pub use cache::{atomic_write, ArtifactCache, CacheKey, FlightRole, Singleflight, CACHE_SCHEMA};
 pub use coasts::{coasts, coasts_with, CoastsConfig, CoastsOutcome};
 pub use estimate::{
-    effective_jobs, execute_plan, execute_plan_cached, execute_plan_checked, execute_plan_jobs,
-    ground_truth, ground_truth_cached, ground_truth_segmented, ground_truth_segmented_cached,
-    panic_message, ExecutionCost, ExecutionOutcome, WarmupMode,
+    execute_plan, execute_plan_cached, execute_plan_checked, ground_truth, ground_truth_cached,
+    ground_truth_segmented, ground_truth_segmented_cached, panic_message, ExecutionCost,
+    ExecutionOutcome, WarmupMode,
 };
 pub use multilevel::{multilevel, multilevel_with, MultilevelConfig, MultilevelOutcome};
 pub use pipeline::{
@@ -95,7 +95,7 @@ pub(crate) mod testobs {
 /// Convenience re-exports for the common workflow.
 pub mod prelude {
     pub use crate::coasts::{coasts, coasts_with, CoastsConfig};
-    pub use crate::estimate::{execute_plan, execute_plan_jobs, ground_truth, WarmupMode};
+    pub use crate::estimate::{execute_plan, ground_truth, WarmupMode};
     pub use crate::multilevel::{multilevel, multilevel_with, MultilevelConfig};
     pub use crate::pipeline::{
         simpoint_baseline, simpoint_baseline_with, ProfilingContext, ProjectionSettings,

@@ -274,7 +274,7 @@ pub fn analyze(req: &AnalyzeRequest, cache: Option<Arc<ArtifactCache>>) -> Resul
         ServeMethod::Multilevel => multilevel_with(&mut ctx, &MultilevelConfig::default())?.plan,
     };
     let machine = req.config.machine();
-    let out = execute_plan_cached(cache.as_deref(), &cb, &machine, &plan, WarmupMode::Warmed, 1);
+    let out = execute_plan_cached(cache.as_deref(), &cb, &machine, &plan, WarmupMode::Warmed);
     let e = out.estimate;
     Ok(format!(
         "{{\"schema\":\"{SERVE_RESULT_SCHEMA}\",\"benchmark\":\"{}\",\"method\":\"{}\",\

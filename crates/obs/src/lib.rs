@@ -702,25 +702,6 @@ mod imp {
             .store(value, Ordering::Relaxed);
     }
 
-    /// Add `delta` to the named gauge in one atomic op (negative
-    /// deltas wrap two's-complement, so balanced add/sub pairs are
-    /// exact). Use this for level gauges updated from many threads —
-    /// a read-modify-write through [`gauge_set`] can interleave so a
-    /// stale larger value lands last and the level sticks nonzero.
-    pub fn gauge_add(name: &'static str, delta: i64) {
-        if !is_enabled() {
-            return;
-        }
-        if let Some(g) = GAUGES.read().expect("obs gauges poisoned").get(name) {
-            g.fetch_add(delta as u64, Ordering::Relaxed);
-            return;
-        }
-        let mut map = GAUGES.write().expect("obs gauges poisoned");
-        map.entry(name)
-            .or_insert_with(|| Box::leak(Box::new(AtomicU64::new(0))))
-            .fetch_add(delta as u64, Ordering::Relaxed);
-    }
-
     /// Last value written to a named gauge (0 if never written).
     pub fn gauge_value(name: &str) -> u64 {
         GAUGES
@@ -1377,10 +1358,6 @@ mod imp {
     #[inline(always)]
     pub fn gauge_set(_name: &'static str, _value: u64) {}
 
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn gauge_add(_name: &'static str, _delta: i64) {}
-
     /// Always 0: the `enabled` feature is compiled out.
     #[inline(always)]
     pub fn gauge_value(_name: &str) -> u64 {
@@ -1521,10 +1498,10 @@ mod imp {
 }
 
 pub use imp::{
-    add, counter_value, counters_snapshot, emit_counters_snapshot, finish, gauge_add, gauge_set,
-    gauge_value, gauges_snapshot, hist_buckets_snapshot, hist_merge, hist_record,
-    histograms_snapshot, init, is_enabled, pool_live_snapshot, report, reset_for_tests,
-    set_enabled, span, span_edges_snapshot, span_labeled, worker, HistTally, Span, Worker,
+    add, counter_value, counters_snapshot, emit_counters_snapshot, finish, gauge_set, gauge_value,
+    gauges_snapshot, hist_buckets_snapshot, hist_merge, hist_record, histograms_snapshot, init,
+    is_enabled, pool_live_snapshot, report, reset_for_tests, set_enabled, span,
+    span_edges_snapshot, span_labeled, worker, HistTally, Span, Worker,
 };
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Span-aggregated self-profile: turns the span stream into a
 //! per-span-name call tree with self/total wall time, plus worker-pool
-//! utilization and a critical-path summary for the plan-execution pool.
+//! utilization and a critical-path summary for the experiment-suite pool.
 //!
 //! Everything here is pure aggregation over snapshots the live `imp`
 //! module hands over at [`crate::report`] time, so it compiles (and is
@@ -82,11 +82,11 @@ pub struct PoolSummary {
     pub utilization: f64,
 }
 
-/// Critical-path summary for the plan-execution pool: how close the
+/// Critical-path summary for the experiment-suite pool: how close the
 /// parallel section is to its load-balance limit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CriticalPath {
-    /// Pool the summary describes (`plan`).
+    /// Pool the summary describes (`suite`).
     pub pool: String,
     /// Number of worker guards that completed.
     pub workers: u64,
@@ -114,13 +114,13 @@ pub struct SelfProfile {
     pub tree: Vec<SpanEdge>,
     /// Per-pool utilization, sorted by pool name.
     pub pools: Vec<PoolSummary>,
-    /// Critical-path summary for the `plan` pool, when it ran.
+    /// Critical-path summary for the `suite` pool, when it ran.
     pub critical_path: Option<CriticalPath>,
 }
 
 /// The worker pool whose critical path is summarized: the
-/// plan-execution pool driven by `execute_plan_jobs`.
-pub const CRITICAL_POOL: &str = "plan";
+/// experiment-suite pool, the one `mlpa-experiments --jobs N` sizes.
+pub const CRITICAL_POOL: &str = "suite";
 
 /// Aggregate report snapshots into a [`SelfProfile`]. Pure function of
 /// its inputs; panics never, even on inconsistent snapshots (a span
@@ -193,14 +193,14 @@ pub fn build(
     }
     pools.sort_by(|a, b| a.pool.cmp(&b.pool));
 
-    let plan: Vec<&WorkerStat> = workers.iter().filter(|w| w.pool == CRITICAL_POOL).collect();
-    let critical_path = if plan.is_empty() {
+    let pool: Vec<&WorkerStat> = workers.iter().filter(|w| w.pool == CRITICAL_POOL).collect();
+    let critical_path = if pool.is_empty() {
         None
     } else {
-        let n = plan.len() as u64;
-        let sum_busy: f64 = plan.iter().map(|w| w.busy_s).sum();
-        let max_busy = plan.iter().map(|w| w.busy_s).fold(0.0_f64, f64::max);
-        let wall = plan.iter().map(|w| w.wall_s).fold(0.0_f64, f64::max);
+        let n = pool.len() as u64;
+        let sum_busy: f64 = pool.iter().map(|w| w.busy_s).sum();
+        let max_busy = pool.iter().map(|w| w.busy_s).fold(0.0_f64, f64::max);
+        let wall = pool.iter().map(|w| w.wall_s).fold(0.0_f64, f64::max);
         let mean_busy = sum_busy / n as f64;
         Some(CriticalPath {
             pool: CRITICAL_POOL.to_string(),
@@ -345,27 +345,28 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_summarizes_plan_pool() {
+    fn critical_path_summarizes_suite_pool() {
         let workers = vec![
-            worker("plan", 2.0, 2.5, 10),
-            worker("plan", 1.0, 2.5, 5),
-            worker("suite", 3.0, 3.0, 2),
+            worker("suite", 2.0, 2.5, 10),
+            worker("suite", 1.0, 2.5, 5),
+            worker("plan", 3.0, 3.0, 2),
         ];
         let sp = build(&[], &[], &workers, &[]);
-        let cp = sp.critical_path.expect("plan pool ran");
+        let cp = sp.critical_path.expect("suite pool ran");
+        assert_eq!(cp.pool, "suite");
         assert_eq!(cp.workers, 2);
         assert!((cp.max_busy_s - 2.0).abs() < 1e-9);
         assert!((cp.mean_busy_s - 1.5).abs() < 1e-9);
         assert!((cp.speedup_limit - 1.5).abs() < 1e-9);
         assert!((cp.imbalance - 2.0 / 1.5).abs() < 1e-9);
         assert_eq!(sp.pools.len(), 2);
-        let plan = &sp.pools[0];
-        assert_eq!((plan.pool.as_str(), plan.workers, plan.jobs), ("plan", 2, 15));
+        let suite = &sp.pools[1];
+        assert_eq!((suite.pool.as_str(), suite.workers, suite.jobs), ("suite", 2, 15));
     }
 
     #[test]
-    fn no_plan_pool_means_no_critical_path() {
-        let sp = build(&[], &[], &[worker("suite", 1.0, 1.0, 1)], &[]);
+    fn no_suite_pool_means_no_critical_path() {
+        let sp = build(&[], &[], &[worker("plan", 1.0, 1.0, 1)], &[]);
         assert!(sp.critical_path.is_none());
     }
 
@@ -373,7 +374,7 @@ mod tests {
     fn to_json_parses_and_round_trips_structure() {
         let phases = vec![phase("a", 2, 0.5)];
         let edges = vec![edge("a", None, 2, 0.5)];
-        let workers = vec![worker("plan", 1.0, 2.0, 3)];
+        let workers = vec![worker("suite", 1.0, 2.0, 3)];
         let sp = build(&phases, &[], &workers, &edges);
         let text = sp.to_json(0);
         let v = crate::json::parse(&text).expect("self-profile JSON parses");

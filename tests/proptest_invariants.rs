@@ -152,10 +152,15 @@ fn plans_partition_and_weights_normalise() {
     });
 }
 
+/// Plan execution is one chained traversal, yet a point's metrics must
+/// not depend on the points before it: each equals a standalone replay
+/// that fast-forwards (warming, if asked) from the start of the trace
+/// straight to the point.
 #[test]
-fn parallel_execution_is_bit_identical() {
-    use mlpa::core::{execute_plan_jobs, WarmupMode};
-    use mlpa::sim::MachineConfig;
+fn chained_execution_matches_per_point_replay() {
+    use mlpa::sim::{
+        BranchUnit, DetailedSim, FunctionalSim, MachineConfig, MemoryHierarchy, Warming,
+    };
     check(|spec| {
         let cb = CompiledBenchmark::compile(spec).expect("compiles");
         let ml = multilevel(
@@ -169,9 +174,25 @@ fn parallel_execution_is_bit_identical() {
         .expect("multilevel");
         let config = MachineConfig::table1_base();
         for mode in [WarmupMode::Cold, WarmupMode::Warmed] {
-            let serial = execute_plan_jobs(&cb, &config, &ml.plan, mode, 1);
-            let parallel = execute_plan_jobs(&cb, &config, &ml.plan, mode, 4);
-            assert_eq!(serial, parallel, "mode {mode:?}");
+            let out = execute_plan(&cb, &config, &ml.plan, mode);
+            for (p, m) in ml.plan.points().iter().zip(&out.per_point) {
+                let mut stream = WorkloadStream::new(&cb);
+                let mut func = FunctionalSim::new(cb.program());
+                let mut hier = MemoryHierarchy::new(&config);
+                let mut bu = BranchUnit::new(&config.predictor);
+                let mut sim = match mode {
+                    WarmupMode::Cold => {
+                        func.fast_forward(&mut stream, p.start, &mut (), Warming::None, None);
+                        DetailedSim::new(config, cb.program())
+                    }
+                    WarmupMode::Warmed => {
+                        let warm = Some((&mut hier, &mut bu));
+                        func.fast_forward(&mut stream, p.start, &mut (), Warming::Warm, warm);
+                        DetailedSim::with_warm_state(config, cb.program(), hier, bu)
+                    }
+                };
+                assert_eq!(*m, sim.simulate(&mut stream, p.len), "mode {mode:?} at {}", p.start);
+            }
         }
     });
 }
