@@ -9,7 +9,7 @@
 //! machine-readable baseline of the phase-kernel benches (current vs
 //! naive, with derived speedups) to `<path>` — see
 //! `scripts/bench_phase.sh`. With `MLPA_BENCH_SMOKE=1`, every bench
-//! runs a single sample (the CI smoke mode of the vendored shim).
+//! runs a single timed sample (the CI smoke mode).
 //!
 //! Every run calibrates the host **in this process** first
 //! (`mlpa_obs::calibrate`): the probe's ns-per-unit price stamps each
@@ -21,7 +21,6 @@
 //! comes from interleaved A/B rounds (the `ab_detailed` idiom) rather
 //! than two separately-timed bench entries.
 
-use criterion::{Criterion, Throughput};
 use mlpa_isa::rng::SplitMix64;
 use mlpa_isa::stream::drain_count;
 use mlpa_isa::BlockId;
@@ -63,6 +62,62 @@ fn best_of<R>(n: usize, f: &mut impl FnMut() -> R) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// Whether `MLPA_BENCH_SMOKE` is set (non-empty): every bench then runs
+/// one timed sample and the interleaved A/B one round.
+fn smoke_mode() -> bool {
+    std::env::var_os("MLPA_BENCH_SMOKE").is_some_and(|v| !v.is_empty())
+}
+
+/// One timed bench, as written to `BENCH_phase.json` and the trajectory.
+struct Measurement {
+    group: &'static str,
+    id: &'static str,
+    mean_ns: f64,
+    min_ns: f64,
+    max_ns: f64,
+    samples: usize,
+}
+
+/// Benches that share a group name, a sample count and, when set, the
+/// elements one call processes (printed as throughput).
+struct Group<'m> {
+    name: &'static str,
+    samples: usize,
+    elements: Option<u64>,
+    out: &'m mut Vec<Measurement>,
+}
+
+impl Group<'_> {
+    /// Time `f`: one untimed warm-up call, then the group's sample count
+    /// of timed calls (one in smoke mode). Prints `group/id: [min mean
+    /// max]` and records the measurement.
+    fn bench<R>(&mut self, id: &'static str, mut f: impl FnMut() -> R) {
+        black_box(f());
+        let samples = if smoke_mode() { 1 } else { self.samples };
+        let times: Vec<f64> = (0..samples).map(|_| best_of(1, &mut f)).collect();
+        let mean_ns = times.iter().sum::<f64>() / samples as f64;
+        let min_ns = times.iter().copied().fold(f64::INFINITY, f64::min);
+        let max_ns = times.iter().copied().fold(0.0, f64::max);
+        let rate = self.elements.map(|e| format!(" {:.3e} elem/s", e as f64 * 1e9 / mean_ns));
+        let (min, mean, max) = (fmt_ns(min_ns), fmt_ns(mean_ns), fmt_ns(max_ns));
+        println!("{}/{id}: [{min} {mean} {max}]{}", self.name, rate.unwrap_or_default());
+        self.out.push(Measurement { group: self.name, id, mean_ns, min_ns, max_ns, samples });
+    }
+}
+
+/// A duration in nanoseconds, in the unit that keeps it readable.
+fn fmt_ns(ns: f64) -> String {
+    if ns < 1e3 {
+        format!("{ns:.0} ns")
+    } else if ns < 1e6 {
+        format!("{:.2} µs", ns / 1e3)
+    } else if ns < 1e9 {
+        format!("{:.2} ms", ns / 1e6)
+    } else {
+        format!("{:.3} s", ns / 1e9)
+    }
+}
+
 /// Interleaved A/B speedup (the `ab_detailed` idiom): rounds alternate
 /// reference and current back-to-back, best-of-3 a side per round, and
 /// the reported ratio is the **median** of the per-round ratios. Both
@@ -70,8 +125,7 @@ fn best_of<R>(n: usize, f: &mut impl FnMut() -> R) -> f64 {
 /// drift between separately-timed bench groups cannot leak into the
 /// derived speedup. Smoke mode drops to one round, best-of-1.
 fn ab_median_ratio<A, B>(mut reference: impl FnMut() -> A, mut current: impl FnMut() -> B) -> f64 {
-    let smoke = std::env::var_os("MLPA_BENCH_SMOKE").is_some();
-    let (rounds, reps) = if smoke { (1, 1) } else { (5, 3) };
+    let (rounds, reps) = if smoke_mode() { (1, 1) } else { (5, 3) };
     let mut ratios: Vec<f64> = (0..rounds)
         .map(|_| best_of(reps, &mut reference) / best_of(reps, &mut current).max(f64::MIN_POSITIVE))
         .collect();
@@ -79,7 +133,7 @@ fn ab_median_ratio<A, B>(mut reference: impl FnMut() -> A, mut current: impl FnM
     ratios[ratios.len() / 2]
 }
 
-fn bench_substrate(c: &mut Criterion) -> f64 {
+fn bench_substrate(out: &mut Vec<Measurement>) -> f64 {
     let spec = suite::benchmark_with_iters("eon", 1).expect("eon").scaled(0.05);
     let cb = CompiledBenchmark::compile(&spec).expect("compiles");
     let trace_len = drain_count(WorkloadStream::new(&cb)).instructions;
@@ -97,45 +151,32 @@ fn bench_substrate(c: &mut Criterion) -> f64 {
     };
     assert_eq!(run_current(), run_reference(), "detailed-sim implementations disagree");
 
-    let mut group = c.benchmark_group("substrate");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(trace_len));
-    group.bench_function("trace_generation", |b| {
-        b.iter(|| drain_count(WorkloadStream::new(black_box(&cb))));
+    let mut group = Group { name: "substrate", samples: 10, elements: Some(trace_len), out };
+    group.bench("trace_generation", || drain_count(WorkloadStream::new(black_box(&cb))));
+    group.bench("functional_sim", || {
+        let mut f = FunctionalSim::new(cb.program());
+        f.run(WorkloadStream::new(&cb), &mut ())
     });
-    group.bench_function("functional_sim", |b| {
-        b.iter(|| {
-            let mut f = FunctionalSim::new(cb.program());
-            f.run(WorkloadStream::new(&cb), &mut ())
-        });
-    });
-    group.bench_function("detailed_sim", |b| {
-        b.iter(run_current);
-    });
-    group.bench_function("detailed_sim_reference", |b| {
-        b.iter(run_reference);
-    });
-    group.finish();
+    group.bench("detailed_sim", run_current);
+    group.bench("detailed_sim_reference", run_reference);
 
     // The headline detailed-sim speedup, measured interleaved so it is
     // immune to drift between the two bench entries above.
     let ab_detailed = ab_median_ratio(run_reference, run_current);
     println!("substrate/detailed_sim interleaved A/B speedup: {ab_detailed:.2}x");
 
-    let mut cache_group = c.benchmark_group("cache");
     let accesses = 100_000u64;
-    cache_group.throughput(Throughput::Elements(accesses));
-    cache_group.bench_function("l1_random_access", |b| {
-        let mut cache = Cache::new(CacheConfig { size: 16 * 1024, assoc: 4, line: 32, latency: 2 });
-        let mut rng = SplitMix64::new(1);
-        b.iter(|| {
+    let mut cache = Cache::new(CacheConfig { size: 16 * 1024, assoc: 4, line: 32, latency: 2 });
+    let mut rng = SplitMix64::new(1);
+    Group { name: "cache", samples: 100, elements: Some(accesses), out }.bench(
+        "l1_random_access",
+        || {
             for _ in 0..accesses {
                 let addr = rng.range_u64(1 << 20);
                 black_box(cache.access(addr, false));
             }
-        });
-    });
-    cache_group.finish();
+        },
+    );
     ab_detailed
 }
 
@@ -147,7 +188,7 @@ fn bench_substrate(c: &mut Criterion) -> f64 {
 /// bit-identically before their cost is compared — the speedup this
 /// group derives is the paper-scale profiling win the perf baseline
 /// tracks.
-fn bench_streaming(c: &mut Criterion) {
+fn bench_streaming(out: &mut Vec<Measurement>) {
     use mlpa_core::pipeline::{ProfilingContext, ProjectionSettings, ShardDriver, FINE_INTERVAL};
     use mlpa_phase::interval::FixedLengthProfiler;
     use mlpa_phase::loops::LoopMonitor;
@@ -171,21 +212,12 @@ fn bench_streaming(c: &mut Criterion) {
     };
     assert!(sharded() == monolithic(), "sharded prepare diverged from the monolithic pass");
 
-    let mut group = c.benchmark_group("streaming");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(trace_len));
-    group.bench_function("prepare_sharded8", |b| {
-        b.iter(|| black_box(sharded()));
-    });
-    group.bench_function("prepare_monolithic", |b| {
-        b.iter(|| black_box(monolithic()));
-    });
-    group.finish();
+    let mut group = Group { name: "streaming", samples: 10, elements: Some(trace_len), out };
+    group.bench("prepare_sharded8", sharded);
+    group.bench("prepare_monolithic", monolithic);
 }
 
-fn bench_kmeans(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kmeans");
-    group.sample_size(10);
+fn bench_kmeans(out: &mut Vec<Measurement>) {
     // Clustered data with overlap, like projected BBV signatures: ten
     // anchor behaviours, each point a noisy draw around one of them.
     let mut rng = SplitMix64::new(7);
@@ -197,13 +229,11 @@ fn bench_kmeans(c: &mut Criterion) {
             a.iter().map(|&v| v + rng.next_gauss()).collect()
         })
         .collect();
-    group.bench_function("k10_n2000_d15", |b| {
-        b.iter(|| kmeans(black_box(&data), 10, &KMeansConfig::default()));
+    let mut group = Group { name: "kmeans", samples: 10, elements: None, out };
+    group.bench("k10_n2000_d15", || kmeans(black_box(&data), 10, &KMeansConfig::default()));
+    group.bench("k10_n2000_d15_naive", || {
+        reference::kmeans_naive(black_box(&data), 10, &KMeansConfig::default())
     });
-    group.bench_function("k10_n2000_d15_naive", |b| {
-        b.iter(|| reference::kmeans_naive(black_box(&data), 10, &KMeansConfig::default()));
-    });
-    group.finish();
 }
 
 /// A phase-structured synthetic block-event stream: four phases, each
@@ -310,7 +340,7 @@ fn sweep_naive(proj: &RandomProjection, events: &[(u32, u64)]) -> usize {
     reference::choose_k_naive(&data, K_MAX, 0.9, &KMeansConfig::default()).k
 }
 
-fn bench_phase_pipeline(c: &mut Criterion) {
+fn bench_phase_pipeline(out: &mut Vec<Measurement>) {
     let proj = RandomProjection::new(NUM_BLOCKS, DIM, 0xC0A5);
     let events = synth_events(0x5EED);
     // Both paths must agree before we compare their cost.
@@ -325,80 +355,56 @@ fn bench_phase_pipeline(c: &mut Criterion) {
         "k-sweep implementations disagree on k"
     );
 
-    let mut group = c.benchmark_group("phase_pipeline");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(TARGET_INTERVALS as u64));
-    group.bench_function("current", |b| {
-        b.iter(|| pipeline_current(black_box(&proj), black_box(&events)));
-    });
-    group.bench_function("naive", |b| {
-        b.iter(|| pipeline_naive(black_box(&proj), black_box(&events)));
-    });
-    group.finish();
+    let elements = Some(TARGET_INTERVALS as u64);
+    let mut group = Group { name: "phase_pipeline", samples: 10, elements, out };
+    group.bench("current", || pipeline_current(black_box(&proj), black_box(&events)));
+    group.bench("naive", || pipeline_naive(black_box(&proj), black_box(&events)));
 
-    let mut sweep = c.benchmark_group("phase_sweep");
-    sweep.sample_size(10);
-    sweep.throughput(Throughput::Elements(TARGET_INTERVALS as u64));
-    sweep.bench_function("current", |b| {
-        b.iter(|| sweep_current(black_box(&proj), black_box(&events)));
-    });
-    sweep.bench_function("naive", |b| {
-        b.iter(|| sweep_naive(black_box(&proj), black_box(&events)));
-    });
-    sweep.finish();
+    let mut sweep = Group { name: "phase_sweep", samples: 10, elements, out };
+    sweep.bench("current", || sweep_current(black_box(&proj), black_box(&events)));
+    sweep.bench("naive", || sweep_naive(black_box(&proj), black_box(&events)));
 }
 
 /// Instrumentation overhead on the hottest pipeline: the phase pass
 /// with obs runtime-disabled (one relaxed load per call site; literally
 /// nothing when the `obs` feature is compiled out) versus runtime-
 /// enabled (only measurable when built with `--features obs`).
-fn bench_obs_overhead(c: &mut Criterion) {
+fn bench_obs_overhead(out: &mut Vec<Measurement>) {
     let proj = RandomProjection::new(NUM_BLOCKS, DIM, 0xC0A5);
     let events = synth_events(0x5EED);
-    let mut group = c.benchmark_group("obs_overhead");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(TARGET_INTERVALS as u64));
+    let elements = Some(TARGET_INTERVALS as u64);
+    let mut group = Group { name: "obs_overhead", samples: 10, elements, out };
     mlpa_obs::set_enabled(false);
-    group.bench_function("pipeline_instrumentation_off", |b| {
-        b.iter(|| pipeline_current(black_box(&proj), black_box(&events)));
+    group.bench("pipeline_instrumentation_off", || {
+        pipeline_current(black_box(&proj), black_box(&events))
     });
     // The histogram call sites in isolation: a local tally fed in a hot
     // loop, merged once — the contract every instrumented kernel
     // follows. Disabled (or compiled out) this must cost nothing
     // measurable; the tracked baseline pins it.
-    group.bench_function("hist_sites_off", |b| {
-        b.iter(|| {
-            let mut t = mlpa_obs::HistTally::default();
-            for i in 0..4096u64 {
-                t.record(black_box(i));
-            }
-            mlpa_obs::hist_merge("bench.hist_sites", "n", &t);
-        });
-    });
+    let hist_sites = || {
+        let mut t = mlpa_obs::HistTally::default();
+        for i in 0..4096u64 {
+            t.record(black_box(i));
+        }
+        mlpa_obs::hist_merge("bench.hist_sites", "n", &t);
+    };
+    group.bench("hist_sites_off", hist_sites);
     if cfg!(feature = "obs") {
         mlpa_obs::set_enabled(true);
-        group.bench_function("pipeline_instrumentation_on", |b| {
-            b.iter(|| pipeline_current(black_box(&proj), black_box(&events)));
+        group.bench("pipeline_instrumentation_on", || {
+            pipeline_current(black_box(&proj), black_box(&events))
         });
-        group.bench_function("hist_sites_on", |b| {
-            b.iter(|| {
-                let mut t = mlpa_obs::HistTally::default();
-                for i in 0..4096u64 {
-                    t.record(black_box(i));
-                }
-                mlpa_obs::hist_merge("bench.hist_sites", "n", &t);
-            });
-        });
+        group.bench("hist_sites_on", hist_sites);
         mlpa_obs::set_enabled(false);
     }
-    group.finish();
 }
 
 /// With `--features obs`, pin the enabled-mode overhead of the phase
 /// pipeline below a few percent (skipped in `MLPA_BENCH_SMOKE` runs,
 /// whose single samples are too noisy to compare).
-fn assert_obs_overhead(measurements: &[criterion::Measurement]) {
-    if !cfg!(feature = "obs") || std::env::var_os("MLPA_BENCH_SMOKE").is_some() {
+fn assert_obs_overhead(measurements: &[Measurement]) {
+    if !cfg!(feature = "obs") || smoke_mode() {
         return;
     }
     let off = mean_of(measurements, "obs_overhead", "pipeline_instrumentation_off");
@@ -416,7 +422,7 @@ fn assert_obs_overhead(measurements: &[criterion::Measurement]) {
 }
 
 /// Mean time of a recorded bench, by `group/id`.
-fn mean_of(measurements: &[criterion::Measurement], group: &str, id: &str) -> Option<f64> {
+fn mean_of(measurements: &[Measurement], group: &str, id: &str) -> Option<f64> {
     measurements.iter().find(|m| m.group == group && m.id == id).map(|m| m.mean_ns)
 }
 
@@ -426,7 +432,7 @@ fn mean_of(measurements: &[criterion::Measurement], group: &str, id: &str) -> Op
 /// the `host` metadata section, and per-bench `normalized` costs.
 fn write_bench_json(
     path: &std::ffi::OsStr,
-    measurements: &[criterion::Measurement],
+    measurements: &[Measurement],
     cal: &mlpa_obs::calibrate::MachineCalibration,
     ab_detailed: f64,
 ) {
@@ -489,7 +495,7 @@ const SPEEDUP_PAIRS: [(&str, &str); 5] = [
 /// `ab_detailed`, when present, replaces the group-mean `detailed_sim`
 /// ratio with the interleaved A/B measurement.
 fn derived_speedups(
-    measurements: &[criterion::Measurement],
+    measurements: &[Measurement],
     ab_detailed: Option<f64>,
 ) -> [(&'static str, f64); 5] {
     let ratio = |group: &str, naive: &str, current: &str| match (
@@ -522,7 +528,7 @@ fn derived_speedups(
 /// label comes from `MLPA_BENCH_LABEL` (defaulting to `snapshot-<n>`).
 fn write_trajectory(
     path: &std::ffi::OsStr,
-    measurements: &[criterion::Measurement],
+    measurements: &[Measurement],
     cal: &mlpa_obs::calibrate::MachineCalibration,
     ab_detailed: f64,
 ) {
@@ -558,8 +564,8 @@ fn write_trajectory(
         .iter()
         .map(|m| {
             Value::Obj(BTreeMap::from([
-                ("group".to_string(), Value::Str(m.group.clone())),
-                ("id".to_string(), Value::Str(m.id.clone())),
+                ("group".to_string(), Value::Str(m.group.to_string())),
+                ("id".to_string(), Value::Str(m.id.to_string())),
                 ("mean_ns".to_string(), Value::Num(m.mean_ns.round())),
                 ("min_ns".to_string(), Value::Num(m.min_ns.round())),
                 ("max_ns".to_string(), Value::Num(m.max_ns.round())),
@@ -612,13 +618,12 @@ fn main() {
         cal.dispersion * 100.0,
         cal.fingerprint
     );
-    let mut criterion = Criterion::default();
-    let ab_detailed = bench_substrate(&mut criterion);
-    bench_streaming(&mut criterion);
-    bench_kmeans(&mut criterion);
-    bench_phase_pipeline(&mut criterion);
-    bench_obs_overhead(&mut criterion);
-    let measurements = criterion::take_measurements();
+    let mut measurements = Vec::new();
+    let ab_detailed = bench_substrate(&mut measurements);
+    bench_streaming(&mut measurements);
+    bench_kmeans(&mut measurements);
+    bench_phase_pipeline(&mut measurements);
+    bench_obs_overhead(&mut measurements);
     assert_obs_overhead(&measurements);
     if let Some(path) = std::env::var_os("MLPA_BENCH_JSON") {
         write_bench_json(&path, &measurements, &cal, ab_detailed);

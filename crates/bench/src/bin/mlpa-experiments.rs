@@ -1,64 +1,93 @@
-//! `mlpa-experiments` — regenerate every table and figure of the paper.
+//! `mlpa-experiments` — regenerate every table and figure of the paper,
+//! plus the ablation and extension tables of [`mlpa_bench::ablation`].
 //!
-//! ```text
-//! mlpa-experiments [OPTIONS] [COMMANDS...]
-//!
-//! COMMANDS (default: all)
-//!   configs      print Table I (both machine configurations)
-//!   fig1         Fig. 1 phase curves for lucas (CSV + ASCII)
-//!   fig3         Fig. 3 COASTS speedup over SimPoint
-//!   fig4         Fig. 4 multi-level speedup over SimPoint
-//!   table2       Table II deviation comparison
-//!   table3       Table III simulation-point statistics
-//!   motivation   §III-B coarse-phase statistics
-//!   accuracy     per-coarse-phase error attribution (COASTS, Config A)
-//!   all          everything above
-//!
-//! OPTIONS
-//!   --quick           reduced suite (2x iterations, 0.5x sizes)
-//!   --select a,b,c    only the named benchmarks
-//!   --iters N         iteration factor (default 8; gcc unaffected)
-//!   --scale F         size scale factor (default 1.0)
-//!   --cold            cold fast-forward (no warming) — scale-amplified
-//!   --jobs N          worker threads for the suite run (default 0 = all
-//!                     cores); results are bit-identical for every N
-//!   --shards N        trace segments per profiling pass (default 1 =
-//!                     one chained segment); shards profile concurrently
-//!                     without materialising the prefix, and their merge
-//!                     is bit-identical to the single segment for every N
-//!   --ratio R         cost-model ratio c_d/c_f (default: paper 32.5)
-//!   --measured-ratio  also report speedups at the measured ratio
-//!   --out DIR         output directory (default: results)
-//!   --cache DIR       record pipeline artifacts (profiles, selections,
-//!                     ground truths, plan executions) into a crash-safe
-//!                     content-addressed store at DIR
-//!   --resume          with --cache: also *reuse* stored artifacts, so a
-//!                     repeated or interrupted run skips completed work;
-//!                     results are bit-identical to an uncached run
-//!   --quiet           errors only on stderr (tables still print)
-//!   --verbose         extra per-step detail on stderr
-//!   --progress        per-benchmark progress lines even under --quiet
-//!   --obs PATH        stream JSONL observability events to PATH and
-//!                     write <out>/RUN_REPORT.json (needs a build with
-//!                     `--features obs`)
-//!   --telemetry-ms N  background sampler interval for `sample` events
-//!                     in the --obs stream (default 250; 0 disables the
-//!                     sampler; only meaningful with --obs)
-//!   --status-port N   serve live HTTP GET /metrics (Prometheus text)
-//!                     and GET /status (JSON) on 127.0.0.1:N while the
-//!                     run executes; 0 picks an ephemeral port. The
-//!                     bound address is printed to stderr as
-//!                     `status server listening on 127.0.0.1:PORT`
-//!                     (needs a build with `--features obs`)
-//! ```
+//! `USAGE` below is the command-line reference (`--help` prints it).
 
-use mlpa_bench::{fig1, harness, report};
+use mlpa_bench::{ablation, fig1, harness, report};
 use mlpa_core::prelude::*;
 use mlpa_obs::{elog, info, progress, vlog};
 use mlpa_sim::MachineConfig;
 use mlpa_workloads::{suite, CompiledBenchmark, Suite};
 use std::fs;
 use std::path::PathBuf;
+
+/// The `--help` text. `{commands}` expands to [`COMMANDS`] and
+/// `{tables}` to the ablation table names, so the help lists exactly
+/// what the parser accepts.
+const USAGE: &str = "\
+mlpa-experiments [OPTIONS] [COMMANDS...]
+
+COMMANDS (default: all)
+{commands}
+ABLATION TABLES (each is also a command that writes <out>/<name>.txt;
+every table pins its own reduced-size program, so --quick, --select,
+--iters, --scale, --cold, --jobs, --shards, --ratio, --measured-ratio
+and --cache do not apply to them)
+{tables}
+OPTIONS
+  --quick           reduced suite (2x iterations, 0.5x sizes)
+  --select a,b,c    only the named benchmarks
+  --iters N         iteration factor (default 8; gcc unaffected)
+  --scale F         size scale factor (default 1.0)
+  --cold            cold fast-forward (no warming) — scale-amplified
+  --jobs N          worker threads for the suite run (default 0 = all
+                    cores); results are bit-identical for every N
+  --shards N        trace segments per profiling pass (default 1 =
+                    one chained segment); shards profile concurrently
+                    without materialising the prefix, and their merge
+                    is bit-identical to the single segment for every N
+  --ratio R         cost-model ratio c_d/c_f (default: paper 32.5)
+  --measured-ratio  also report speedups at the measured ratio
+  --out DIR         output directory (default: results)
+  --cache DIR       record pipeline artifacts (profiles, selections,
+                    ground truths, plan executions) into a crash-safe
+                    content-addressed store at DIR
+  --resume          with --cache: also *reuse* stored artifacts, so a
+                    repeated or interrupted run skips completed work;
+                    results are bit-identical to an uncached run
+  --quiet           errors only on stderr (tables still print)
+  --verbose         extra per-step detail on stderr
+  --progress        per-benchmark progress lines even under --quiet
+  --obs PATH        stream JSONL observability events to PATH and
+                    write <out>/RUN_REPORT.json (needs a build with
+                    `--features obs`)
+  --telemetry-ms N  background sampler interval for `sample` events
+                    in the --obs stream (default 250; 0 disables the
+                    sampler; only meaningful with --obs)
+  --status-port N   serve live HTTP GET /metrics (Prometheus text)
+                    and GET /status (JSON) on 127.0.0.1:N while the
+                    run executes; 0 picks an ephemeral port. The
+                    bound address is printed to stderr as
+                    `status server listening on 127.0.0.1:PORT`
+                    (needs a build with `--features obs`)
+";
+
+/// Every command but the ablation tables, with its `--help` line.
+const COMMANDS: [(&str, &str); 10] = [
+    ("configs", "print Table I (both machine configurations)"),
+    ("fig1", "Fig. 1 phase curves for lucas (CSV + ASCII)"),
+    ("fig3", "Fig. 3 COASTS speedup over SimPoint"),
+    ("fig4", "Fig. 4 multi-level speedup over SimPoint"),
+    ("table2", "Table II deviation comparison"),
+    ("table3", "Table III simulation-point statistics"),
+    ("motivation", "§III-B coarse-phase statistics"),
+    ("accuracy", "per-coarse-phase error attribution (COASTS, Config A)"),
+    ("ablations", "every table under ABLATION TABLES"),
+    ("all", "every command above, ablation tables included"),
+];
+
+/// Every command name the parser accepts.
+fn command_names() -> impl Iterator<Item = &'static str> {
+    COMMANDS.iter().map(|&(name, _)| name).chain(ablation::TABLES.iter().map(|&(name, _)| name))
+}
+
+/// [`USAGE`] with its command lists filled in.
+fn usage() -> String {
+    let commands: String =
+        COMMANDS.iter().map(|(name, about)| format!("  {name:<12} {about}\n")).collect();
+    let tables: String = ablation::TABLES.iter().map(|(name, _)| format!("  {name}\n")).collect();
+    USAGE.replace("{commands}", &commands).replace("{tables}", &tables)
+}
 
 struct Options {
     commands: Vec<String>,
@@ -172,25 +201,14 @@ fn parse_args() -> Result<Options, String> {
             "--cache" => o.cache = Some(PathBuf::from(args.next().ok_or("--cache needs a value")?)),
             "--resume" => o.resume = true,
             "--help" | "-h" => {
-                println!("see the module docs at the top of mlpa-experiments.rs");
+                print!("{}", usage());
                 std::process::exit(0);
             }
             cmd if !cmd.starts_with('-') => {
-                const COMMANDS: [&str; 9] = [
-                    "configs",
-                    "fig1",
-                    "fig3",
-                    "fig4",
-                    "table2",
-                    "table3",
-                    "motivation",
-                    "accuracy",
-                    "all",
-                ];
-                if !COMMANDS.contains(&cmd) {
+                if !command_names().any(|c| c == cmd) {
                     return Err(format!(
                         "unknown command `{cmd}` (expected one of: {})",
-                        COMMANDS.join(", ")
+                        command_names().collect::<Vec<_>>().join(", ")
                     ));
                 }
                 o.commands.push(cmd.to_owned());
@@ -431,6 +449,14 @@ fn run(o: &Options) -> Result<(), String> {
         }
         attribution_json = Some(report::accuracy_json(&results));
         emitted.push(("full_results.csv".into(), report::full_csv(&results, &models[0].1)));
+    }
+
+    for (name, table) in ablation::TABLES {
+        if wants(name) || wants("ablations") {
+            info!("ablation", "computing {name}...");
+            let text = table().map_err(|e| format!("{name}: {e}"))?;
+            print_and_keep(&mut emitted, &format!("{name}.txt"), text);
+        }
     }
 
     for (name, text) in &emitted {

@@ -131,9 +131,9 @@ impl Default for Experiment {
 }
 
 impl Experiment {
-    /// A scaled-down experiment for quick runs and Criterion benches:
-    /// the full 26-benchmark suite at reduced iteration counts and
-    /// sizes. Keeps every structural knob identical.
+    /// A scaled-down experiment for quick runs and the end-to-end
+    /// benchmark: the full 26-benchmark suite at reduced iteration
+    /// counts and sizes. Keeps every structural knob identical.
     pub fn quick() -> Experiment {
         let suite: Suite = mlpa_workloads::suite::SPEC2000_NAMES
             .iter()

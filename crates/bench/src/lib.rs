@@ -7,11 +7,14 @@
 //!   both Table I configurations and collects per-benchmark results;
 //! * [`report`] — renders Table II, Table III, Fig. 3, Fig. 4, and the
 //!   §III-B motivation statistics from a result set;
-//! * [`fig1`] — computes and renders the Fig. 1 phase curves.
+//! * [`fig1`] — computes and renders the Fig. 1 phase curves;
+//! * [`ablation`] — the ablation and extension tables, each on its own
+//!   pinned program.
 //!
-//! The `mlpa-experiments` binary drives these; the Criterion benches
-//! under `benches/` wrap the same entry points.
+//! The `mlpa-experiments` binary drives all of these; `benches/` holds
+//! only the substrate microbenchmarks.
 
+pub mod ablation;
 pub mod fig1;
 pub mod harness;
 pub mod report;

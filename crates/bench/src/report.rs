@@ -40,7 +40,7 @@ pub fn figure_speedup_csv(results: &[BenchResult], method: Method, model: &CostM
 /// method under both configurations.
 pub fn table2(results: &[BenchResult]) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "Table II: DEVIATION COMPARISON (AVG = geometric-style mean of per-benchmark deviations; Worst = max)");
+    let _ = writeln!(out, "Table II: DEVIATION COMPARISON (AVG = arithmetic mean of per-benchmark deviations; Worst = max)");
     let _ = writeln!(
         out,
         "{:<22} | {:>10} {:>10} | {:>10} {:>10}",

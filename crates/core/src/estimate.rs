@@ -26,11 +26,12 @@ use mlpa_workloads::{CompiledBenchmark, WorkloadStream};
 /// three orders of magnitude and would swamp every accuracy comparison.
 /// Warming restores the paper's regime (where a 10 M-instruction sample
 /// amortises cold misses to the ~1 % level). [`WarmupMode::Cold`]
-/// remains available; the `ablation_warmup` bench uses it to show the
-/// Table II pattern in amplified form — fine-grained sampling degrades
-/// drastically without warm state while coarse-grained sampling barely
-/// notices, which is exactly why the paper's SimPoint column shows L2
-/// deviations up to 23 %.
+/// remains available; `mlpa-experiments ablation_warmup`
+/// (`results/ablation_warmup.txt`) uses it to show the Table II pattern
+/// in amplified form — fine-grained sampling degrades drastically
+/// without warm state while coarse-grained sampling barely notices,
+/// which is exactly why the paper's SimPoint column shows L2 deviations
+/// up to 23 %.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WarmupMode {
     /// Cold caches and predictor at every point — SimpleScalar's raw

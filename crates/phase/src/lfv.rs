@@ -12,8 +12,8 @@
 //! [`LfvProfiler`] is an [`Observer`] like the BBV profilers in
 //! [`interval`](crate::interval); its intervals are directly usable by
 //! [`simpoint::select`](crate::simpoint::select), so swapping the phase
-//! metric is a one-line change. The `ablation_metric` bench compares
-//! the two metrics end to end.
+//! metric is a one-line change. `mlpa-experiments ablation_metric`
+//! (`results/ablation_metric.txt`) compares the two metrics end to end.
 //!
 //! Unlike the BBV profilers — which accumulate directly in the
 //! 15-dimensional projected space (see DESIGN.md, "Kernel layout") —

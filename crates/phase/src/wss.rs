@@ -7,8 +7,9 @@
 //! touches rather than *which code* it executes: touched cache-line
 //! addresses are hashed into a fixed-width occupancy sketch. Two
 //! intervals running different code over the same data look identical
-//! to a WSS — the weakness that makes BBVs win, and that the
-//! `ablation_metric` bench demonstrates.
+//! to a WSS — the weakness that makes BBVs win, and that
+//! `mlpa-experiments ablation_metric` (`results/ablation_metric.txt`)
+//! demonstrates.
 
 use crate::interval::Interval;
 use mlpa_isa::{BlockId, Instruction};

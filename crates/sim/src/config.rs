@@ -69,9 +69,10 @@ impl CacheConfig {
 /// Hardware-prefetch policy of the L1 data cache.
 ///
 /// [`PrefetchPolicy::None`] is the default everywhere (SimpleScalar 3.0
-/// has no data prefetcher, and the paper's Table I lists none); the
-/// `ablation_prefetch` bench turns next-line prefetching on to show the
-/// sampling methodology is robust to the change.
+/// has no data prefetcher, and the paper's Table I lists none);
+/// `mlpa-experiments ablation_prefetch` (`results/ablation_prefetch.txt`)
+/// turns next-line prefetching on to show the sampling methodology is
+/// robust to the change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrefetchPolicy {
     /// No prefetching (Table I).

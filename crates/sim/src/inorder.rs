@@ -3,8 +3,9 @@
 //!
 //! Sampling plans are microarchitecture-independent (they are built
 //! from BBVs alone), so the same plan should estimate *any* core's
-//! behaviour. This second, structurally different timing model lets the
-//! `extension_core_models` bench demonstrate exactly that: one
+//! behaviour. This second, structurally different timing model lets
+//! `mlpa-experiments extension_core_models`
+//! (`results/extension_core_models.txt`) demonstrate exactly that: one
 //! multi-level plan, two very different cores, both estimated
 //! accurately.
 //!
