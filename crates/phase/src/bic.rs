@@ -4,16 +4,30 @@
 //! SimPoint runs k-means for every `k ≤ Kmax`, scores each clustering
 //! with the BIC of a spherical-Gaussian mixture (the X-means
 //! formulation of Pelleg & Moore), and picks the *smallest* `k` whose
-//! score covers at least a threshold (default 90 %) of the spread
-//! between the worst and best scores seen.
+//! score is at least a threshold (default 90 %) of the best score.
+//! When the best score is not positive that ratio is meaningless, and
+//! the cut falls back to the same share of the spread between the
+//! worst and best scores.
 //!
-//! The sweep operates on the contiguous [`Matrix`] point storage and
-//! reuses one [`KMeansScratch`] across all candidate `k`, so the only
-//! allocations that scale with the sweep are the retained results.
+//! The candidate clusterings are independent, so [`choose_k`] runs
+//! them on a scoped pool whose worker 0 is the calling thread. Helper
+//! threads come from one process-wide budget of
+//! `available_parallelism() − 1` slots: a sweep takes whatever slots
+//! are free (none on one core), so concurrent sweeps never oversubscribe
+//! the host. Each worker owns a [`KMeansScratch`] and claims candidates
+//! largest `k` first, because Lloyd cost grows with `k`. One worker
+//! computes each `k` whole, with the same seeds, restart order and tie
+//! rule as a serial sweep, and the pick waits for every score, so the
+//! selection is bit-identical for every worker count. The sweep keeps
+//! only each candidate's score and inertia; the chosen `k` is clustered
+//! again on the calling thread afterwards.
 
 use crate::kmeans::{kmeans_with, KMeansConfig, KMeansResult, KMeansScratch};
 use crate::matrix::Matrix;
 use crate::project::distance_sq;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// BIC score of a clustering (bigger is better).
 ///
@@ -73,6 +87,10 @@ pub struct KSelection {
 /// score is not positive the ratio is meaningless, so the selection
 /// falls back to covering `threshold` of the min-to-max spread.
 ///
+/// The candidates run on the calling thread plus as many helper threads
+/// as the process-wide budget has free (see the module docs); the
+/// result does not depend on how many that is.
+///
 /// # Panics
 ///
 /// Panics if `data` is empty, `k_max` is zero, or `threshold` is outside
@@ -95,6 +113,20 @@ pub struct KSelection {
 /// assert_eq!(sel.k, 2);
 /// ```
 pub fn choose_k(data: &Matrix, k_max: usize, threshold: f64, cfg: &KMeansConfig) -> KSelection {
+    // More helpers than candidates would find nothing to claim.
+    let helpers = helper_budget().lease(k_max.min(data.rows()).saturating_sub(1));
+    choose_k_on(data, k_max, threshold, cfg, 1 + helpers.n)
+}
+
+/// [`choose_k`] on exactly `workers` workers: the calling thread plus
+/// `workers - 1` scoped helpers, whatever the helper budget says.
+pub(crate) fn choose_k_on(
+    data: &Matrix,
+    k_max: usize,
+    threshold: f64,
+    cfg: &KMeansConfig,
+    workers: usize,
+) -> KSelection {
     assert!(data.rows() > 0, "choose_k needs data");
     assert!(k_max > 0, "k_max must be positive");
     assert!((0.0..=1.0).contains(&threshold), "threshold must be in [0, 1]");
@@ -103,15 +135,9 @@ pub fn choose_k(data: &Matrix, k_max: usize, threshold: f64, cfg: &KMeansConfig)
     let _span = mlpa_obs::span("phase.bic.sweep");
     mlpa_obs::add("phase.bic.sweeps", 1);
     mlpa_obs::add("phase.bic.candidates", k_hi as u64);
-    let mut scratch = KMeansScratch::new();
-    let mut candidates: Vec<(KMeansResult, f64)> = Vec::with_capacity(k_hi);
-    for k in 1..=k_hi {
-        let r = kmeans_with(data, k, cfg, &mut scratch);
-        let s = bic(data, &r);
-        candidates.push((r, s));
-    }
-    let lo = candidates.iter().map(|(_, s)| *s).fold(f64::INFINITY, f64::min);
-    let hi = candidates.iter().map(|(_, s)| *s).fold(f64::NEG_INFINITY, f64::max);
+    let (scores, inertias) = sweep(data, k_hi, cfg, workers);
+    let lo = scores.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let cut = if hi > 0.0 {
         threshold * hi
     } else if (hi - lo).abs() < 1e-12 {
@@ -120,11 +146,99 @@ pub fn choose_k(data: &Matrix, k_max: usize, threshold: f64, cfg: &KMeansConfig)
         lo + threshold * (hi - lo)
     };
 
-    let scores: Vec<f64> = candidates.iter().map(|(_, s)| *s).collect();
-    let pick =
-        candidates.iter().position(|(_, s)| *s >= cut).expect("at least the max clears the cut");
-    let (result, _) = candidates.swap_remove(pick);
+    let pick = scores.iter().position(|&s| s >= cut).expect("at least the max clears the cut");
+    // k-means is a pure function of (data, k, cfg), so this reproduces
+    // the clustering the sweep scored.
+    let result = kmeans_with(data, pick + 1, cfg, &mut KMeansScratch::new());
+    assert_eq!(
+        result.inertia.to_bits(),
+        inertias[pick].to_bits(),
+        "re-clustering k = {} diverged from the sweep",
+        pick + 1
+    );
     KSelection { k: result.k, result, scores }
+}
+
+/// Cluster and score every `k` in `1..=k_hi` on `workers` workers,
+/// returning BIC scores and inertias indexed by `k - 1`.
+fn sweep(data: &Matrix, k_hi: usize, cfg: &KMeansConfig, workers: usize) -> (Vec<f64>, Vec<f64>) {
+    // Relaxed suffices: the counter only hands out distinct indices, and
+    // results reach the calling thread through the joins.
+    let next = AtomicUsize::new(0);
+    // One worker: claims candidates largest k first until none is left.
+    let work = || {
+        let mut scratch = KMeansScratch::new();
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= k_hi {
+                return done;
+            }
+            let k = k_hi - i;
+            let r = kmeans_with(data, k, cfg, &mut scratch);
+            done.push((k, bic(data, &r), r.inertia));
+        }
+    };
+    let done: Vec<(usize, f64, f64)> = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers.min(k_hi)).map(|_| s.spawn(work)).collect();
+        let mut done = work();
+        for h in helpers {
+            done.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        done
+    });
+    let (mut scores, mut inertias) = (vec![0.0; k_hi], vec![0.0; k_hi]);
+    for (k, score, inertia) in done {
+        scores[k - 1] = score;
+        inertias[k - 1] = inertia;
+    }
+    (scores, inertias)
+}
+
+/// The process-wide helper budget: one slot per available core beyond
+/// the calling thread's, sized on first use.
+fn helper_budget() -> &'static HelperBudget {
+    static BUDGET: OnceLock<HelperBudget> = OnceLock::new();
+    BUDGET.get_or_init(|| {
+        HelperBudget::new(std::thread::available_parallelism().map_or(1, NonZeroUsize::get) - 1)
+    })
+}
+
+/// A fixed number of helper-thread slots shared by concurrent sweeps.
+struct HelperBudget {
+    size: usize,
+    used: AtomicUsize,
+}
+
+impl HelperBudget {
+    fn new(size: usize) -> HelperBudget {
+        HelperBudget { size, used: AtomicUsize::new(0) }
+    }
+
+    /// Take up to `want` free slots without waiting; they return to the
+    /// budget when the lease drops, unwinding included.
+    fn lease(&self, want: usize) -> Lease<'_> {
+        let free = |used: usize| want.min(self.size - used);
+        let n = self
+            .used
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |used| {
+                (free(used) > 0).then(|| used + free(used))
+            })
+            .map_or(0, free);
+        Lease { budget: self, n }
+    }
+}
+
+/// `n` slots held from a [`HelperBudget`].
+struct Lease<'a> {
+    budget: &'a HelperBudget,
+    n: usize,
+}
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        self.budget.used.fetch_sub(self.n, Ordering::SeqCst);
+    }
 }
 
 #[cfg(test)]
@@ -197,6 +311,74 @@ mod tests {
         let data = Matrix::from_rows(&[vec![0.0], vec![100.0]]);
         let sel = choose_k(&data, 30, 0.9, &KMeansConfig::default());
         assert!(sel.k <= 2);
+    }
+
+    #[test]
+    fn sweep_matches_naive_at_every_worker_count() {
+        let cfg = KMeansConfig::default();
+        // Six random blobs whose best restarts at k = 6 tie in inertia
+        // but label the clusters differently, so the first of them must
+        // win.
+        let mut rng = SplitMix64::new(1);
+        let centers: Vec<[f64; 2]> =
+            (0..6).map(|_| [rng.next_f64() * 40.0, rng.next_f64() * 40.0]).collect();
+        let blobs = blobs(&centers, 20, 0.6, 13).to_rows();
+        let few: Vec<Vec<f64>> = (0..7).map(|_| vec![rng.next_gauss(), rng.next_gauss()]).collect();
+        // Every point equal: k-means++ finds no distance mass to sample.
+        let duplicates = vec![vec![3.0, -1.0]; 12];
+        for (name, rows, k_max) in
+            [("blobs", &blobs, 12), ("k_max >= rows", &few, 10), ("duplicates", &duplicates, 6)]
+        {
+            let naive = crate::reference::choose_k_naive(rows, k_max, 0.9, &cfg);
+            for workers in [1, 2, 3, 8] {
+                let sel = choose_k_on(&Matrix::from_rows(rows), k_max, 0.9, &cfg, workers);
+                assert_eq!(sel, naive, "{name} on {workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn budget_never_hands_out_more_than_its_size() {
+        let budget = HelperBudget::new(3);
+        let a = budget.lease(2);
+        let b = budget.lease(5);
+        assert_eq!((a.n, b.n, budget.lease(1).n), (2, 1, 0));
+        drop(a);
+        assert_eq!(budget.lease(5).n, 2);
+        drop(b);
+        // Under contention, the slots held at once never exceed the size.
+        let held = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let (budget, held) = (&budget, &held);
+                s.spawn(move || {
+                    for i in 0..2_000 {
+                        let lease = budget.lease(1 + (t + i) % 3);
+                        let now = held.fetch_add(lease.n, Ordering::SeqCst) + lease.n;
+                        assert!(now <= 3, "{now} of 3 slots held");
+                        held.fetch_sub(lease.n, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
+        assert_eq!(budget.lease(5).n, 3);
+    }
+
+    #[test]
+    fn panicking_worker_returns_its_slot() {
+        let budget = HelperBudget::new(2);
+        // The shape of `choose_k`: the lease lives in the frame that
+        // joins the helpers, so a helper's panic unwinds through it.
+        let unwound = std::panic::catch_unwind(|| {
+            let helpers = budget.lease(2);
+            std::thread::scope(|s| {
+                for _ in 0..helpers.n {
+                    s.spawn(|| panic!("sweep worker failed"));
+                }
+            });
+        });
+        assert!(unwound.is_err());
+        assert_eq!(budget.lease(2).n, 2);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! a `#[cfg(test)]` cross-check asserts this on every restart, and
 //! `kernel_properties.rs` pins it on randomised inputs. Per-call
 //! scratch buffers ([`KMeansScratch`]) are reused across restarts and
-//! across the BIC k-sweep instead of reallocating `vec![vec![0.0; dim]; k]`
-//! every iteration.
+//! across a BIC sweep worker's candidates instead of reallocating
+//! `vec![vec![0.0; dim]; k]` every iteration.
 //!
 //! Bound maintenance after a centroid update follows Hamerly (2010):
 //! if centroid `c` moved by `δ(c)`, then `upper += δ(assigned)` and
@@ -78,9 +78,9 @@ impl Default for KMeansConfig {
 
 /// Reusable scratch for [`kmeans_with`]: centroid storage, Lloyd-update
 /// accumulators, and the Hamerly bound arrays. One instance can be
-/// shared across restarts, across the BIC k-sweep, and across repeated
-/// clusterings of different data — every call resizes what it needs and
-/// reuses the allocations.
+/// shared across restarts, across a BIC sweep worker's candidates, and
+/// across repeated clusterings of different data — every call resizes
+/// what it needs and reuses the allocations.
 #[derive(Debug, Default)]
 pub struct KMeansScratch {
     centroids: Matrix,
@@ -149,7 +149,9 @@ pub fn kmeans_with(
 ) -> KMeansResult {
     assert!(data.rows() > 0, "kmeans needs at least one point");
     assert!(k > 0, "k must be positive");
-    let _span = mlpa_obs::span("phase.kmeans");
+    // No span: the BIC sweep calls this on helper threads, where a span
+    // would open without a parent and the self-profile's edge counts
+    // would depend on scheduling. The counters below are global.
 
     if k >= data.rows() {
         // Degenerate: every point its own cluster.
