@@ -3,23 +3,22 @@
 //! and the full phase-analysis pipeline (profile → project → cluster).
 //! These are the quantities the cost model (`CostModel::measure`)
 //! summarises into the detailed/functional ratio, plus the clustering
-//! substrate the perf baseline (`results/BENCH_phase.json`) tracks.
+//! substrate the perf trajectory (`BENCH.json`) tracks.
 //!
-//! With `MLPA_BENCH_JSON=<path>` in the environment, the run writes a
-//! machine-readable baseline of the phase-kernel benches (current vs
-//! naive, with derived speedups) to `<path>` — see
-//! `scripts/bench_phase.sh`. With `MLPA_BENCH_SMOKE=1`, every bench
-//! runs a single timed sample (the CI smoke mode).
+//! With `MLPA_BENCH_TRAJECTORY=<path>` in the environment, the run
+//! appends one snapshot, labelled `MLPA_BENCH_LABEL`, to the trajectory
+//! at `<path>`. With `MLPA_BENCH_SMOKE=1`, every bench runs a single
+//! timed sample (the CI smoke mode).
 //!
 //! Every run calibrates the host **in this process** first
-//! (`mlpa_obs::calibrate`): the probe's ns-per-unit price stamps each
-//! emitted snapshot, and each bench also records
+//! (`mlpa_obs::calibrate`): the probe's ns-per-unit price stamps the
+//! snapshot, and each bench also records
 //! `normalized = mean_ns / probe_ns` — a machine-independent cost the
 //! `bench-gate` binary compares across hosts. Derived speedups are
 //! within-run by construction (both sides of every ratio measured in
 //! this same process); the headline `detailed_sim` speedup additionally
-//! comes from interleaved A/B rounds (the `ab_detailed` idiom) rather
-//! than two separately-timed bench entries.
+//! comes from interleaved A/B rounds rather than two separately-timed
+//! bench entries.
 
 use mlpa_isa::rng::SplitMix64;
 use mlpa_isa::stream::drain_count;
@@ -68,7 +67,7 @@ fn smoke_mode() -> bool {
     std::env::var_os("MLPA_BENCH_SMOKE").is_some_and(|v| !v.is_empty())
 }
 
-/// One timed bench, as written to `BENCH_phase.json` and the trajectory.
+/// One timed bench, as written to the trajectory.
 struct Measurement {
     group: &'static str,
     id: &'static str,
@@ -118,8 +117,8 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// Interleaved A/B speedup (the `ab_detailed` idiom): rounds alternate
-/// reference and current back-to-back, best-of-3 a side per round, and
+/// Interleaved A/B speedup: rounds alternate reference and current
+/// back-to-back, best-of-3 a side per round, and
 /// the reported ratio is the **median** of the per-round ratios. Both
 /// sides of each ratio run within microseconds of each other, so host
 /// drift between separately-timed bench groups cannot leak into the
@@ -426,56 +425,6 @@ fn mean_of(measurements: &[Measurement], group: &str, id: &str) -> Option<f64> {
     measurements.iter().find(|m| m.group == group && m.id == id).map(|m| m.mean_ns)
 }
 
-/// Emit the phase-kernel baseline as hand-formatted JSON (the workspace
-/// is dependency-free; the values are flat numbers and simple strings).
-/// v2 of the per-run schema adds the in-process `calibration` block,
-/// the `host` metadata section, and per-bench `normalized` costs.
-fn write_bench_json(
-    path: &std::ffi::OsStr,
-    measurements: &[Measurement],
-    cal: &mlpa_obs::calibrate::MachineCalibration,
-    ab_detailed: f64,
-) {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"mlpa-bench-phase-v2\",\n");
-    out.push_str(&format!(
-        "  \"params\": {{ \"num_blocks\": {NUM_BLOCKS}, \"dim\": {DIM}, \"interval_len\": {INTERVAL_LEN}, \"intervals\": {TARGET_INTERVALS}, \"pipeline_k\": {PIPELINE_K}, \"k_max\": {K_MAX} }},\n"
-    ));
-    out.push_str(&format!("  \"calibration\": {},\n", cal.to_json()));
-    out.push_str(&format!("  \"host\": {},\n", mlpa_obs::host_meta().to_value()));
-    out.push_str("  \"benches\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        let comma = if i + 1 == measurements.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{ \"group\": \"{}\", \"id\": \"{}\", \"mean_ns\": {:.0}, \"min_ns\": {:.0}, \"max_ns\": {:.0}, \"samples\": {}, \"normalized\": {:.4} }}{comma}\n",
-            m.group,
-            m.id,
-            m.mean_ns,
-            m.min_ns,
-            m.max_ns,
-            m.samples,
-            m.mean_ns / cal.probe_ns.max(f64::MIN_POSITIVE)
-        ));
-    }
-    out.push_str("  ],\n");
-    let [(_, pipeline), (_, sweep), (_, kmeans_speedup), (_, detailed), (_, streaming)] =
-        derived_speedups(measurements, Some(ab_detailed));
-    out.push_str(&format!(
-        "  \"speedups\": {{ \"phase_pipeline\": {pipeline:.2}, \"phase_sweep\": {sweep:.2}, \"kmeans\": {kmeans_speedup:.2}, \"detailed_sim\": {detailed:.2}, \"streaming\": {streaming:.2} }}\n"
-    ));
-    out.push_str("}\n");
-    if let Err(e) = std::fs::write(path, &out) {
-        eprintln!("failed to write {}: {e}", path.to_string_lossy());
-    } else {
-        println!("wrote bench baseline to {}", path.to_string_lossy());
-        println!(
-            "speedups: phase_pipeline {pipeline:.2}x, phase_sweep {sweep:.2}x, \
-             kmeans {kmeans_speedup:.2}x, detailed_sim {detailed:.2}x, streaming {streaming:.2}x"
-        );
-    }
-}
-
 /// The bench pairs each derived speedup is the ratio of — every pair is
 /// measured within this one process (never across snapshots), which is
 /// what makes the speedups comparable across hosts without any
@@ -491,13 +440,9 @@ const SPEEDUP_PAIRS: [(&str, &str); 5] = [
     ("streaming", "streaming/prepare_monolithic over streaming/prepare_sharded8"),
 ];
 
-/// Derived kernel speedups (naive-over-current within-run ratios).
-/// `ab_detailed`, when present, replaces the group-mean `detailed_sim`
-/// ratio with the interleaved A/B measurement.
-fn derived_speedups(
-    measurements: &[Measurement],
-    ab_detailed: Option<f64>,
-) -> [(&'static str, f64); 5] {
+/// Derived kernel speedups (naive-over-current within-run ratios);
+/// `detailed_sim` is the interleaved A/B measurement `ab_detailed`.
+fn derived_speedups(measurements: &[Measurement], ab_detailed: f64) -> [(&'static str, f64); 5] {
     let ratio = |group: &str, naive: &str, current: &str| match (
         mean_of(measurements, group, naive),
         mean_of(measurements, group, current),
@@ -509,53 +454,42 @@ fn derived_speedups(
         ("phase_pipeline", ratio("phase_pipeline", "naive", "current")),
         ("phase_sweep", ratio("phase_sweep", "naive", "current")),
         ("kmeans", ratio("kmeans", "k10_n2000_d15_naive", "k10_n2000_d15")),
-        (
-            "detailed_sim",
-            ab_detailed
-                .unwrap_or_else(|| ratio("substrate", "detailed_sim_reference", "detailed_sim")),
-        ),
+        ("detailed_sim", ab_detailed),
         ("streaming", ratio("streaming", "prepare_monolithic", "prepare_sharded8")),
     ]
 }
 
 /// Append this run as one snapshot of the perf *trajectory*
-/// (`BENCH.json` at the repo top level): prior snapshots — v1 raw-ns
-/// ones included — are preserved verbatim, so the file records how
-/// kernel cost and the derived speedups evolve change over change. New
-/// snapshots are stamped with this run's in-process calibration and
-/// host metadata, and each bench carries its machine-normalized cost;
-/// the document schema advances to `mlpa-bench-suite-v2`. The snapshot
-/// label comes from `MLPA_BENCH_LABEL` (defaulting to `snapshot-<n>`).
+/// (`BENCH.json` at the repo top level): prior snapshots are preserved
+/// verbatim, so the file records how kernel cost and the derived
+/// speedups evolve change over change. The new snapshot is stamped with
+/// this run's in-process calibration and host metadata, and each bench
+/// carries its machine-normalized cost. The snapshot label comes from
+/// `MLPA_BENCH_LABEL` (defaulting to `snapshot-<n>`). A missing file
+/// starts a fresh trajectory; a present one that does not parse as a
+/// trajectory is an error, never overwritten.
 fn write_trajectory(
     path: &std::ffi::OsStr,
     measurements: &[Measurement],
     cal: &mlpa_obs::calibrate::MachineCalibration,
     ab_detailed: f64,
-) {
-    use mlpa_obs::calibrate::{BENCH_SUITE_SCHEMA, BENCH_SUITE_SCHEMA_V1};
+) -> Result<(), String> {
+    use mlpa_obs::calibrate::{parse_trajectory, BENCH_SUITE_SCHEMA};
     use mlpa_obs::json::{parse, Value};
     use std::collections::BTreeMap;
 
-    let mut snapshots: Vec<String> = Vec::new();
-    if let Ok(text) = std::fs::read_to_string(path) {
-        let schema_of = |v: &Value| v.get("schema").and_then(Value::as_str).map(str::to_string);
-        match parse(&text) {
-            Ok(v)
-                if matches!(
-                    schema_of(&v).as_deref(),
-                    Some(BENCH_SUITE_SCHEMA) | Some(BENCH_SUITE_SCHEMA_V1)
-                ) =>
-            {
-                if let Some(arr) = v.get("snapshots").and_then(Value::as_arr) {
-                    snapshots.extend(arr.iter().map(Value::to_string));
-                }
-            }
-            _ => eprintln!(
-                "ignoring unreadable trajectory at {} (rewriting fresh)",
-                path.to_string_lossy()
-            ),
+    let shown = path.to_string_lossy();
+    let mut snapshots: Vec<String> = match std::fs::read_to_string(path) {
+        Ok(text) => {
+            let doc = parse(&text).map_err(|e| format!("{shown}: {e}"))?;
+            parse_trajectory(&doc).map_err(|e| format!("{shown}: {e}"))?;
+            let arr =
+                doc.get("snapshots").and_then(Value::as_arr).expect("parse_trajectory checked");
+            arr.iter().map(Value::to_string).collect()
         }
-    }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(format!("{shown}: {e}")),
+    };
     let label = std::env::var("MLPA_BENCH_LABEL")
         .unwrap_or_else(|_| format!("snapshot-{}", snapshots.len() + 1));
 
@@ -575,7 +509,7 @@ fn write_trajectory(
         })
         .collect();
     let speedups = Value::Obj(
-        derived_speedups(measurements, Some(ab_detailed))
+        derived_speedups(measurements, ab_detailed)
             .into_iter()
             .map(|(k, v)| (k.to_string(), Value::Num((v * 100.0).round() / 100.0)))
             .collect(),
@@ -596,15 +530,9 @@ fn write_trajectory(
         "{{\n  \"schema\": \"{BENCH_SUITE_SCHEMA}\",\n  \"speedup_pairs\": {pairs},\n  \"snapshots\": [\n    {}\n  ]\n}}\n",
         snapshots.join(",\n    ")
     );
-    if let Err(e) = std::fs::write(path, &out) {
-        eprintln!("failed to write {}: {e}", path.to_string_lossy());
-    } else {
-        println!(
-            "appended trajectory snapshot \"{label}\" ({} total) to {}",
-            snapshots.len(),
-            path.to_string_lossy()
-        );
-    }
+    std::fs::write(path, &out).map_err(|e| format!("{shown}: {e}"))?;
+    println!("appended trajectory snapshot \"{label}\" ({} total) to {shown}", snapshots.len());
+    Ok(())
 }
 
 fn main() {
@@ -625,10 +553,10 @@ fn main() {
     bench_phase_pipeline(&mut measurements);
     bench_obs_overhead(&mut measurements);
     assert_obs_overhead(&measurements);
-    if let Some(path) = std::env::var_os("MLPA_BENCH_JSON") {
-        write_bench_json(&path, &measurements, &cal, ab_detailed);
-    }
     if let Some(path) = std::env::var_os("MLPA_BENCH_TRAJECTORY") {
-        write_trajectory(&path, &measurements, &cal, ab_detailed);
+        if let Err(e) = write_trajectory(&path, &measurements, &cal, ab_detailed) {
+            eprintln!("not writing the trajectory: {e}");
+            std::process::exit(1);
+        }
     }
 }

@@ -21,7 +21,7 @@ use mlpa_phase::simpoint::{select, Selection};
 use mlpa_phase::wss::WssProfiler;
 use mlpa_sim::config::PrefetchPolicy;
 use mlpa_sim::{
-    FunctionalSim, InOrderSim, MachineConfig, MetricDeviation, MetricEstimate, SimMetrics, Warming,
+    FunctionalSim, InOrderSim, MachineConfig, MetricDeviation, MetricEstimate, SimMetrics,
 };
 use mlpa_workloads::{suite, CompiledBenchmark, WorkloadStream};
 use std::fmt::Write as _;
@@ -546,7 +546,7 @@ fn execute_inorder(
     for p in plan.points() {
         let skip = p.start.saturating_sub(pos);
         let (hier, bu) = sim.warm_state_mut();
-        pos += func.fast_forward(&mut stream, skip, &mut (), Warming::Warm, Some((hier, bu)));
+        pos += func.fast_forward(&mut stream, skip, &mut (), Some((hier, bu)));
         let m = sim.simulate(&mut stream, p.len);
         pos += m.instructions;
         parts.push((p.weight, m));

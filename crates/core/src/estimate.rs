@@ -10,7 +10,6 @@
 
 use crate::cache::{ArtifactCache, CacheKey};
 use crate::plan::SimulationPlan;
-use mlpa_sim::functional::Warming;
 use mlpa_sim::{
     BranchUnit, DetailedSim, FunctionalSim, MachineConfig, MemoryHierarchy, MetricEstimate,
     SimMetrics,
@@ -117,10 +116,8 @@ pub fn execute_plan(
         let metrics = worker.busy(|| {
             let skip = p.start.saturating_sub(pos);
             let skipped = match &mut warm {
-                Some((hier, bu)) => {
-                    func.fast_forward(&mut stream, skip, &mut (), Warming::Warm, Some((hier, bu)))
-                }
-                None => func.fast_forward(&mut stream, skip, &mut (), Warming::None, None),
+                Some((hier, bu)) => func.fast_forward(&mut stream, skip, &mut (), Some((hier, bu))),
+                None => func.fast_forward(&mut stream, skip, &mut (), None),
             };
             pos += skipped;
             cost.functional_insts += skipped;
@@ -140,13 +137,8 @@ pub fn execute_plan(
                         bu.clone(),
                     );
                     let m = sim.simulate(&mut fork, p.len);
-                    let advanced = func.fast_forward(
-                        &mut stream,
-                        m.instructions,
-                        &mut (),
-                        Warming::Warm,
-                        Some((hier, bu)),
-                    );
+                    let advanced =
+                        func.fast_forward(&mut stream, m.instructions, &mut (), Some((hier, bu)));
                     debug_assert_eq!(advanced, m.instructions, "fork and primary stream diverged");
                     m
                 }

@@ -67,13 +67,7 @@ impl CostModel {
             let mut func = FunctionalSim::new(cb.program());
             let mut stream = WorkloadStream::new(cb);
             let t0 = std::time::Instant::now();
-            let ran = func.fast_forward(
-                &mut stream,
-                sample_insts,
-                &mut (),
-                mlpa_sim::Warming::None,
-                None,
-            );
+            let ran = func.fast_forward(&mut stream, sample_insts, &mut (), None);
             let t = t0.elapsed().as_secs_f64();
             if t < func_best {
                 func_best = t;

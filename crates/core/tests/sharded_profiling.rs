@@ -16,7 +16,6 @@ use mlpa_core::prelude::*;
 use mlpa_phase::interval::{BoundaryProfiler, FixedLengthProfiler, Interval};
 use mlpa_phase::loops::{LoopMonitor, LoopProfile};
 use mlpa_phase::simpoint::select;
-use mlpa_sim::functional::Warming;
 use mlpa_sim::FunctionalSim;
 use mlpa_workloads::spec::{BenchmarkSpec, PhaseSpec, ScriptEntry};
 use mlpa_workloads::{CompiledBenchmark, WorkloadStream};
@@ -115,9 +114,9 @@ fn multilevel_windows_match_the_reference_observers() {
     let mut want = Vec::new();
     for cp in out.coasts.plan.points() {
         let skip = cp.start.saturating_sub(pos);
-        pos += func.fast_forward(&mut stream, skip, &mut (), Warming::None, None);
+        pos += func.fast_forward(&mut stream, skip, &mut (), None);
         let mut prof = FixedLengthProfiler::new(&proj, cfg.fine_interval);
-        pos += func.fast_forward(&mut stream, cp.len, &mut prof, Warming::None, None);
+        pos += func.fast_forward(&mut stream, cp.len, &mut prof, None);
         let intervals = prof.finish();
         let body = if intervals.len() >= 2 { &intervals[1..] } else { &intervals[..] };
         want.push(select(body, &cfg.fine));

@@ -22,9 +22,8 @@
 //!      [--min-band R] [--warn-bands N] [--fail-bands N]
 //!      [--min-gate-ns NS] [--inflate KEY=FACTOR] [--no-trajectory]`
 //!
-//! Snapshot selection defaults to the **last calibrated** snapshot in
-//! each file (pre-v2 snapshots carry no calibration block and cannot be
-//! gated); `--base-label` / `--cand-label` pin a specific one.
+//! Snapshot selection defaults to the last snapshot in each file;
+//! `--base-label` / `--cand-label` pin a specific one.
 //!
 //! `--inflate KEY=FACTOR` multiplies the candidate timings of every
 //! bench whose `group` or `group/id` equals KEY before gating — the
@@ -112,8 +111,7 @@ fn load_snapshots(path: &str) -> Result<Vec<Snapshot>, String> {
     parse_trajectory(&doc).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Pick the snapshot to gate: the labelled one, or the last snapshot
-/// carrying a calibration block (the only kind the gate accepts).
+/// Pick the snapshot to gate: the labelled one, or the last one.
 fn select<'s>(
     snapshots: &'s [Snapshot],
     label: Option<&str>,
@@ -125,23 +123,18 @@ fn select<'s>(
             .iter()
             .rfind(|s| s.label == l)
             .ok_or(format!("{role} snapshot `{l}` not found in {path}")),
-        None => snapshots
-            .iter()
-            .rfind(|s| s.calibration.is_some())
-            .ok_or(format!("{path} has no calibrated snapshot to use as {role}")),
+        None => snapshots.last().ok_or(format!("{path} has no snapshot to use as {role}")),
     }
 }
 
-/// Apply `--inflate` factors: scale the matching benches' timings (and
-/// stored normalized costs — they are timings in probe units).
+/// Apply `--inflate` factors: scale the matching benches' timings.
 fn inflate(snapshot: &mut Snapshot, rules: &[(String, f64)]) {
     for b in &mut snapshot.benches {
         for (key, factor) in rules {
             if *key == b.group || *key == b.key() {
                 b.mean_ns *= factor;
-                b.min_ns = b.min_ns.map(|v| v * factor);
-                b.max_ns = b.max_ns.map(|v| v * factor);
-                b.normalized = b.normalized.map(|v| v * factor);
+                b.min_ns *= factor;
+                b.max_ns *= factor;
             }
         }
     }
@@ -160,18 +153,17 @@ fn run(o: &Options) -> Result<Verdict, String> {
     }
 
     for (role, snap) in [("baseline", base), ("candidate", &cand)] {
-        if let Some(cal) = &snap.calibration {
-            println!(
-                "{role}: `{}` on {} (probe {:.2} ns/unit, dispersion {:.1}%, {} cpus)",
-                snap.label,
-                cal.fingerprint,
-                cal.probe_ns,
-                cal.dispersion * 100.0,
-                cal.cpus
-            );
-        }
+        let cal = &snap.calibration;
+        println!(
+            "{role}: `{}` on {} (probe {:.2} ns/unit, dispersion {:.1}%, {} cpus)",
+            snap.label,
+            cal.fingerprint,
+            cal.probe_ns,
+            cal.dispersion * 100.0,
+            cal.cpus
+        );
     }
-    let report = gate(base, &cand, &o.cfg)?;
+    let report = gate(base, &cand, &o.cfg);
     println!("\n{}", report.table());
     for note in &report.notes {
         println!("note: {note}");
@@ -179,7 +171,7 @@ fn run(o: &Options) -> Result<Verdict, String> {
 
     if o.trajectory {
         // The full per-group trajectory: every baseline-file snapshot
-        // plus the gated candidate, normalized where calibrated.
+        // plus the gated candidate.
         let mut all = base_snaps.clone();
         all.push(cand.clone());
         println!("\nper-group normalized trajectory (geomean of probe-unit costs):");

@@ -7,10 +7,9 @@
 //! `counters` snapshots become counter tracks (`"ph":"C"`) carrying
 //! per-level cache hit rates and instruction deltas.
 //!
-//! All stream generations convert: v2+ streams carry a `tid` per event;
-//! v1 streams (no `tid`) collapse onto track 0. v3 streams additionally
-//! carry the background sampler's `sample` events, which become counter
-//! tracks for peak RSS and every live gauge.
+//! Span, worker and log events must carry the `tid` of their thread.
+//! The background sampler's `sample` events become counter tracks for
+//! peak RSS and every live gauge.
 //!
 //! Usage: `mlpa-trace --events <events.jsonl> [--out <trace.json>]`
 //! (stdout when `--out` is omitted).
@@ -80,11 +79,6 @@ fn str_field(v: &Value, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing string field `{key}`"))
 }
 
-/// `tid` if present (v2), else track 0 (v1 streams predate thread ids).
-fn tid_of(v: &Value) -> f64 {
-    v.get("tid").and_then(Value::as_f64).unwrap_or(0.0)
-}
-
 /// Cache levels for which hit-rate counter tracks are derived.
 const CACHE_LEVELS: &[&str] = &["l1d", "l1i", "l2"];
 
@@ -147,7 +141,7 @@ fn span_event(v: &Value) -> Result<Vec<Value>, String> {
         ("ts", Value::Num(num_field(v, "t_us")?)),
         ("dur", Value::Num(num_field(v, "dur_us")?)),
         ("pid", Value::Num(1.0)),
-        ("tid", Value::Num(tid_of(v))),
+        ("tid", Value::Num(num_field(v, "tid")?)),
         ("args", obj(args)),
     ])])
 }
@@ -160,7 +154,7 @@ fn worker_events(v: &Value) -> Result<Vec<Value>, String> {
         ("name", Value::Str("thread_name".into())),
         ("ph", Value::Str("M".into())),
         ("pid", Value::Num(1.0)),
-        ("tid", Value::Num(tid_of(v))),
+        ("tid", Value::Num(num_field(v, "tid")?)),
         ("args", obj(vec![("name", Value::Str(format!("{pool} worker {index}")))])),
     ])])
 }
@@ -173,7 +167,7 @@ fn log_event(v: &Value) -> Result<Vec<Value>, String> {
         ("ph", Value::Str("i".into())),
         ("ts", Value::Num(num_field(v, "t_us")?)),
         ("pid", Value::Num(1.0)),
-        ("tid", Value::Num(tid_of(v))),
+        ("tid", Value::Num(num_field(v, "tid")?)),
         ("s", Value::Str("t".into())),
     ])])
 }
@@ -269,7 +263,7 @@ mod tests {
     use super::*;
 
     const STREAM: &str = concat!(
-        "{\"ev\":\"run_start\",\"schema\":\"mlpa-events-v2\",\"t_us\":0}\n",
+        "{\"ev\":\"run_start\",\"schema\":\"mlpa-events-v3\",\"t_us\":0}\n",
         "{\"ev\":\"span\",\"name\":\"sim.detailed\",\"id\":1,\"parent\":null,\"tid\":2,\
          \"t_us\":10,\"dur_us\":50,\"label\":\"eon\"}\n",
         "{\"ev\":\"span\",\"name\":\"core.profile\",\"id\":2,\"parent\":1,\"tid\":2,\
@@ -382,24 +376,13 @@ mod tests {
     }
 
     #[test]
-    fn v1_streams_collapse_to_track_zero() {
-        let v1 = concat!(
-            "{\"ev\":\"run_start\",\"t_us\":0}\n",
-            "{\"ev\":\"span\",\"name\":\"a\",\"id\":1,\"parent\":null,\"t_us\":1,\"dur_us\":5}\n",
-            "{\"ev\":\"run_end\",\"t_us\":9}\n",
-        );
-        let doc = json::parse(&convert(v1).unwrap()).unwrap();
-        let span = events(&doc)
-            .into_iter()
-            .find(|e| e.get("name").and_then(Value::as_str) == Some("a"))
-            .unwrap();
-        assert_eq!(span.get("tid").and_then(Value::as_f64), Some(0.0));
-    }
-
-    #[test]
     fn rejects_malformed_streams() {
         assert!(convert("").is_err());
         assert!(convert("not json\n").is_err());
         assert!(convert("{\"ev\":\"mystery\",\"t_us\":0}\n").is_err());
+        // A span without the `tid` of its thread has no track to go on.
+        let untagged = "{\"ev\":\"span\",\"name\":\"a\",\"id\":1,\"parent\":null,\"t_us\":1,\
+                        \"dur_us\":5}\n";
+        assert!(convert(untagged).unwrap_err().contains("`tid`"));
     }
 }

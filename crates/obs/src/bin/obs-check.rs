@@ -5,15 +5,12 @@
 //!
 //! * a JSONL event stream holds exactly one well-formed JSON object per
 //!   line, each with a known `ev` tag and that tag's required fields.
-//!   All three stream generations are understood: v1 (no `schema`
-//!   marker on `run_start`, no `tid` fields), v2 (`mlpa-events-v2`:
-//!   `tid` on span/worker/log events, `hist` and `counters` event
-//!   kinds) and v3 (`mlpa-events-v3`: adds the sampler's `sample`
-//!   events, whose payload carries its own `mlpa-sample-v1` schema tag,
-//!   a strictly increasing `tick`, and per-sample counter totals that
-//!   must never decrease). A stream mixing generations — or containing
-//!   an event kind or schema string this checker does not know — is
-//!   rejected with a line-numbered, named error;
+//!   Every `run_start` must declare `mlpa-events-v3`; span, worker and
+//!   log events carry a numeric `tid`; the sampler's `sample` events
+//!   carry their own `mlpa-sample-v1` schema tag, a strictly increasing
+//!   `tick`, and per-sample counter totals that must never decrease. An
+//!   event kind or schema string this checker does not know is rejected
+//!   with a line-numbered, named error;
 //! * a `RUN_REPORT.json` matches the `mlpa-run-report-v3` schema —
 //!   including the gauge section, the optional span-aggregated
 //!   self-profile, the histogram section and, when present, the
@@ -217,28 +214,15 @@ fn num_field(v: &Value, key: &str) -> Result<f64, String> {
     field(v, key)?.as_f64().ok_or_else(|| format!("field `{key}` is not a number"))
 }
 
-/// Check `tid` presence against the stream generation: required from
-/// v2 on, forbidden (mixed-schema) in v1.
-fn check_tid(v: &Value, gen: u8) -> Result<(), String> {
-    match (gen >= 2, v.get("tid")) {
-        (true, None) => Err(format!("missing field `tid` (required in a v{gen} stream)")),
-        (true, Some(t)) => {
-            t.as_f64().map(drop).ok_or_else(|| "field `tid` is not a number".to_string())
-        }
-        (false, Some(_)) => Err("v2 field `tid` in a v1 stream (mixed-schema)".into()),
-        (false, None) => Ok(()),
-    }
-}
-
-/// Map a `run_start` schema declaration to a stream generation, or a
-/// named error for a schema string this checker does not know.
-fn stream_gen(schema: Option<&Value>) -> Result<u8, String> {
-    match schema {
-        None => Ok(1),
-        Some(Value::Str(s)) if s == "mlpa-events-v2" => Ok(2),
-        Some(Value::Str(s)) if s == mlpa_obs::EVENTS_SCHEMA => Ok(3),
+/// A `run_start` must declare [`mlpa_obs::EVENTS_SCHEMA`].
+fn check_stream_schema(v: &Value) -> Result<(), String> {
+    match v.get("schema") {
+        Some(Value::Str(s)) if s == mlpa_obs::EVENTS_SCHEMA => Ok(()),
         Some(Value::Str(s)) => Err(format!("unknown events schema `{s}`")),
-        Some(_) => Err("field `schema` is not a string".to_string()),
+        Some(_) => Err("field `schema` is not a string".into()),
+        None => {
+            Err(format!("run_start declares no schema, expected `{}`", mlpa_obs::EVENTS_SCHEMA))
+        }
     }
 }
 
@@ -299,16 +283,10 @@ fn check_sample(
 }
 
 /// Validate a JSONL event stream; returns the number of events.
-///
-/// The stream schema is declared by the `schema` field of the leading
-/// `run_start` event (absent = v1); every later line is validated
-/// against that declaration, so a stream concatenated from different
-/// generations fails with the offending line number.
 fn check_events(text: &str) -> Result<usize, String> {
     let mut count = 0usize;
     let mut saw_start = false;
     let mut saw_end = false;
-    let mut gen = 1u8;
     let mut last_tick: Option<f64> = None;
     let mut prev_sample_counters: Vec<(String, f64)> = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -325,15 +303,8 @@ fn check_events(text: &str) -> Result<usize, String> {
             return Err(format!("line {lineno}: stream must begin with run_start"));
         }
         let check = match ev.as_str() {
-            "run_start" => stream_gen(v.get("schema")).and_then(|this_gen| {
-                if saw_start && this_gen != gen {
-                    return Err(format!(
-                        "run_start declares v{this_gen} but the stream began as v{gen} \
-                         (mixed-schema)",
-                    ));
-                }
+            "run_start" => check_stream_schema(&v).and_then(|()| {
                 saw_start = true;
-                gen = this_gen;
                 num_field(&v, "t_us").map(drop)
             }),
             "run_end" => {
@@ -344,7 +315,7 @@ fn check_events(text: &str) -> Result<usize, String> {
                 .iter()
                 .try_for_each(|k| num_field(&v, k).map(drop))
                 .and_then(|()| str_field(&v, "name").map(drop))
-                .and_then(|()| check_tid(&v, gen))
+                .and_then(|()| num_field(&v, "tid").map(drop))
                 .and_then(|()| match field(&v, "parent")? {
                     Value::Null | Value::Num(_) => Ok(()),
                     _ => Err("field `parent` is not a number or null".into()),
@@ -353,21 +324,17 @@ fn check_events(text: &str) -> Result<usize, String> {
                 .iter()
                 .try_for_each(|k| num_field(&v, k).map(drop))
                 .and_then(|()| str_field(&v, "pool").map(drop))
-                .and_then(|()| check_tid(&v, gen)),
+                .and_then(|()| num_field(&v, "tid").map(drop)),
             "log" => ["level", "target", "msg"]
                 .iter()
                 .try_for_each(|k| str_field(&v, k).map(drop))
                 .and_then(|()| num_field(&v, "t_us").map(drop))
-                .and_then(|()| check_tid(&v, gen)),
-            "hist" if gen < 2 => Err("v2 event kind `hist` in a v1 stream (mixed-schema)".into()),
+                .and_then(|()| num_field(&v, "tid").map(drop)),
             "hist" => ["t_us", "count", "sum", "min", "max", "p50", "p90", "p99"]
                 .iter()
                 .try_for_each(|k| num_field(&v, k).map(drop))
                 .and_then(|()| str_field(&v, "name").map(drop))
                 .and_then(|()| str_field(&v, "unit").map(drop)),
-            "counters" if gen < 2 => {
-                Err("v2 event kind `counters` in a v1 stream (mixed-schema)".into())
-            }
             "counters" => num_field(&v, "t_us").map(drop).and_then(|()| {
                 let obj =
                     field(&v, "counters")?.as_obj().ok_or("field `counters` is not an object")?;
@@ -378,9 +345,6 @@ fn check_events(text: &str) -> Result<usize, String> {
                 }
                 Ok(())
             }),
-            "sample" if gen < 3 => {
-                Err(format!("v3 event kind `sample` in a v{gen} stream (mixed-schema)"))
-            }
             "sample" => check_sample(&v, &mut last_tick, &mut prev_sample_counters),
             other => Err(format!("unknown event kind `{other}`")),
         };
@@ -659,13 +623,15 @@ fn check_status(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    const START: &str = "{\"ev\":\"run_start\",\"schema\":\"mlpa-events-v3\",\"t_us\":0}\n";
+
     #[test]
     fn rejects_bad_event_lines() {
         assert!(check_events("").is_err());
-        assert!(check_events("{\"ev\":\"run_start\",\"t_us\":0}\nnot json\n").is_err());
+        assert!(check_events(&format!("{START}not json\n")).is_err());
         assert!(check_events("{\"ev\":\"mystery\"}\n").is_err());
         // Missing run_end.
-        assert!(check_events("{\"ev\":\"run_start\",\"t_us\":0}\n").is_err());
+        assert!(check_events(START).unwrap_err().contains("run_end"));
         // First event must be run_start.
         assert!(check_events("{\"ev\":\"run_end\",\"t_us\":0}\n").is_err());
     }
@@ -686,36 +652,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn accepts_a_complete_v1_stream() {
-        let stream = concat!(
-            "{\"ev\":\"run_start\",\"t_us\":0}\n",
-            "{\"ev\":\"span\",\"name\":\"a\",\"id\":1,\"parent\":null,\"t_us\":1,\"dur_us\":5}\n",
-            "{\"ev\":\"log\",\"t_us\":2,\"level\":\"info\",\"target\":\"t\",\"msg\":\"m\"}\n",
-            "{\"ev\":\"worker\",\"pool\":\"p\",\"index\":0,\"busy_us\":3,\"wall_us\":4,\"jobs\":1}\n",
-            "{\"ev\":\"run_end\",\"t_us\":9}\n",
-        );
-        assert_eq!(check_events(stream).unwrap(), 5);
-    }
-
-    #[test]
-    fn accepts_a_complete_v2_stream() {
-        let stream = concat!(
-            "{\"ev\":\"run_start\",\"schema\":\"mlpa-events-v2\",\"t_us\":0}\n",
-            "{\"ev\":\"span\",\"name\":\"a\",\"id\":1,\"parent\":null,\"tid\":0,\"t_us\":1,\
-             \"dur_us\":5}\n",
-            "{\"ev\":\"log\",\"t_us\":2,\"tid\":0,\"level\":\"info\",\"target\":\"t\",\
-             \"msg\":\"m\"}\n",
-            "{\"ev\":\"worker\",\"pool\":\"p\",\"index\":0,\"tid\":1,\"busy_us\":3,\
-             \"wall_us\":4,\"jobs\":1}\n",
-            "{\"ev\":\"counters\",\"t_us\":5,\"counters\":{\"sim.instructions\":10}}\n",
-            "{\"ev\":\"hist\",\"t_us\":8,\"name\":\"sim.rob.occupancy\",\"unit\":\"n\",\
-             \"count\":4,\"sum\":20,\"min\":2,\"max\":8,\"p50\":7,\"p90\":8,\"p99\":8}\n",
-            "{\"ev\":\"run_end\",\"t_us\":9}\n",
-        );
-        assert_eq!(check_events(stream).unwrap(), 7);
-    }
-
     fn sample_line(tick: u64, insts: u64) -> String {
         format!(
             "{{\"ev\":\"sample\",\"schema\":\"mlpa-sample-v1\",\"tick\":{tick},\"t_us\":{},\
@@ -731,36 +667,30 @@ mod tests {
     fn accepts_a_complete_v3_stream_with_samples() {
         let stream = format!(
             concat!(
-                "{{\"ev\":\"run_start\",\"schema\":\"mlpa-events-v3\",\"t_us\":0}}\n",
+                "{START}",
                 "{s0}",
                 "{{\"ev\":\"span\",\"name\":\"a\",\"id\":1,\"parent\":null,\"tid\":0,\
                  \"t_us\":1,\"dur_us\":5}}\n",
+                "{{\"ev\":\"log\",\"t_us\":2,\"tid\":0,\"level\":\"info\",\"target\":\"t\",\
+                 \"msg\":\"m\"}}\n",
+                "{{\"ev\":\"worker\",\"pool\":\"p\",\"index\":0,\"tid\":1,\"busy_us\":3,\
+                 \"wall_us\":4,\"jobs\":1}}\n",
+                "{{\"ev\":\"counters\",\"t_us\":5,\"counters\":{{\"sim.instructions\":10}}}}\n",
                 "{s1}",
+                "{{\"ev\":\"hist\",\"t_us\":8,\"name\":\"sim.rob.occupancy\",\"unit\":\"n\",\
+                 \"count\":4,\"sum\":20,\"min\":2,\"max\":8,\"p50\":7,\"p90\":8,\"p99\":8}}\n",
                 "{{\"ev\":\"run_end\",\"t_us\":9}}\n",
             ),
+            START = START,
             s0 = sample_line(0, 100),
             s1 = sample_line(1, 250),
         );
-        assert_eq!(check_events(&stream).unwrap(), 5);
+        assert_eq!(check_events(&stream).unwrap(), 9);
     }
 
     #[test]
     fn sample_contract_is_enforced() {
-        let wrap = |middle: &str| {
-            format!(
-                "{{\"ev\":\"run_start\",\"schema\":\"mlpa-events-v3\",\"t_us\":0}}\n\
-                 {middle}{{\"ev\":\"run_end\",\"t_us\":9}}\n"
-            )
-        };
-
-        // A sample in a v2 stream is mixed-schema.
-        let in_v2 = format!(
-            "{{\"ev\":\"run_start\",\"schema\":\"mlpa-events-v2\",\"t_us\":0}}\n{}\
-             {{\"ev\":\"run_end\",\"t_us\":9}}\n",
-            sample_line(0, 100),
-        );
-        let err = check_events(&in_v2).unwrap_err();
-        assert!(err.starts_with("line 2:") && err.contains("mixed-schema"), "{err}");
+        let wrap = |middle: &str| format!("{START}{middle}{{\"ev\":\"run_end\",\"t_us\":9}}\n");
 
         // The payload must declare the sample schema this checker knows.
         let bad_schema = sample_line(0, 100).replace("mlpa-sample-v1", "mlpa-sample-v9");
@@ -780,44 +710,30 @@ mod tests {
 
     #[test]
     fn rejects_mixed_schema_streams_with_line_numbers() {
-        // v2 event kind in a v1 stream.
-        let hist_in_v1 = concat!(
-            "{\"ev\":\"run_start\",\"t_us\":0}\n",
-            "{\"ev\":\"hist\",\"t_us\":1,\"name\":\"h\",\"unit\":\"n\",\"count\":1,\"sum\":1,\
-             \"min\":1,\"max\":1,\"p50\":1,\"p90\":1,\"p99\":1}\n",
-            "{\"ev\":\"run_end\",\"t_us\":9}\n",
+        // A span without `tid`.
+        let untagged_span = format!(
+            "{START}{{\"ev\":\"span\",\"name\":\"a\",\"id\":1,\"parent\":null,\"t_us\":1,\
+             \"dur_us\":5}}\n{{\"ev\":\"run_end\",\"t_us\":9}}\n"
         );
-        let err = check_events(hist_in_v1).unwrap_err();
-        assert!(err.starts_with("line 2:") && err.contains("mixed-schema"), "{err}");
+        let err = check_events(&untagged_span).unwrap_err();
+        assert!(err.starts_with("line 2:") && err.contains("`tid`"), "{err}");
 
-        // v2 field on a v1 stream's span.
-        let tid_in_v1 = concat!(
-            "{\"ev\":\"run_start\",\"t_us\":0}\n",
-            "{\"ev\":\"span\",\"name\":\"a\",\"id\":1,\"parent\":null,\"tid\":0,\"t_us\":1,\
-             \"dur_us\":5}\n",
-            "{\"ev\":\"run_end\",\"t_us\":9}\n",
-        );
-        let err = check_events(tid_in_v1).unwrap_err();
-        assert!(err.starts_with("line 2:") && err.contains("mixed-schema"), "{err}");
+        // A run_start that declares no schema.
+        let undeclared = "{\"ev\":\"run_start\",\"t_us\":0}\n{\"ev\":\"run_end\",\"t_us\":1}\n";
+        let err = check_events(undeclared).unwrap_err();
+        assert!(err.starts_with("line 1:") && err.contains("no schema"), "{err}");
 
-        // v1 span (no tid) in a v2 stream.
-        let v1_span_in_v2 = concat!(
-            "{\"ev\":\"run_start\",\"schema\":\"mlpa-events-v2\",\"t_us\":0}\n",
-            "{\"ev\":\"span\",\"name\":\"a\",\"id\":1,\"parent\":null,\"t_us\":1,\"dur_us\":5}\n",
-            "{\"ev\":\"run_end\",\"t_us\":9}\n",
+        // A second run in an older generation, concatenated on.
+        let concatenated = format!(
+            "{START}{{\"ev\":\"run_end\",\"t_us\":1}}\n\
+             {{\"ev\":\"run_start\",\"schema\":\"mlpa-events-v2\",\"t_us\":0}}\n\
+             {{\"ev\":\"run_end\",\"t_us\":1}}\n"
         );
-        let err = check_events(v1_span_in_v2).unwrap_err();
-        assert!(err.starts_with("line 2:") && err.contains("tid"), "{err}");
-
-        // Two concatenated runs of different generations.
-        let concatenated = concat!(
-            "{\"ev\":\"run_start\",\"t_us\":0}\n",
-            "{\"ev\":\"run_end\",\"t_us\":1}\n",
-            "{\"ev\":\"run_start\",\"schema\":\"mlpa-events-v2\",\"t_us\":0}\n",
-            "{\"ev\":\"run_end\",\"t_us\":1}\n",
+        let err = check_events(&concatenated).unwrap_err();
+        assert!(
+            err.starts_with("line 3:") && err.contains("unknown events schema `mlpa-events-v2`"),
+            "{err}"
         );
-        let err = check_events(concatenated).unwrap_err();
-        assert!(err.starts_with("line 3:") && err.contains("mixed-schema"), "{err}");
 
         // Unknown future schema.
         let unknown = "{\"ev\":\"run_start\",\"schema\":\"mlpa-events-v4\",\"t_us\":0}\n";

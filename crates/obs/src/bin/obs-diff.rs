@@ -1,20 +1,20 @@
-//! Cross-run regression gate: diff two `RUN_REPORT.json` or
-//! `BENCH_*.json` documents with per-metric tolerances.
+//! Cross-run regression gate: diff two `RUN_REPORT.json` documents
+//! with per-metric tolerances.
 //!
-//! The two inputs must carry the same `schema`. What is compared
-//! depends on whether a metric is *deterministic* (identical across
-//! machines for the same inputs) or *timing* (machine-dependent):
+//! Both inputs must carry the `mlpa-run-report-v3` schema. What is
+//! compared depends on whether a metric is *deterministic* (identical
+//! across machines for the same inputs) or *timing*
+//! (machine-dependent):
 //!
 //! * **Deterministic** — counter totals, span counts, value-histogram
-//!   (`"n"`-unit) contents, per-pool worker row counts and job totals,
-//!   bench params: compared exactly by default; `--tol-counter` /
-//!   `--tol-hist` relax them to a relative tolerance.
-//! * **Timing** — `wall_s`, span `total_s`, worker `busy_s`,
-//!   `"us"`-unit histogram quantiles, bench `mean_ns`, speedups:
-//!   ignored by default (CI machines vary too much for a hard gate);
-//!   `--tol-time` / `--tol-bench` turn on a one-sided check that fails
+//!   (`"n"`-unit) contents, per-pool worker row counts and job totals:
+//!   compared exactly by default; `--tol-counter` / `--tol-hist` relax
+//!   them to a relative tolerance.
+//! * **Timing** — `wall_s`, span `total_s`, `"us"`-unit histogram
+//!   quantiles: ignored by default (CI machines vary too much for a
+//!   hard gate); `--tol-time` turns on a one-sided check that fails
 //!   only when the current run is slower than baseline by more than the
-//!   given relative fraction (for speedups: smaller).
+//!   given relative fraction.
 //!
 //! A metric present in the baseline but missing from the current run is
 //! always a failure; new metrics in the current run are reported but
@@ -22,8 +22,7 @@
 //!
 //! Usage:
 //!   `obs-diff <baseline.json> <current.json> [--tol-time R]
-//!    [--tol-counter R] [--tol-hist R] [--tol-bench R]
-//!    [--only SECTION[,SECTION]...]`
+//!    [--tol-counter R] [--tol-hist R] [--only SECTION[,SECTION]...]`
 //!
 //! `--only` restricts a run-report diff to the named sections (`phases`,
 //! `counters`, `workers`, `histograms`, `gauges`, `self_profile`,
@@ -53,20 +52,14 @@ const SECTIONS: &[&str] = &[
 ];
 
 /// Relative tolerances; `None` means "skip the timing check" for the
-/// timing knobs and "exact" for the deterministic knobs.
+/// timing knob, and 0 means "exact" for the deterministic knobs.
+#[derive(Default)]
 struct Tolerances {
     time: Option<f64>,
     counter: f64,
     hist: f64,
-    bench: Option<f64>,
-    /// Restrict a run-report diff to these sections (`None` = all).
+    /// Restrict the diff to these sections (`None` = all).
     only: Option<BTreeSet<String>>,
-}
-
-impl Default for Tolerances {
-    fn default() -> Tolerances {
-        Tolerances { time: None, counter: 0.0, hist: 0.0, bench: None, only: None }
-    }
 }
 
 impl Tolerances {
@@ -101,20 +94,10 @@ impl Diff {
         }
     }
 
-    /// One-sided timing comparison: only "current worse than baseline
-    /// by more than `tol`" fails. `worse_is_larger` is true for
-    /// durations and false for speedups/rates.
-    fn check_one_sided(
-        &mut self,
-        what: &str,
-        base: f64,
-        cur: f64,
-        tol: f64,
-        worse_is_larger: bool,
-    ) {
-        let limit = if worse_is_larger { base * (1.0 + tol) } else { base * (1.0 - tol) };
-        let regressed = if worse_is_larger { cur > limit } else { cur < limit };
-        if regressed {
+    /// One-sided timing comparison: only "current slower than baseline
+    /// by more than `tol`" fails.
+    fn check_slower(&mut self, what: &str, base: f64, cur: f64, tol: f64) {
+        if cur > base * (1.0 + tol) {
             self.fail(format!("{what}: baseline {base}, current {cur} (one-sided tol {tol})"));
         }
     }
@@ -140,10 +123,6 @@ fn main() -> ExitCode {
             "--tol-hist" => match tol_arg(&mut args) {
                 Some(v) => tol.hist = v,
                 None => return usage("--tol-hist needs a non-negative number"),
-            },
-            "--tol-bench" => match tol_arg(&mut args) {
-                Some(v) => tol.bench = Some(v),
-                None => return usage("--tol-bench needs a non-negative number"),
             },
             "--only" => {
                 let Some(list) = args.next() else {
@@ -222,7 +201,7 @@ fn usage(msg: &str) -> ExitCode {
     eprintln!("obs-diff: {msg}");
     eprintln!(
         "usage: obs-diff <baseline.json> <current.json> [--tol-time R] [--tol-counter R] \
-         [--tol-hist R] [--tol-bench R] [--only SECTION[,SECTION]...]"
+         [--tol-hist R] [--only SECTION[,SECTION]...]"
     );
     ExitCode::from(2)
 }
@@ -238,23 +217,20 @@ fn num_field(v: &Value, key: &str) -> Result<f64, String> {
     v.get(key).and_then(Value::as_f64).ok_or_else(|| format!("missing numeric field `{key}`"))
 }
 
-/// Dispatch on the (matching) schema of the two documents.
+/// Check both documents carry the run-report schema, then diff them.
 fn diff(base: &Value, cur: &Value, tol: &Tolerances) -> Result<Diff, String> {
     let base_schema = str_field(base, "schema")?;
     let cur_schema = str_field(cur, "schema")?;
     if base_schema != cur_schema {
         return Err(format!("schema mismatch: baseline `{base_schema}`, current `{cur_schema}`"));
     }
-    match base_schema.as_str() {
-        "mlpa-run-report-v1" | "mlpa-run-report-v2" | "mlpa-run-report-v3" => {
-            diff_run_report(base, cur, tol)
-        }
-        "mlpa-bench-phase-v1"
-        | "mlpa-bench-phase-v2"
-        | "mlpa-bench-suite-v1"
-        | "mlpa-bench-suite-v2" => diff_bench(base, cur, tol),
-        other => Err(format!("unsupported schema `{other}`")),
+    if base_schema != mlpa_obs::RUN_REPORT_SCHEMA {
+        return Err(format!(
+            "unsupported schema `{base_schema}`, expected `{}`",
+            mlpa_obs::RUN_REPORT_SCHEMA
+        ));
     }
+    diff_run_report(base, cur, tol)
 }
 
 /// Index an array of objects by a string key.
@@ -313,12 +289,11 @@ fn diff_run_report(base: &Value, cur: &Value, tol: &Tolerances) -> Result<Diff, 
                 0.0,
             );
             if let Some(t) = tol.time {
-                diff.check_one_sided(
+                diff.check_slower(
                     &format!("phase `{name}` total_s"),
                     num_field(b, "total_s")?,
                     num_field(c, "total_s")?,
                     t,
-                    true,
                 );
             }
             Ok(())
@@ -383,11 +358,9 @@ fn diff_run_report(base: &Value, cur: &Value, tol: &Tolerances) -> Result<Diff, 
         }
     }
 
-    // Histograms (v2 only): value histograms are deterministic, time
-    // histograms are gated one-sided like other timings.
-    if tol.wants("histograms")
-        && (base.get("histograms").is_some() || cur.get("histograms").is_some())
-    {
+    // Value histograms are deterministic; time histograms are gated
+    // one-sided like other timings.
+    if tol.wants("histograms") {
         let (b, c) = (by_key(base, "histograms", "name")?, by_key(cur, "histograms", "name")?);
         matched(&mut diff, "histogram", &b, &c, |diff, name, b, c| {
             let unit = str_field(b, "unit")?;
@@ -400,12 +373,11 @@ fn diff_run_report(base: &Value, cur: &Value, tol: &Tolerances) -> Result<Diff, 
             if unit == "us" {
                 if let Some(t) = tol.time {
                     for k in ["p50", "p90", "p99"] {
-                        diff.check_one_sided(
+                        diff.check_slower(
                             &format!("histogram `{name}` {k}"),
                             num_field(b, k)?,
                             num_field(c, k)?,
                             t,
-                            true,
                         );
                     }
                 }
@@ -423,16 +395,16 @@ fn diff_run_report(base: &Value, cur: &Value, tol: &Tolerances) -> Result<Diff, 
         })?;
     }
 
-    // Gauges (v3 only): which gauges exist is deterministic for a fixed
-    // configuration; their last-written values depend on scheduling and
-    // are never compared.
-    if tol.wants("gauges") && (base.get("gauges").is_some() || cur.get("gauges").is_some()) {
+    // Which gauges exist is deterministic for a fixed configuration;
+    // their last-written values depend on scheduling and are never
+    // compared.
+    if tol.wants("gauges") {
         let (b, c) = (by_key(base, "gauges", "name")?, by_key(cur, "gauges", "name")?);
         matched(&mut diff, "gauge", &b, &c, |_diff, _name, _b, _c| Ok(()))?;
     }
 
-    // Self-profile (v3 only): span names, call counts, and call-tree
-    // edges are deterministic; all wall times, pool utilization, and the
+    // Self-profile: span names, call counts, and call-tree edges are
+    // deterministic; all wall times, pool utilization, and the
     // critical-path summary are timing and never compared.
     if tol.wants("self_profile") {
         let non_null = |v: &Value| match v.get("self_profile") {
@@ -460,13 +432,7 @@ fn diff_run_report(base: &Value, cur: &Value, tol: &Tolerances) -> Result<Diff, 
 
     if tol.wants("wall") {
         if let Some(t) = tol.time {
-            diff.check_one_sided(
-                "wall_s",
-                num_field(base, "wall_s")?,
-                num_field(cur, "wall_s")?,
-                t,
-                true,
-            );
+            diff.check_slower("wall_s", num_field(base, "wall_s")?, num_field(cur, "wall_s")?, t);
         }
     }
     Ok(diff)
@@ -573,72 +539,6 @@ fn diff_attribution(
         }
     }
     Ok(())
-}
-
-fn diff_bench(base: &Value, cur: &Value, tol: &Tolerances) -> Result<Diff, String> {
-    let mut diff = Diff::default();
-
-    // Bench parameters define the workload; a mismatch means the two
-    // files measure different things.
-    if let (Some(bp), Some(cp)) = (base.get("params"), cur.get("params")) {
-        let (bp, cp) = (
-            bp.as_obj().ok_or("`params` is not an object")?,
-            cp.as_obj().ok_or("`params` is not an object")?,
-        );
-        let keys: BTreeSet<&String> = bp.keys().chain(cp.keys()).collect();
-        for key in keys {
-            match (bp.get(key).and_then(Value::as_f64), cp.get(key).and_then(Value::as_f64)) {
-                (Some(b), Some(c)) if b == c => {}
-                (b, c) => diff.fail(format!("param `{key}`: baseline {b:?}, current {c:?}")),
-            }
-        }
-    }
-
-    // mean_ns is timing: one-sided, default tolerance 0.5 (CI noise on
-    // shared runners is large; the gate catches order-of-magnitude
-    // regressions, the tracked baseline file catches drift).
-    let bench_tol = tol.bench.unwrap_or(0.5);
-    fn index(v: &Value) -> Result<BTreeMap<String, &Value>, String> {
-        let arr =
-            v.get("benches").and_then(Value::as_arr).ok_or("missing array field `benches`")?;
-        let mut map = BTreeMap::new();
-        for b in arr {
-            map.insert(format!("{}/{}", str_field(b, "group")?, str_field(b, "id")?), b);
-        }
-        Ok(map)
-    }
-    let (b, c) = (index(base)?, index(cur)?);
-    matched(&mut diff, "bench", &b, &c, |diff, name, b, c| {
-        diff.check_one_sided(
-            &format!("bench `{name}` mean_ns"),
-            num_field(b, "mean_ns")?,
-            num_field(c, "mean_ns")?,
-            bench_tol,
-            true,
-        );
-        Ok(())
-    })?;
-
-    // Speedups regress downward.
-    if let (Some(bs), Some(cs)) = (base.get("speedups"), cur.get("speedups")) {
-        let bs = bs.as_obj().ok_or("`speedups` is not an object")?;
-        for (name, bv) in bs {
-            let Some(b) = bv.as_f64() else { continue };
-            match cs.get(name).and_then(Value::as_f64) {
-                None => diff.fail(format!("speedup `{name}` missing from current run")),
-                Some(c) => {
-                    diff.check_one_sided(&format!("speedup `{name}`"), b, c, bench_tol, false)
-                }
-            }
-        }
-    }
-
-    if let Some(t) = tol.time {
-        if let (Ok(b), Ok(c)) = (num_field(base, "suite_wall_s"), num_field(cur, "suite_wall_s")) {
-            diff.check_one_sided("suite_wall_s", b, c, t, true);
-        }
-    }
-    Ok(diff)
 }
 
 #[cfg(test)]
@@ -771,14 +671,15 @@ mod tests {
 
     #[test]
     fn schema_mismatch_is_an_error() {
-        let v1 = report(100, 40).replacen("mlpa-run-report-v3", "mlpa-run-report-v1", 1);
-        let err = diff(
-            &json::parse(&v1).unwrap(),
-            &json::parse(&report(100, 40)).unwrap(),
-            &Tolerances::default(),
-        )
-        .unwrap_err();
-        assert!(err.contains("schema mismatch"), "{err}");
+        let v2 = report(100, 40).replacen("mlpa-run-report-v3", "mlpa-run-report-v2", 1);
+        let err = |base: &str, cur: &str| {
+            diff(&json::parse(base).unwrap(), &json::parse(cur).unwrap(), &Tolerances::default())
+                .unwrap_err()
+        };
+        assert!(err(&v2, &report(100, 40)).contains("schema mismatch"));
+        // Two reports of an older generation agree with each other but
+        // are still not diffed.
+        assert!(err(&v2, &v2).contains("unsupported schema `mlpa-run-report-v2`"));
     }
 
     fn only(sections: &[&str]) -> Tolerances {
@@ -828,6 +729,19 @@ mod tests {
     }
 
     #[test]
+    fn histograms_and_gauges_are_required_sections() {
+        let full = json::parse(&report(100, 40)).unwrap();
+        for section in ["histograms", "gauges"] {
+            let mut cut = full.clone();
+            if let Value::Obj(fields) = &mut cut {
+                fields.remove(section);
+            }
+            let err = diff(&full, &cut, &Tolerances::default()).unwrap_err();
+            assert!(err.contains(&format!("`{section}`")), "{err}");
+        }
+    }
+
+    #[test]
     fn gauge_names_are_gated_but_values_are_not() {
         // A gauge value is whatever was last written: drift passes.
         let moved = report(100, 40).replacen(
@@ -874,41 +788,5 @@ mod tests {
         );
         let d = run(&report(100, 40), &reparented, &Tolerances::default());
         assert!(d.failures.iter().any(|f| f.contains("self_profile edge")), "{:?}", d.failures);
-    }
-
-    fn bench_doc(mean: u64, speedup: f64) -> String {
-        format!(
-            "{{\"schema\": \"mlpa-bench-phase-v1\", \
-              \"params\": {{\"dim\": 15}}, \
-              \"benches\": [{{\"group\": \"kmeans\", \"id\": \"k10\", \"mean_ns\": {mean}, \
-              \"min_ns\": 1, \"max_ns\": 9, \"samples\": 10}}], \
-              \"speedups\": {{\"kmeans\": {speedup}}}}}"
-        )
-    }
-
-    #[test]
-    fn bench_mean_gates_one_sided_with_default_slack() {
-        // 40% slower: inside the default 0.5 tolerance.
-        let d = run(&bench_doc(1000, 2.0), &bench_doc(1400, 2.0), &Tolerances::default());
-        assert!(d.failures.is_empty(), "{:?}", d.failures);
-        // 60% slower: out.
-        let d = run(&bench_doc(1000, 2.0), &bench_doc(1600, 2.0), &Tolerances::default());
-        assert!(d.failures.iter().any(|f| f.contains("mean_ns")), "{:?}", d.failures);
-        // Much faster: fine (one-sided).
-        let d = run(&bench_doc(1000, 2.0), &bench_doc(10, 2.0), &Tolerances::default());
-        assert!(d.failures.is_empty(), "{:?}", d.failures);
-    }
-
-    #[test]
-    fn bench_speedup_regression_fails() {
-        let d = run(&bench_doc(1000, 2.0), &bench_doc(1000, 0.9), &Tolerances::default());
-        assert!(d.failures.iter().any(|f| f.contains("speedup")), "{:?}", d.failures);
-    }
-
-    #[test]
-    fn bench_param_mismatch_fails() {
-        let other = bench_doc(1000, 2.0).replacen("\"dim\": 15", "\"dim\": 16", 1);
-        let d = run(&bench_doc(1000, 2.0), &other, &Tolerances::default());
-        assert!(d.failures.iter().any(|f| f.contains("param `dim`")), "{:?}", d.failures);
     }
 }

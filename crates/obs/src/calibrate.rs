@@ -16,9 +16,10 @@
 //!   repeated runs with trimmed-mean/min/dispersion statistics into a
 //!   [`MachineCalibration`]. The result has a deterministic schema and
 //!   a timestamp-free fingerprint, so it can be committed in baselines.
-//! * Bench snapshots stamped with a calibration block also record
-//!   `normalized = mean_ns / probe_ns` per bench — a dimensionless
-//!   "probe units per iteration" figure comparable across hosts.
+//! * Every bench snapshot carries the calibration block of the run
+//!   that recorded it, so `normalized = mean_ns / probe_ns` per bench —
+//!   a dimensionless "probe units per iteration" figure — is comparable
+//!   across hosts.
 //! * [`gate`] compares a candidate [`Snapshot`] against a baseline on
 //!   those normalized ratios, with **adaptive thresholds** widened by
 //!   the measured dispersion of both calibrations (and by each bench's
@@ -311,14 +312,9 @@ pub fn calibrate() -> MachineCalibration {
 // Snapshots (the BENCH.json bench-suite schema)
 // ---------------------------------------------------------------------------
 
-/// Current schema of the `BENCH.json` perf trajectory. v2 adds the
-/// `calibration` and `host` blocks plus per-bench `normalized` values;
-/// v1 snapshots (raw ns only) still parse and are preserved verbatim
-/// when new snapshots are appended.
+/// Schema of the `BENCH.json` perf trajectory: every snapshot carries
+/// a `calibration` block and per-bench `min_ns`/`max_ns`.
 pub const BENCH_SUITE_SCHEMA: &str = "mlpa-bench-suite-v2";
-
-/// Previous trajectory schema (raw nanoseconds only).
-pub const BENCH_SUITE_SCHEMA_V1: &str = "mlpa-bench-suite-v1";
 
 /// One bench's measurements inside a snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -329,14 +325,12 @@ pub struct BenchPoint {
     pub id: String,
     /// Mean wall-clock per iteration, ns.
     pub mean_ns: f64,
-    /// Fastest sample, ns (absent in v1 trajectory snapshots).
-    pub min_ns: Option<f64>,
-    /// Slowest sample, ns (absent in v1 trajectory snapshots).
-    pub max_ns: Option<f64>,
+    /// Fastest sample, ns.
+    pub min_ns: f64,
+    /// Slowest sample, ns.
+    pub max_ns: f64,
     /// Timed samples behind the mean.
     pub samples: u64,
-    /// `mean_ns / probe_ns` — machine-normalized cost (v2 only).
-    pub normalized: Option<f64>,
 }
 
 impl BenchPoint {
@@ -345,14 +339,13 @@ impl BenchPoint {
         format!("{}/{}", self.group, self.id)
     }
 
-    /// Relative min–max spread of this bench's own samples (0 when the
-    /// snapshot lacks min/max or has a single sample).
+    /// Relative min–max spread of this bench's own samples (0 for a
+    /// single sample).
     pub fn spread(&self) -> f64 {
-        match (self.min_ns, self.max_ns) {
-            (Some(min), Some(max)) if self.samples > 1 && self.mean_ns > 0.0 => {
-                (max - min) / self.mean_ns
-            }
-            _ => 0.0,
+        if self.samples > 1 && self.mean_ns > 0.0 {
+            (self.max_ns - self.min_ns) / self.mean_ns
+        } else {
+            0.0
         }
     }
 }
@@ -367,18 +360,14 @@ pub struct Snapshot {
     /// Within-snapshot derived speedups (`naive / current` mean
     /// ratios; never computed across snapshots).
     pub speedups: BTreeMap<String, f64>,
-    /// The machine calibration stamped on this snapshot (v2 only).
-    pub calibration: Option<MachineCalibration>,
+    /// The machine calibration stamped on this snapshot.
+    pub calibration: MachineCalibration,
 }
 
 impl Snapshot {
-    /// Machine-normalized cost of a bench: the stored `normalized`
-    /// value, or `mean_ns / probe_ns` when only the calibration block
-    /// is present.
-    pub fn normalized(&self, b: &BenchPoint) -> Option<f64> {
-        b.normalized.or_else(|| {
-            self.calibration.as_ref().map(|c| b.mean_ns / c.probe_ns.max(f64::MIN_POSITIVE))
-        })
+    /// Machine-normalized cost of a bench: `mean_ns / probe_ns`.
+    pub fn normalized(&self, b: &BenchPoint) -> f64 {
+        b.mean_ns / self.calibration.probe_ns.max(f64::MIN_POSITIVE)
     }
 }
 
@@ -406,10 +395,9 @@ pub fn parse_snapshot(v: &Value) -> Result<Snapshot, String> {
             group: s("group")?,
             id: s("id")?,
             mean_ns: num("mean_ns")?,
-            min_ns: b.get("min_ns").and_then(Value::as_f64),
-            max_ns: b.get("max_ns").and_then(Value::as_f64),
+            min_ns: num("min_ns")?,
+            max_ns: num("max_ns")?,
             samples: num("samples")? as u64,
-            normalized: b.get("normalized").and_then(Value::as_f64),
         });
     }
     let mut speedups = BTreeMap::new();
@@ -420,20 +408,18 @@ pub fn parse_snapshot(v: &Value) -> Result<Snapshot, String> {
             }
         }
     }
-    let calibration = match v.get("calibration") {
-        Some(c) => Some(
-            MachineCalibration::from_value(c).map_err(|e| format!("snapshot `{label}`: {e}"))?,
-        ),
-        None => None,
-    };
+    let calibration = v
+        .get("calibration")
+        .ok_or_else(|| "missing `calibration` block".to_string())
+        .and_then(MachineCalibration::from_value)
+        .map_err(|e| format!("snapshot `{label}`: {e}"))?;
     Ok(Snapshot { label, benches, speedups, calibration })
 }
 
-/// Parse a whole trajectory document (`BENCH.json`), accepting both the
-/// v1 and v2 suite schemas.
+/// Parse a whole trajectory document (`BENCH.json`).
 pub fn parse_trajectory(v: &Value) -> Result<Vec<Snapshot>, String> {
     match v.get("schema").and_then(Value::as_str) {
-        Some(BENCH_SUITE_SCHEMA) | Some(BENCH_SUITE_SCHEMA_V1) => {}
+        Some(BENCH_SUITE_SCHEMA) => {}
         Some(other) => return Err(format!("unsupported trajectory schema `{other}`")),
         None => return Err("missing `schema` field".into()),
     }
@@ -555,19 +541,10 @@ impl GateReport {
     }
 }
 
-/// Gate `cand` against `base` on machine-normalized ratios. Both
-/// snapshots must carry a calibration block — gating raw nanoseconds
-/// across machines is exactly the lie this module exists to retire.
-pub fn gate(base: &Snapshot, cand: &Snapshot, cfg: &GateConfig) -> Result<GateReport, String> {
-    let base_cal = base
-        .calibration
-        .as_ref()
-        .ok_or_else(|| format!("baseline snapshot `{}` has no calibration block", base.label))?;
-    let cand_cal = cand
-        .calibration
-        .as_ref()
-        .ok_or_else(|| format!("candidate snapshot `{}` has no calibration block", cand.label))?;
-    let cal_band = cfg.min_band + base_cal.dispersion + cand_cal.dispersion;
+/// Gate `cand` against `base` on machine-normalized ratios, each side
+/// divided by its own calibration probe.
+pub fn gate(base: &Snapshot, cand: &Snapshot, cfg: &GateConfig) -> GateReport {
+    let cal_band = cfg.min_band + base.calibration.dispersion + cand.calibration.dispersion;
 
     let mut report = GateReport::default();
     let cand_by_key: BTreeMap<String, &BenchPoint> =
@@ -575,7 +552,7 @@ pub fn gate(base: &Snapshot, cand: &Snapshot, cfg: &GateConfig) -> Result<GateRe
 
     for b in &base.benches {
         let key = b.key();
-        let Some(base_norm) = base.normalized(b) else { continue };
+        let base_norm = base.normalized(b);
         if b.mean_ns < cfg.min_gate_ns {
             report.notes.push(format!(
                 "bench `{key}` is below the {:.0}µs gate floor (mean {:.0} ns): not gated",
@@ -597,7 +574,7 @@ pub fn gate(base: &Snapshot, cand: &Snapshot, cfg: &GateConfig) -> Result<GateRe
                 });
             }
             Some(c) => {
-                let Some(cand_norm) = cand.normalized(c) else { continue };
+                let cand_norm = cand.normalized(c);
                 let band = cal_band + b.spread() + c.spread();
                 let ratio = cand_norm / base_norm.max(f64::MIN_POSITIVE);
                 report.rows.push(GateRow {
@@ -640,7 +617,7 @@ pub fn gate(base: &Snapshot, cand: &Snapshot, cfg: &GateConfig) -> Result<GateRe
             }
         }
     }
-    Ok(report)
+    report
 }
 
 fn verdict_for(ratio: f64, band: f64, cfg: &GateConfig) -> Verdict {
@@ -659,8 +636,8 @@ fn verdict_for(ratio: f64, band: f64, cfg: &GateConfig) -> Verdict {
 
 /// Render the per-group trajectory across snapshots: one row per bench
 /// group, one column per snapshot, each cell the geometric mean of the
-/// group's normalized bench costs (`-` when the snapshot predates
-/// calibration). Geometric mean, because normalized costs are ratios.
+/// group's normalized bench costs (`-` when the snapshot timed no bench
+/// of the group). Geometric mean, because normalized costs are ratios.
 pub fn trajectory_table(snapshots: &[Snapshot]) -> String {
     let mut groups: Vec<String> = Vec::new();
     for s in snapshots {
@@ -683,7 +660,7 @@ pub fn trajectory_table(snapshots: &[Snapshot]) -> String {
                 .benches
                 .iter()
                 .filter(|b| &b.group == g)
-                .filter_map(|b| s.normalized(b))
+                .map(|b| s.normalized(b))
                 .filter(|&n| n > 0.0)
                 .collect();
             if norms.is_empty() {
@@ -904,14 +881,13 @@ mod tests {
                     group: g.to_string(),
                     id: i.to_string(),
                     mean_ns: *mean,
-                    min_ns: Some(*mean),
-                    max_ns: Some(*mean),
+                    min_ns: *mean,
+                    max_ns: *mean,
                     samples: 10,
-                    normalized: Some(*mean / 100.0),
                 })
                 .collect(),
             speedups: BTreeMap::new(),
-            calibration: Some(cal),
+            calibration: cal,
         }
     }
 
@@ -919,11 +895,11 @@ mod tests {
     fn gate_passes_identical_snapshots_and_fails_missing_benches() {
         let cfg = GateConfig::default();
         let base = snap("base", &[("g", "a", 1e7), ("g", "b", 2e7)], 0.02);
-        let report = gate(&base, &base, &cfg).unwrap();
+        let report = gate(&base, &base, &cfg);
         assert_eq!(report.worst(), Verdict::Ok);
 
         let cand = snap("cand", &[("g", "a", 1e7)], 0.02);
-        let report = gate(&base, &cand, &cfg).unwrap();
+        let report = gate(&base, &cand, &cfg);
         assert_eq!(report.worst(), Verdict::Fail);
         assert!(report.rows.iter().any(|r| r.name == "g/b" && r.verdict == Verdict::Fail));
     }
@@ -936,12 +912,12 @@ mod tests {
         for (factor, expected) in [(1.05, Verdict::Ok), (1.2, Verdict::Warn), (1.30, Verdict::Fail)]
         {
             let cand = snap("cand", &[("g", "a", 1e7 * factor)], 0.02);
-            let report = gate(&base, &cand, &cfg).unwrap();
+            let report = gate(&base, &cand, &cfg);
             assert_eq!(report.worst(), expected, "factor {factor}: {}", report.table());
         }
         // Faster is never a regression (one-sided).
         let cand = snap("cand", &[("g", "a", 1e5)], 0.02);
-        assert_eq!(gate(&base, &cand, &cfg).unwrap().worst(), Verdict::Ok);
+        assert_eq!(gate(&base, &cand, &cfg).worst(), Verdict::Ok);
     }
 
     #[test]
@@ -952,23 +928,33 @@ mod tests {
         let cfg = GateConfig::default();
         let base = snap("base", &[("g", "tiny", 8e4), ("g", "big", 1e7)], 0.02);
         let cand = snap("cand", &[("g", "tiny", 8e5), ("g", "big", 1e7)], 0.02);
-        let report = gate(&base, &cand, &cfg).unwrap();
+        let report = gate(&base, &cand, &cfg);
         assert_eq!(report.worst(), Verdict::Ok, "{}", report.table());
         assert!(!report.rows.iter().any(|r| r.name == "g/tiny"));
         assert!(report.notes.iter().any(|n| n.contains("g/tiny") && n.contains("floor")));
         assert!(report.rows.iter().any(|r| r.name == "g/big"));
     }
 
+    /// A calibrated snapshot as `BENCH.json` stores it.
+    const SNAPSHOT: &str = r#"{"label": "s", "speedups": {"k": 2.0}, "benches": [
+          {"group": "g", "id": "a", "mean_ns": 800, "min_ns": 700, "max_ns": 900, "samples": 10}
+        ], "calibration": {"probe_ns": 100, "min_ns": 95, "dispersion": 0.02, "repeats": 9,
+          "units": 131072, "cpus": 1, "fingerprint": "test"}}"#;
+
     #[test]
     fn gate_requires_calibration_blocks() {
-        let base = snap("base", &[("g", "a", 1e7)], 0.02);
-        let mut uncal = base.clone();
-        uncal.calibration = None;
-        uncal.benches[0].normalized = None;
-        let err = gate(&uncal, &base, &GateConfig::default()).unwrap_err();
-        assert!(err.contains("no calibration"), "{err}");
-        let err = gate(&base, &uncal, &GateConfig::default()).unwrap_err();
-        assert!(err.contains("no calibration"), "{err}");
+        let parse = |text: &str| parse_snapshot(&json::parse(text).unwrap());
+        let s = parse(SNAPSHOT).unwrap();
+        assert_eq!(s.normalized(&s.benches[0]), 8.0);
+        assert_eq!(s.benches[0].spread(), 0.25);
+        // A snapshot without calibration, or a bench without its sample
+        // range, cannot be gated and does not parse.
+        let uncalibrated = SNAPSHOT.split(r#", "calibration""#).next().unwrap().to_owned() + "}";
+        assert!(parse(&uncalibrated).unwrap_err().contains("calibration"));
+        for key in ["min_ns", "max_ns"] {
+            let text = SNAPSHOT.replacen(&format!("\"{key}\""), "\"other\"", 1);
+            assert!(parse(&text).unwrap_err().contains(key), "{key}");
+        }
     }
 
     #[test]
@@ -978,7 +964,7 @@ mod tests {
         base.speedups.insert("detailed_sim".into(), 2.2);
         let mut cand = snap("cand", &[("g", "a", 1e7)], 0.02);
         cand.speedups.insert("detailed_sim".into(), 1.5);
-        let report = gate(&base, &cand, &cfg).unwrap();
+        let report = gate(&base, &cand, &cfg);
         assert!(
             report
                 .rows
@@ -989,35 +975,29 @@ mod tests {
         );
         // A missing speedup (pair not run) is a note, not a failure.
         cand.speedups.clear();
-        let report = gate(&base, &cand, &cfg).unwrap();
+        let report = gate(&base, &cand, &cfg);
         assert_eq!(report.worst(), Verdict::Ok);
         assert!(report.notes.iter().any(|n| n.contains("detailed_sim")));
     }
 
     #[test]
-    fn trajectory_parses_v1_and_v2_and_renders_a_table() {
-        let doc = r#"{
-          "schema": "mlpa-bench-suite-v1",
-          "snapshots": [
-            {"label": "old", "benches": [
-              {"group": "g", "id": "a", "mean_ns": 1000, "samples": 10}
-            ], "speedups": {"k": 2.0}}
-          ]
-        }"#;
-        let snaps = parse_trajectory(&json::parse(doc).unwrap()).unwrap();
+    fn trajectory_parses_v2_rejects_others_and_renders_a_table() {
+        let doc = |schema: &str| {
+            json::parse(&format!(r#"{{"schema": "{schema}", "snapshots": [{SNAPSHOT}]}}"#)).unwrap()
+        };
+        let snaps = parse_trajectory(&doc(BENCH_SUITE_SCHEMA)).unwrap();
         assert_eq!(snaps.len(), 1);
-        assert!(snaps[0].calibration.is_none());
         assert_eq!(snaps[0].speedups["k"], 2.0);
+        for schema in ["mlpa-bench-suite-v1", "nope"] {
+            let err = parse_trajectory(&doc(schema)).unwrap_err();
+            assert!(err.contains("unsupported trajectory schema"), "{err}");
+        }
 
-        let v2 = snap("new", &[("g", "a", 800.0)], 0.02);
-        let table = trajectory_table(&[snaps[0].clone(), v2]);
-        // v1 column has no normalized value; v2 column shows 8.0.
-        assert!(table.contains("g "), "{table}");
-        assert!(table.contains('-'), "{table}");
+        // A group the second snapshot did not time shows as `-`.
+        let other = snap("new", &[("h", "b", 1600.0)], 0.02);
+        let table = trajectory_table(&[snaps[0].clone(), other]);
         assert!(table.contains("8.000"), "{table}");
-        assert!(parse_trajectory(
-            &json::parse("{\"schema\": \"nope\", \"snapshots\": []}").unwrap()
-        )
-        .is_err());
+        assert!(table.contains("16.000"), "{table}");
+        assert!(table.contains('-'), "{table}");
     }
 }

@@ -171,13 +171,12 @@ pub struct ObsConfig {
 /// Conventional sampler interval for [`ObsConfig::sample_ms`].
 pub const DEFAULT_SAMPLE_MS: u64 = 250;
 
-/// Schema identifier written into `RUN_REPORT.json`. v3 adds the
-/// `gauges` and `self_profile` sections.
+/// Schema identifier written into `RUN_REPORT.json`, the only one
+/// `obs-check` and `obs-diff` accept.
 pub const RUN_REPORT_SCHEMA: &str = "mlpa-run-report-v3";
 
 /// Schema identifier stamped on the `run_start` event of a JSONL
-/// stream. v1 streams predate the marker (no `schema` field); v3 adds
-/// the telemetry `sample` event kind.
+/// stream, the only one `obs-check` accepts.
 pub const EVENTS_SCHEMA: &str = "mlpa-events-v3";
 
 /// Schema identifier stamped on every telemetry `sample` event. The

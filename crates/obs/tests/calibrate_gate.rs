@@ -64,20 +64,17 @@ fn random_benches(rng: &mut SplitMix64) -> Vec<BenchPoint> {
                 group: format!("g{}", i % groups),
                 id: format!("b{i}"),
                 mean_ns: mean,
-                min_ns: Some(mean * (1.0 - spread)),
-                max_ns: Some(mean * (1.0 + spread)),
+                min_ns: mean * (1.0 - spread),
+                max_ns: mean * (1.0 + spread),
                 samples: 10,
-                normalized: None,
             }
         })
         .collect()
 }
 
-/// Wrap benches into a calibrated snapshot; `normalized` is left to be
-/// derived from the calibration block (`Snapshot::normalized`), exactly
-/// like a freshly parsed v2 snapshot with only a calibration stamp.
-fn snapshot(label: &str, benches: Vec<BenchPoint>, cal: MachineCalibration) -> Snapshot {
-    Snapshot { label: label.into(), benches, speedups: BTreeMap::new(), calibration: Some(cal) }
+/// Wrap benches into a calibrated snapshot.
+fn snapshot(label: &str, benches: Vec<BenchPoint>, calibration: MachineCalibration) -> Snapshot {
+    Snapshot { label: label.into(), benches, speedups: BTreeMap::new(), calibration }
 }
 
 /// A candidate on a (possibly different-speed) host: every bench
@@ -91,7 +88,7 @@ fn derive_candidate(
     rng: &mut SplitMix64,
     dispersion: f64,
 ) -> Snapshot {
-    let base_cal = base.calibration.as_ref().expect("calibrated");
+    let base_cal = &base.calibration;
     let benches = base
         .benches
         .iter()
@@ -99,9 +96,8 @@ fn derive_candidate(
             let f = machine * noise(rng);
             BenchPoint {
                 mean_ns: b.mean_ns * f,
-                min_ns: b.min_ns.map(|v| v * f),
-                max_ns: b.max_ns.map(|v| v * f),
-                normalized: None,
+                min_ns: b.min_ns * f,
+                max_ns: b.max_ns * f,
                 ..b.clone()
             }
         })
@@ -131,7 +127,7 @@ fn noise_within_dispersion_is_tolerated() {
             &mut rng,
             disp_c,
         );
-        let report = gate(&base, &cand, &cfg).unwrap();
+        let report = gate(&base, &cand, &cfg);
         assert_ne!(
             report.worst(),
             Verdict::Fail,
@@ -142,7 +138,7 @@ fn noise_within_dispersion_is_tolerated() {
         // One-sided: a candidate that is strictly faster (normalized)
         // is Ok regardless of how big the improvement is.
         let faster = derive_candidate(&base, machine, |r| r.range(0.2, 0.95), &mut rng, disp_c);
-        let report = gate(&base, &faster, &cfg).unwrap();
+        let report = gate(&base, &faster, &cfg);
         assert_eq!(report.worst(), Verdict::Ok, "case {case}: speedup flagged");
     }
 }
@@ -168,7 +164,7 @@ fn planted_regression_is_caught_where_unmodified_run_passes() {
         let cand =
             derive_candidate(&base, machine, |r| 1.0 + r.range(-0.02, 0.02), &mut rng, disp_c);
         assert_ne!(
-            gate(&base, &cand, &cfg).unwrap().worst(),
+            gate(&base, &cand, &cfg).worst(),
             Verdict::Fail,
             "case {case}: unmodified run failed"
         );
@@ -181,11 +177,11 @@ fn planted_regression_is_caught_where_unmodified_run_passes() {
         for b in &mut planted.benches {
             if b.group == planted_group {
                 b.mean_ns *= 1.5;
-                b.min_ns = b.min_ns.map(|v| v * 1.5);
-                b.max_ns = b.max_ns.map(|v| v * 1.5);
+                b.min_ns *= 1.5;
+                b.max_ns *= 1.5;
             }
         }
-        let report = gate(&base, &planted, &cfg).unwrap();
+        let report = gate(&base, &planted, &cfg);
         assert_eq!(
             report.worst(),
             Verdict::Fail,
@@ -215,10 +211,10 @@ fn speedup_collapse_fails_even_with_clean_timings() {
         let mut cand = derive_candidate(&base, 1.0, |_| 1.0, &mut rng, 0.02);
         // Within a band: tolerated.
         cand.speedups.insert("detailed_sim".into(), 2.2 / 1.05);
-        assert_ne!(gate(&base, &cand, &cfg).unwrap().worst(), Verdict::Fail);
+        assert_ne!(gate(&base, &cand, &cfg).worst(), Verdict::Fail);
         // Collapsed to 1.0 (the optimization is gone): fails.
         cand.speedups.insert("detailed_sim".into(), 1.0);
-        let report = gate(&base, &cand, &cfg).unwrap();
+        let report = gate(&base, &cand, &cfg);
         assert_eq!(report.worst(), Verdict::Fail, "{}", report.table());
         assert!(report
             .rows
@@ -250,7 +246,7 @@ fn back_to_back_real_calibrations_gate_clean() {
     // ratios must stay inside the fail band (warn is acceptable on a
     // pathologically noisy host, a fail would mean the probe itself is
     // unstable enough to poison every future gate).
-    let report = gate(&base, &cand, &GateConfig::default()).unwrap();
+    let report = gate(&base, &cand, &GateConfig::default());
     assert_ne!(report.worst(), Verdict::Fail, "{}", report.table());
 }
 

@@ -39,21 +39,6 @@ impl<T: Observer + ?Sized> Observer for &mut T {
     }
 }
 
-/// Warming policy during functional execution / fast-forward.
-///
-/// The paper's SimPoint baseline fast-forwards *cold* (SimpleScalar's
-/// `-fastfwd` does not touch caches), which is precisely why short
-/// simulation points show large L2 deviations in its Table II. `Warm`
-/// models checkpoint-style functional warming as an extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Warming {
-    /// Do not touch microarchitectural state (SimpleScalar `-fastfwd`).
-    #[default]
-    None,
-    /// Update caches and branch predictor functionally while skipping.
-    Warm,
-}
-
 /// Outcome of a functional run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FunctionalStats {
@@ -68,7 +53,7 @@ pub struct FunctionalStats {
 /// # Example
 ///
 /// ```
-/// use mlpa_sim::functional::{FunctionalSim, Warming};
+/// use mlpa_sim::functional::FunctionalSim;
 /// use mlpa_workloads::{spec::BenchmarkSpec, CompiledBenchmark, WorkloadStream};
 ///
 /// let cb = CompiledBenchmark::compile(&BenchmarkSpec::default())?;
@@ -124,7 +109,14 @@ impl<'p> FunctionalSim<'p> {
 
     /// Execute until at least `count` further instructions have run
     /// (block granularity — stops at the first block boundary at or
-    /// past the target), notifying `obs`, optionally warming `warm_state`.
+    /// past the target), notifying `obs`.
+    ///
+    /// With `warm_state`, the caches and branch predictor are updated
+    /// functionally while skipping (checkpoint-style warming, an
+    /// extension). Without it, microarchitectural state is untouched:
+    /// the paper's SimPoint baseline fast-forwards *cold*
+    /// (SimpleScalar's `-fastfwd`), which is precisely why short
+    /// simulation points show large L2 deviations in its Table II.
     ///
     /// Returns the instructions actually skipped; fewer than `count`
     /// only if the stream ended.
@@ -133,7 +125,6 @@ impl<'p> FunctionalSim<'p> {
         stream: &mut S,
         count: u64,
         obs: &mut O,
-        warming: Warming,
         warm_state: Option<(&mut MemoryHierarchy, &mut BranchUnit)>,
     ) -> u64
     where
@@ -146,24 +137,22 @@ impl<'p> FunctionalSim<'p> {
         while skipped < count {
             let Some(id) = stream.next_block(&mut buf) else { break };
             obs.on_block(id, &buf, self.executed);
-            if warming == Warming::Warm {
-                if let Some((hier, bu)) = warm.as_mut() {
-                    let block = self.program.block(id);
-                    // Touch the I-cache line(s) of the block.
-                    let mut line = block.addr & !(hier.l1i().config().line - 1);
-                    while line < block.end_addr() {
-                        let _ = hier.fetch(line);
-                        line += hier.l1i().config().line;
+            if let Some((hier, bu)) = warm.as_mut() {
+                let block = self.program.block(id);
+                // Touch the I-cache line(s) of the block.
+                let mut line = block.addr & !(hier.l1i().config().line - 1);
+                while line < block.end_addr() {
+                    let _ = hier.fetch(line);
+                    line += hier.l1i().config().line;
+                }
+                for (i, inst) in buf.iter().enumerate() {
+                    if inst.is_mem() {
+                        hier.warm_data(inst.addr, inst.op == mlpa_isa::OpClass::Store);
                     }
-                    for (i, inst) in buf.iter().enumerate() {
-                        if inst.is_mem() {
-                            hier.warm_data(inst.addr, inst.op == mlpa_isa::OpClass::Store);
-                        }
-                        if let Some(info) = &inst.branch {
-                            let pc = block.inst_addr(i as u32);
-                            let fallthrough = BlockId::new(id.raw().saturating_add(1));
-                            bu.warm(pc, info, if info.taken { info.target } else { fallthrough });
-                        }
+                    if let Some(info) = &inst.branch {
+                        let pc = block.inst_addr(i as u32);
+                        let fallthrough = BlockId::new(id.raw().saturating_add(1));
+                        bu.warm(pc, info, if info.taken { info.target } else { fallthrough });
                     }
                 }
             }
@@ -222,7 +211,7 @@ mod tests {
         let cb = compiled();
         let mut sim = FunctionalSim::new(cb.program());
         let mut stream = WorkloadStream::new(&cb);
-        let skipped = sim.fast_forward(&mut stream, 5_000, &mut (), Warming::None, None);
+        let skipped = sim.fast_forward(&mut stream, 5_000, &mut (), None);
         assert!(skipped >= 5_000);
         assert!(skipped < 5_000 + 64, "overshoot bounded by one block");
     }
@@ -236,8 +225,7 @@ mod tests {
         };
         let mut sim = FunctionalSim::new(cb.program());
         let mut stream = WorkloadStream::new(&cb);
-        let skipped =
-            sim.fast_forward(&mut stream, total + 1_000_000, &mut (), Warming::None, None);
+        let skipped = sim.fast_forward(&mut stream, total + 1_000_000, &mut (), None);
         assert_eq!(skipped, total);
     }
 
@@ -249,7 +237,7 @@ mod tests {
         let mut bu = BranchUnit::new(&cfg.predictor);
         let mut sim = FunctionalSim::new(cb.program());
         let mut stream = WorkloadStream::new(&cb);
-        sim.fast_forward(&mut stream, 50_000, &mut (), Warming::Warm, Some((&mut hier, &mut bu)));
+        sim.fast_forward(&mut stream, 50_000, &mut (), Some((&mut hier, &mut bu)));
         assert!(hier.l1d().hits() + hier.l1d().misses() > 0, "dcache touched");
         assert!(hier.l1i().hits() + hier.l1i().misses() > 0, "icache touched");
         assert_eq!(bu.predictions(), 0, "warming must not count stats");
@@ -259,11 +247,11 @@ mod tests {
     fn cold_fast_forward_leaves_state_untouched() {
         let cb = compiled();
         let cfg = MachineConfig::table1_base();
-        let mut hier = MemoryHierarchy::new(&cfg);
-        let mut bu = BranchUnit::new(&cfg.predictor);
+        let hier = MemoryHierarchy::new(&cfg);
+        let bu = BranchUnit::new(&cfg.predictor);
         let mut sim = FunctionalSim::new(cb.program());
         let mut stream = WorkloadStream::new(&cb);
-        sim.fast_forward(&mut stream, 10_000, &mut (), Warming::None, Some((&mut hier, &mut bu)));
+        sim.fast_forward(&mut stream, 10_000, &mut (), None);
         assert_eq!(hier.l1d().hits() + hier.l1d().misses(), 0);
         assert_eq!(bu.predictions(), 0);
     }

@@ -44,6 +44,6 @@ pub use branch::BranchUnit;
 pub use cache::MemoryHierarchy;
 pub use config::{CacheConfig, FuConfig, MachineConfig, PredictorConfig};
 pub use detailed::DetailedSim;
-pub use functional::{FunctionalSim, Warming};
+pub use functional::FunctionalSim;
 pub use inorder::InOrderSim;
 pub use metrics::{MetricDeviation, MetricEstimate, SimMetrics};

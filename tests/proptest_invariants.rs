@@ -158,9 +158,7 @@ fn plans_partition_and_weights_normalise() {
 /// straight to the point.
 #[test]
 fn chained_execution_matches_per_point_replay() {
-    use mlpa::sim::{
-        BranchUnit, DetailedSim, FunctionalSim, MachineConfig, MemoryHierarchy, Warming,
-    };
+    use mlpa::sim::{BranchUnit, DetailedSim, FunctionalSim, MachineConfig, MemoryHierarchy};
     check(|spec| {
         let cb = CompiledBenchmark::compile(spec).expect("compiles");
         let ml = multilevel(
@@ -182,12 +180,12 @@ fn chained_execution_matches_per_point_replay() {
                 let mut bu = BranchUnit::new(&config.predictor);
                 let mut sim = match mode {
                     WarmupMode::Cold => {
-                        func.fast_forward(&mut stream, p.start, &mut (), Warming::None, None);
+                        func.fast_forward(&mut stream, p.start, &mut (), None);
                         DetailedSim::new(config, cb.program())
                     }
                     WarmupMode::Warmed => {
                         let warm = Some((&mut hier, &mut bu));
-                        func.fast_forward(&mut stream, p.start, &mut (), Warming::Warm, warm);
+                        func.fast_forward(&mut stream, p.start, &mut (), warm);
                         DetailedSim::with_warm_state(config, cb.program(), hier, bu)
                     }
                 };
