@@ -5,7 +5,7 @@
 use mlpa_core::prelude::*;
 use mlpa_core::{
     attribute_segments, execute_plan_cached, ground_truth_cached, ground_truth_segmented_cached,
-    AccuracyAttribution, CoastsOutcome, FineOutcome, MultilevelOutcome,
+    AccuracyAttribution, CoastsOutcome, ExecutionOutcome, FineOutcome, MultilevelOutcome,
 };
 use mlpa_sim::{MachineConfig, MetricDeviation, MetricEstimate, SimMetrics};
 use mlpa_workloads::{BenchmarkSpec, CompiledBenchmark, Suite};
@@ -95,9 +95,11 @@ pub struct Experiment {
     pub fine: SimPointConfig,
     /// Fine interval length.
     pub fine_interval: u64,
-    /// Worker threads for [`Experiment::run`]: `1` = one worker (the
-    /// default), `0` = every available core, `n` = a pool of `n`.
-    /// Results are bit-identical for every value.
+    /// Suite workers for [`Experiment::run`]: `1` = one worker (the
+    /// default), `0` = every available core, `n` = a pool of `n`. Each
+    /// benchmark's BIC sweeps and config lanes may also take a spare
+    /// core (see [`Experiment::run_benchmark`]). Results are
+    /// bit-identical for every value.
     pub jobs: usize,
     /// Trace segments per profiling pass (1 = one chained segment).
     /// Every pass walks block metadata without materialising
@@ -153,11 +155,30 @@ impl Experiment {
 
     /// Run one benchmark through every method and both configs.
     ///
+    /// After selection the work splits into one lane per config: its
+    /// ground truth, then its three plan executions. The lanes run on
+    /// the calling thread plus a helper when the process-wide spare-core
+    /// budget has one free (see [`mlpa_obs::pool`]), and one after the
+    /// other on the calling thread otherwise. Each lane is a pure
+    /// function of the compiled benchmark, its config and the plans, so
+    /// the result is bit-identical either way.
+    ///
     /// # Errors
     ///
     /// Propagates compilation and selection errors (invalid spec, no
     /// cyclic structure).
     pub fn run_benchmark(&self, spec: &BenchmarkSpec) -> Result<BenchResult, String> {
+        self.run_benchmark_on(spec, None)
+    }
+
+    /// [`Experiment::run_benchmark`] with its config lanes on the pool
+    /// size `workers` picks (see [`mlpa_obs::pool::run`]): `Some(n)` is
+    /// exactly `n` workers, whatever the helper budget says.
+    pub(crate) fn run_benchmark_on(
+        &self,
+        spec: &BenchmarkSpec,
+        workers: Option<usize>,
+    ) -> Result<BenchResult, String> {
         let _span = mlpa_obs::span_labeled("bench.benchmark", &spec.name);
         let t0 = std::time::Instant::now();
         let cb = CompiledBenchmark::compile(spec)?;
@@ -176,64 +197,59 @@ impl Experiment {
         let co: CoastsOutcome = coasts_with(&mut ctx, &self.coasts)?;
         let ml: MultilevelOutcome = multilevel_with(&mut ctx, &self.multilevel)?;
 
-        // Ground truths + estimates per config. Under Config A the
-        // truth comes from a *segmented* detailed pass sliced at the
-        // coarse interval boundaries: its per-segment statistics
-        // telescope exactly to the single-pass totals (same cost, same
-        // result) and additionally feed the accuracy attribution.
-        let zero =
-            MetricEstimate { cpi: 0.0, l1_hit_rate: 0.0, l2_hit_rate: 0.0, mispredict_rate: 0.0 };
-        let mut truths = [zero; 2];
-        let mut per_method: Vec<Vec<(MetricEstimate, MetricDeviation)>> = vec![Vec::new(); 3];
+        // One lane per config, in config order. Under Config A the truth
+        // comes from a *segmented* detailed pass sliced at the coarse
+        // interval boundaries: its per-segment statistics telescope
+        // exactly to the single-pass totals (same cost, same result) and
+        // additionally feed the accuracy attribution.
+        let plans = [&fine.plan, &co.plan, &ml.plan];
         let lens: Vec<u64> = co.intervals.iter().map(|iv| iv.len).collect();
-        let mut segments_a: Vec<SimMetrics> = Vec::new();
-        let mut coasts_outcome_a = None;
-        for (ci, config) in self.configs.iter().enumerate() {
-            let cache = self.cache.as_deref();
-            let truth = if ci == 0 {
-                segments_a = ground_truth_segmented_cached(cache, &cb, config, &lens);
-                let mut whole = SimMetrics::default();
-                for s in &segments_a {
-                    whole += *s;
-                }
-                whole.estimate()
-            } else {
-                ground_truth_cached(cache, &cb, config).estimate()
-            };
-            truths[ci] = truth;
-            for (mi, plan) in [&fine.plan, &co.plan, &ml.plan].into_iter().enumerate() {
-                let out = execute_plan_cached(cache, &cb, config, plan, self.warmup);
-                let est = out.estimate;
-                if ci == 0 && mi == 1 {
-                    coasts_outcome_a = Some(out);
-                }
-                per_method[mi].push((est, est.deviation_from(&truth)));
-            }
-        }
-        let attribution = attribute_segments(
-            &spec.name,
-            &co,
-            &coasts_outcome_a.expect("COASTS ran under Config A"),
-            &segments_a,
+        let cache = self.cache.as_deref();
+        let lanes = mlpa_obs::pool::run(
+            workers,
+            self.configs.len(),
+            || (),
+            |_, ci| {
+                let config = &self.configs[ci];
+                let (truth, segments) = if ci == 0 {
+                    let segments = ground_truth_segmented_cached(cache, &cb, config, &lens);
+                    let mut whole = SimMetrics::default();
+                    for s in &segments {
+                        whole += *s;
+                    }
+                    (whole.estimate(), segments)
+                } else {
+                    (ground_truth_cached(cache, &cb, config).estimate(), Vec::new())
+                };
+                let outcomes =
+                    plans.map(|plan| execute_plan_cached(cache, &cb, config, plan, self.warmup));
+                Lane { truth, segments, outcomes }
+            },
         );
+        let lane_a = &lanes[0];
+        let attribution =
+            attribute_segments(&spec.name, &co, &lane_a.outcomes[1], &lane_a.segments);
 
-        let mk = |plan: &SimulationPlan, rows: &[(MetricEstimate, MetricDeviation)]| MethodResult {
-            plan: plan.clone(),
-            estimates: [rows[0].0, rows[1].0],
-            deviations: [rows[0].1, rows[1].1],
-            points: plan.len(),
-            mean_interval: plan.mean_point_len(),
+        let mk = |mi: usize| {
+            let plan = plans[mi];
+            let est = |l: &Lane| l.outcomes[mi].estimate;
+            MethodResult {
+                plan: plan.clone(),
+                estimates: [est(&lanes[0]), est(&lanes[1])],
+                deviations: [
+                    est(&lanes[0]).deviation_from(&lanes[0].truth),
+                    est(&lanes[1]).deviation_from(&lanes[1].truth),
+                ],
+                points: plan.len(),
+                mean_interval: plan.mean_point_len(),
+            }
         };
 
         Ok(BenchResult {
             name: spec.name.clone(),
             total_insts: fine.plan.total_insts(),
-            truths,
-            methods: [
-                mk(&fine.plan, &per_method[0]),
-                mk(&co.plan, &per_method[1]),
-                mk(&ml.plan, &per_method[2]),
-            ],
+            truths: [lanes[0].truth, lanes[1].truth],
+            methods: [mk(0), mk(1), mk(2)],
             coarse_k: co.simpoints.k,
             coarse_last_position: co.plan.last_position(),
             fine_k: fine.simpoints.k,
@@ -338,6 +354,16 @@ impl Experiment {
             sink.finish()
         })
     }
+}
+
+/// One config's share of a benchmark.
+struct Lane {
+    /// Ground truth under the lane's config.
+    truth: MetricEstimate,
+    /// Config A only: the truth per coarse interval, for attribution.
+    segments: Vec<SimMetrics>,
+    /// Plan executions in [`Method::ALL`] order.
+    outcomes: [ExecutionOutcome; 3],
 }
 
 /// Channel payload of the suite pool: a finished benchmark, a
@@ -515,6 +541,14 @@ mod tests {
     }
 
     #[test]
+    fn config_lanes_are_bit_identical_on_one_and_two_workers() {
+        let exp = tiny();
+        let spec = exp.suite.iter().next().expect("tiny suite is not empty");
+        let run = |workers| exp.run_benchmark_on(spec, Some(workers)).unwrap();
+        assert_same_results(&[run(1)], &[run(2)]);
+    }
+
+    #[test]
     fn sharded_run_is_bit_identical() {
         let serial = tiny().run(|_| {}).unwrap();
         let sharded = Experiment { shards: 6, ..tiny() }.run(|_| {}).unwrap();
@@ -544,20 +578,22 @@ mod tests {
     /// resurface only at the scope join, with the raw payload and no
     /// indication of which benchmark died. The pool must capture it and
     /// re-panic with the benchmark's name attached, for every worker
-    /// count including the default single worker.
+    /// count including the default single worker, and from either
+    /// config lane — Config B's is the one a spare-core helper runs.
     #[test]
     fn run_propagates_worker_panics_with_benchmark_name() {
-        for jobs in [1, 2] {
+        for (config, jobs) in [(0, 1), (0, 2), (1, 1), (1, 2)] {
             let mut exp = Experiment { jobs, ..tiny() };
             // Width 0 passes compilation/selection but makes DetailedSim
-            // panic inside the worker ("invalid machine config").
-            exp.configs[0].width = 0;
+            // panic inside the lane ("invalid machine config").
+            exp.configs[config].width = 0;
             let payload =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run(|_| {})))
                     .expect_err("invalid config must panic");
             let msg = mlpa_core::panic_message(&*payload);
-            assert!(msg.contains("suite benchmark eon panicked"), "jobs={jobs}: {msg}");
-            assert!(msg.contains("invalid machine config"), "jobs={jobs}: {msg}");
+            let at = format!("config {config}, jobs={jobs}");
+            assert!(msg.contains("suite benchmark eon panicked"), "{at}: {msg}");
+            assert!(msg.contains("invalid machine config"), "{at}: {msg}");
         }
     }
 

@@ -102,41 +102,47 @@ pub fn execute_plan(
     let mut per_point = Vec::with_capacity(plan.len());
     let mut cost = ExecutionCost::default();
     let mut pos = 0u64;
-    // A single-worker guard so plan execution reports utilization.
+    // A single-worker guard so plan execution reports utilization; the
+    // `plan` pool's live count is the number of executions in flight.
     let mut worker = mlpa_obs::worker("plan", 0);
-    mlpa_obs::gauge_set("core.plan.inflight", 1);
 
     // Warm mode keeps one continuously-warmed state for the whole
-    // traversal; each point receives a snapshot of it.
-    let mut warm = matches!(mode, WarmupMode::Warmed)
-        .then(|| (MemoryHierarchy::new(config), BranchUnit::new(&config.predictor)));
+    // traversal, and one snapshot of it, allocated here and refilled in
+    // place at every point, which the detailed simulator borrows.
+    let mut warm = matches!(mode, WarmupMode::Warmed).then(|| {
+        let state = (MemoryHierarchy::new(config), BranchUnit::new(&config.predictor));
+        let snapshot = state.clone();
+        (state, Some(snapshot))
+    });
 
     for (i, p) in plan.points().iter().enumerate() {
         let _span = mlpa_obs::span_labeled("core.plan.point", &format!("point {i}"));
         let metrics = worker.busy(|| {
             let skip = p.start.saturating_sub(pos);
             let skipped = match &mut warm {
-                Some((hier, bu)) => func.fast_forward(&mut stream, skip, &mut (), Some((hier, bu))),
+                Some(((hier, bu), _)) => {
+                    func.fast_forward(&mut stream, skip, &mut (), Some((hier, bu)))
+                }
                 None => func.fast_forward(&mut stream, skip, &mut (), None),
             };
             pos += skipped;
             cost.functional_insts += skipped;
 
             let m = match &mut warm {
-                Some((hier, bu)) => {
+                Some(((hier, bu), snapshot)) => {
                     // The detailed simulator runs on a fork of the stream
                     // with a snapshot of the warm state, while the primary
                     // stream warms functionally *through* the point region —
                     // so the next point's prefix state is a pure functional
                     // warm of [0, start).
+                    let (mut snap_hier, mut snap_bu) = snapshot.take().expect("snapshot returned");
+                    snap_hier.clone_from(hier);
+                    snap_bu.clone_from(bu);
                     let mut fork = stream.clone();
-                    let mut sim = DetailedSim::with_warm_state(
-                        *config,
-                        cb.program(),
-                        hier.clone(),
-                        bu.clone(),
-                    );
+                    let mut sim =
+                        DetailedSim::with_warm_state(*config, cb.program(), snap_hier, snap_bu);
                     let m = sim.simulate(&mut fork, p.len);
+                    *snapshot = Some(sim.into_warm_state());
                     let advanced =
                         func.fast_forward(&mut stream, m.instructions, &mut (), Some((hier, bu)));
                     debug_assert_eq!(advanced, m.instructions, "fork and primary stream diverged");
@@ -153,7 +159,6 @@ pub fn execute_plan(
         cost.detailed_insts += metrics.instructions;
         per_point.push(metrics);
     }
-    mlpa_obs::gauge_set("core.plan.inflight", 0);
 
     let estimate = SimMetrics::weighted_estimate(
         plan.points().iter().zip(&per_point).map(|(p, m)| (p.weight, *m)),

@@ -4,13 +4,14 @@
 //!
 //! * **Spans** — hierarchical wall-clock timings ([`span`],
 //!   [`span_labeled`]). Parent/child links follow the per-thread span
-//!   stack, so nesting works across `std::thread::scope` workers.
+//!   stack, so nesting works across `std::thread::scope` workers; a
+//!   [`pool`] helper starts from its caller's innermost span.
 //! * **Counters** — named monotonic totals ([`add`]) backed by leaked
 //!   `AtomicU64`s; hot loops should accumulate locally and flush once
 //!   per call.
 //! * **Gauges** — named last-write-wins instantaneous values
-//!   ([`gauge_set`]): ROB/LSQ occupancy, in-flight plan jobs, cache hit
-//!   rate, current profiling segment. Unlike counters they move in both
+//!   ([`gauge_set`]): ROB/LSQ occupancy, cache hit rate, current
+//!   profiling segment. Unlike counters they move in both
 //!   directions, so they are never regression-gated — they exist for
 //!   the live telemetry sampler and the `/metrics` endpoint.
 //! * **Histograms** — lock-free log2-bucketed distributions
@@ -47,6 +48,7 @@
 pub mod calibrate;
 pub mod http;
 pub mod json;
+pub mod pool;
 pub mod promtext;
 pub mod selfprofile;
 pub mod telemetry;
@@ -971,8 +973,8 @@ mod imp {
     /// The self-profile call-tree edges observed so far: one row per
     /// (span name, parent span name) pair with its call count and total
     /// wall seconds. Roots (spans opened with an empty per-thread span
-    /// stack — including every span opened on a scoped worker thread)
-    /// have `parent == None`.
+    /// stack — including every span opened on a scoped worker thread
+    /// other than a [`crate::pool`] helper) have `parent == None`.
     pub fn span_edges_snapshot() -> Vec<crate::selfprofile::RawEdge> {
         SPAN_EDGES
             .lock()
@@ -1090,6 +1092,41 @@ mod imp {
             return Span { inner: None };
         }
         open_span(name, Some(label.to_string()))
+    }
+
+    /// The calling thread's innermost open span, for a helper thread to
+    /// adopt as the parent of the spans it opens.
+    #[derive(Clone, Copy)]
+    pub(crate) struct SpanParent(Option<(u64, &'static str)>);
+
+    pub(crate) fn current_span() -> SpanParent {
+        SpanParent(SPAN_STACK.with(|s| s.borrow().last().copied()))
+    }
+
+    /// Guard returned by [`adopt_span`]: the adopted parent stays at the
+    /// bottom of this thread's span stack until it drops.
+    pub(crate) struct Adopted(Option<u64>);
+
+    /// Make `parent` the parent of the spans this thread opens next, as
+    /// if they had been opened on the thread that owns it.
+    pub(crate) fn adopt_span(parent: SpanParent) -> Adopted {
+        if let Some(top) = parent.0 {
+            SPAN_STACK.with(|s| s.borrow_mut().push(top));
+        }
+        Adopted(parent.0.map(|(id, _)| id))
+    }
+
+    impl Drop for Adopted {
+        fn drop(&mut self) {
+            if let Some(id) = self.0 {
+                SPAN_STACK.with(|s| {
+                    let mut stack = s.borrow_mut();
+                    if stack.last().map(|&(top, _)| top) == Some(id) {
+                        stack.pop();
+                    }
+                });
+            }
+        }
     }
 
     /// Per-worker utilization guard returned by [`worker`].
@@ -1455,6 +1492,23 @@ mod imp {
     #[inline(always)]
     pub fn span_labeled(_name: &'static str, _label: &str) -> Span {
         Span(())
+    }
+
+    /// Zero-sized stand-in: there is no span stack to hand over.
+    #[derive(Clone, Copy)]
+    pub(crate) struct SpanParent;
+
+    #[inline(always)]
+    pub(crate) fn current_span() -> SpanParent {
+        SpanParent
+    }
+
+    /// Zero-sized stand-in for the adoption guard.
+    pub(crate) struct Adopted;
+
+    #[inline(always)]
+    pub(crate) fn adopt_span(_parent: SpanParent) -> Adopted {
+        Adopted
     }
 
     /// Zero-sized stand-in for the live worker guard.

@@ -17,7 +17,8 @@ use crate::{json, HistogramStat, PhaseStat, WorkerStat};
 /// One raw call-tree edge as recorded by the span guards: span `name`
 /// was opened `calls` times with `parent` on top of the per-thread span
 /// stack (`None` = stack was empty, i.e. a root — which includes every
-/// span opened on a scoped worker thread).
+/// span opened on a scoped worker thread other than a [`crate::pool`]
+/// helper, which starts from its caller's span).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RawEdge {
     /// Child span name.
@@ -39,10 +40,11 @@ pub struct SpanAgg {
     pub calls: u64,
     /// Total wall seconds across all openings (children included).
     pub total_s: f64,
-    /// Wall seconds not attributed to any child span opened *on the
-    /// same thread*: `total_s` minus the child-edge totals, clamped at
-    /// 0. Work fanned out to scoped workers shows up in the workers'
-    /// own root spans, not here.
+    /// Wall seconds not attributed to any child span: `total_s` minus
+    /// the child-edge totals, clamped at 0 (children that [`crate::pool`]
+    /// helpers ran in parallel can add up to more than the parent's
+    /// wall time). Work fanned out to other scoped workers shows up in
+    /// the workers' own root spans, not here.
     pub self_s: f64,
     /// Median single-call duration in microseconds (from the `span.*`
     /// log2 histogram, so within 2x).

@@ -101,6 +101,74 @@ fn spans_nest_across_thread_scope_workers() {
     std::fs::remove_file(&sink).ok();
 }
 
+/// A task run on a `pool` helper records the same span edges (names,
+/// parents, calls) as the same task run inline on the calling thread,
+/// and its spans point at the calling thread's span in the sink.
+#[test]
+fn pool_helpers_record_the_same_span_edges_as_inline_tasks() {
+    const TASKS: usize = 3;
+    // Returns the (name, parent, calls) edges and the number of threads
+    // the task spans ran on.
+    let run = |workers: usize| {
+        let _g = lock();
+        let sink = scratch("pool-edges.jsonl");
+        mlpa_obs::init(&mlpa_obs::ObsConfig {
+            enabled: true,
+            sink: Some(sink.clone()),
+            sample_ms: None,
+        })
+        .expect("init");
+        let started = AtomicU64::new(0);
+        let outer_id = {
+            let outer = mlpa_obs::span("test.caller");
+            mlpa_obs::pool::run(
+                Some(workers),
+                TASKS,
+                || (),
+                |_, i| {
+                    let _task = mlpa_obs::span("test.task");
+                    started.fetch_add(1, Ordering::SeqCst);
+                    // With helpers, no task ends before every task has
+                    // started, so each runs on a thread of its own.
+                    while workers > 1 && started.load(Ordering::SeqCst) < TASKS as u64 {
+                        std::thread::yield_now();
+                    }
+                    for _ in 0..=i {
+                        let _child = mlpa_obs::span("test.child");
+                    }
+                },
+            );
+            outer.id()
+        };
+        mlpa_obs::finish();
+        let mut edges: Vec<(String, Option<String>, u64)> = mlpa_obs::span_edges_snapshot()
+            .into_iter()
+            .map(|e| (e.name, e.parent, e.calls))
+            .collect();
+        edges.sort();
+        let tids: std::collections::BTreeSet<u64> = parse_lines(&sink)
+            .iter()
+            .filter(|ev| ev.get("name").and_then(Value::as_str) == Some("test.task"))
+            .map(|ev| {
+                let parent = ev.get("parent").and_then(Value::as_f64).expect("task has a parent");
+                assert_eq!(parent, outer_id as f64, "task span parents on the caller's span");
+                ev.get("tid").and_then(Value::as_f64).expect("tid") as u64
+            })
+            .collect();
+        std::fs::remove_file(&sink).ok();
+        (edges, tids.len())
+    };
+    let (inline, inline_tids) = run(1);
+    let (helped, helped_tids) = run(TASKS);
+    assert_eq!(inline_tids, 1);
+    assert_eq!(helped_tids, TASKS, "every task ran on its own thread");
+    assert_eq!(inline, helped);
+    let edge =
+        |name: &str, parent: &str, calls: u64| (name.to_string(), Some(parent.to_string()), calls);
+    assert!(inline.contains(&edge("test.task", "test.caller", 3)), "{inline:?}");
+    assert!(inline.contains(&edge("test.child", "test.task", 6)), "{inline:?}");
+}
+
 #[test]
 fn counters_are_atomic_under_contention() {
     let _g = lock();

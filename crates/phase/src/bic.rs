@@ -10,11 +10,9 @@
 //! worst and best scores.
 //!
 //! The candidate clusterings are independent, so [`choose_k`] runs
-//! them on a scoped pool whose worker 0 is the calling thread. Helper
-//! threads come from one process-wide budget of
-//! `available_parallelism() − 1` slots: a sweep takes whatever slots
-//! are free (none on one core), so concurrent sweeps never oversubscribe
-//! the host. Each worker owns a [`KMeansScratch`] and claims candidates
+//! them on [`mlpa_obs::pool`]: the calling thread plus whatever helper
+//! threads the process-wide spare-core budget has free (none on one
+//! core). Each worker owns a [`KMeansScratch`] and claims candidates
 //! largest `k` first, because Lloyd cost grows with `k`. One worker
 //! computes each `k` whole, with the same seeds, restart order and tie
 //! rule as a serial sweep, and the pick waits for every score, so the
@@ -25,9 +23,6 @@
 use crate::kmeans::{kmeans_with, KMeansConfig, KMeansResult, KMeansScratch};
 use crate::matrix::Matrix;
 use crate::project::distance_sq;
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// BIC score of a clustering (bigger is better).
 ///
@@ -113,19 +108,18 @@ pub struct KSelection {
 /// assert_eq!(sel.k, 2);
 /// ```
 pub fn choose_k(data: &Matrix, k_max: usize, threshold: f64, cfg: &KMeansConfig) -> KSelection {
-    // More helpers than candidates would find nothing to claim.
-    let helpers = helper_budget().lease(k_max.min(data.rows()).saturating_sub(1));
-    choose_k_on(data, k_max, threshold, cfg, 1 + helpers.n)
+    choose_k_on(data, k_max, threshold, cfg, None)
 }
 
-/// [`choose_k`] on exactly `workers` workers: the calling thread plus
-/// `workers - 1` scoped helpers, whatever the helper budget says.
+/// [`choose_k`] on the pool size `workers` picks (see
+/// [`mlpa_obs::pool::run`]): `Some(n)` is exactly `n` workers, whatever
+/// the helper budget says.
 pub(crate) fn choose_k_on(
     data: &Matrix,
     k_max: usize,
     threshold: f64,
     cfg: &KMeansConfig,
-    workers: usize,
+    workers: Option<usize>,
 ) -> KSelection {
     assert!(data.rows() > 0, "choose_k needs data");
     assert!(k_max > 0, "k_max must be positive");
@@ -161,84 +155,20 @@ pub(crate) fn choose_k_on(
 
 /// Cluster and score every `k` in `1..=k_hi` on `workers` workers,
 /// returning BIC scores and inertias indexed by `k - 1`.
-fn sweep(data: &Matrix, k_hi: usize, cfg: &KMeansConfig, workers: usize) -> (Vec<f64>, Vec<f64>) {
-    // Relaxed suffices: the counter only hands out distinct indices, and
-    // results reach the calling thread through the joins.
-    let next = AtomicUsize::new(0);
-    // One worker: claims candidates largest k first until none is left.
-    let work = || {
-        let mut scratch = KMeansScratch::new();
-        let mut done = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= k_hi {
-                return done;
-            }
-            let k = k_hi - i;
-            let r = kmeans_with(data, k, cfg, &mut scratch);
-            done.push((k, bic(data, &r), r.inertia));
-        }
-    };
-    let done: Vec<(usize, f64, f64)> = std::thread::scope(|s| {
-        let helpers: Vec<_> = (1..workers.min(k_hi)).map(|_| s.spawn(work)).collect();
-        let mut done = work();
-        for h in helpers {
-            done.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-        }
-        done
-    });
-    let (mut scores, mut inertias) = (vec![0.0; k_hi], vec![0.0; k_hi]);
-    for (k, score, inertia) in done {
-        scores[k - 1] = score;
-        inertias[k - 1] = inertia;
-    }
-    (scores, inertias)
-}
-
-/// The process-wide helper budget: one slot per available core beyond
-/// the calling thread's, sized on first use.
-fn helper_budget() -> &'static HelperBudget {
-    static BUDGET: OnceLock<HelperBudget> = OnceLock::new();
-    BUDGET.get_or_init(|| {
-        HelperBudget::new(std::thread::available_parallelism().map_or(1, NonZeroUsize::get) - 1)
+fn sweep(
+    data: &Matrix,
+    k_hi: usize,
+    cfg: &KMeansConfig,
+    workers: Option<usize>,
+) -> (Vec<f64>, Vec<f64>) {
+    // Task `i` is `k = k_hi - i`: largest `k` first.
+    mlpa_obs::pool::run(workers, k_hi, KMeansScratch::new, |scratch, i| {
+        let r = kmeans_with(data, k_hi - i, cfg, scratch);
+        (bic(data, &r), r.inertia)
     })
-}
-
-/// A fixed number of helper-thread slots shared by concurrent sweeps.
-struct HelperBudget {
-    size: usize,
-    used: AtomicUsize,
-}
-
-impl HelperBudget {
-    fn new(size: usize) -> HelperBudget {
-        HelperBudget { size, used: AtomicUsize::new(0) }
-    }
-
-    /// Take up to `want` free slots without waiting; they return to the
-    /// budget when the lease drops, unwinding included.
-    fn lease(&self, want: usize) -> Lease<'_> {
-        let free = |used: usize| want.min(self.size - used);
-        let n = self
-            .used
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |used| {
-                (free(used) > 0).then(|| used + free(used))
-            })
-            .map_or(0, free);
-        Lease { budget: self, n }
-    }
-}
-
-/// `n` slots held from a [`HelperBudget`].
-struct Lease<'a> {
-    budget: &'a HelperBudget,
-    n: usize,
-}
-
-impl Drop for Lease<'_> {
-    fn drop(&mut self) {
-        self.budget.used.fetch_sub(self.n, Ordering::SeqCst);
-    }
+    .into_iter()
+    .rev()
+    .unzip()
 }
 
 #[cfg(test)]
@@ -331,54 +261,10 @@ mod tests {
         {
             let naive = crate::reference::choose_k_naive(rows, k_max, 0.9, &cfg);
             for workers in [1, 2, 3, 8] {
-                let sel = choose_k_on(&Matrix::from_rows(rows), k_max, 0.9, &cfg, workers);
+                let sel = choose_k_on(&Matrix::from_rows(rows), k_max, 0.9, &cfg, Some(workers));
                 assert_eq!(sel, naive, "{name} on {workers} workers");
             }
         }
-    }
-
-    #[test]
-    fn budget_never_hands_out_more_than_its_size() {
-        let budget = HelperBudget::new(3);
-        let a = budget.lease(2);
-        let b = budget.lease(5);
-        assert_eq!((a.n, b.n, budget.lease(1).n), (2, 1, 0));
-        drop(a);
-        assert_eq!(budget.lease(5).n, 2);
-        drop(b);
-        // Under contention, the slots held at once never exceed the size.
-        let held = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for t in 0..8 {
-                let (budget, held) = (&budget, &held);
-                s.spawn(move || {
-                    for i in 0..2_000 {
-                        let lease = budget.lease(1 + (t + i) % 3);
-                        let now = held.fetch_add(lease.n, Ordering::SeqCst) + lease.n;
-                        assert!(now <= 3, "{now} of 3 slots held");
-                        held.fetch_sub(lease.n, Ordering::SeqCst);
-                    }
-                });
-            }
-        });
-        assert_eq!(budget.lease(5).n, 3);
-    }
-
-    #[test]
-    fn panicking_worker_returns_its_slot() {
-        let budget = HelperBudget::new(2);
-        // The shape of `choose_k`: the lease lives in the frame that
-        // joins the helpers, so a helper's panic unwinds through it.
-        let unwound = std::panic::catch_unwind(|| {
-            let helpers = budget.lease(2);
-            std::thread::scope(|s| {
-                for _ in 0..helpers.n {
-                    s.spawn(|| panic!("sweep worker failed"));
-                }
-            });
-        });
-        assert!(unwound.is_err());
-        assert_eq!(budget.lease(2).n, 2);
     }
 
     #[test]

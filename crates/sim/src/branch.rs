@@ -300,13 +300,53 @@ impl ReturnStack {
 }
 
 /// The full front-end branch unit: direction + target prediction.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BranchUnit {
     dir: Combined,
     btb: Btb,
     ras: ReturnStack,
     predictions: u64,
     mispredictions: u64,
+}
+
+impl Clone for BranchUnit {
+    fn clone(&self) -> BranchUnit {
+        BranchUnit { dir: self.dir.clone(), btb: self.btb.clone(), ras: self.ras.clone(), ..*self }
+    }
+
+    /// Copies every table into this unit's own allocations (a `Vec`'s
+    /// `clone_from` keeps its buffer when the lengths match), so a
+    /// snapshot refreshed once per simulation point never reallocates.
+    fn clone_from(&mut self, source: &BranchUnit) {
+        // Exhaustive, so a new field fails to compile until it is copied.
+        let BranchUnit {
+            dir:
+                Combined { bimodal: Bimodal { table: b_table, mask: b_mask }, gshare, chooser, mask },
+            btb: Btb { tags, targets, stamps, set_mask, tick },
+            ras: ReturnStack { stack, depth },
+            predictions,
+            mispredictions,
+        } = source;
+        let Gshare { table: g_table, mask: g_mask, history, history_mask } = gshare;
+        let dir = &mut self.dir;
+        dir.bimodal.table.clone_from(b_table);
+        dir.bimodal.mask = *b_mask;
+        dir.gshare.table.clone_from(g_table);
+        dir.gshare.mask = *g_mask;
+        dir.gshare.history = *history;
+        dir.gshare.history_mask = *history_mask;
+        dir.chooser.clone_from(chooser);
+        dir.mask = *mask;
+        self.btb.tags.clone_from(tags);
+        self.btb.targets.clone_from(targets);
+        self.btb.stamps.clone_from(stamps);
+        self.btb.set_mask = *set_mask;
+        self.btb.tick = *tick;
+        self.ras.stack.clone_from(stack);
+        self.ras.depth = *depth;
+        self.predictions = *predictions;
+        self.mispredictions = *mispredictions;
+    }
 }
 
 impl BranchUnit {

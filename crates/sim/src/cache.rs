@@ -117,19 +117,29 @@ pub struct Cache {
 
 impl Clone for Cache {
     fn clone(&self) -> Cache {
-        // The aligned `base` is a property of each allocation, so a
-        // field-wise clone would carry a stale offset; rebuild and copy
-        // the live region instead.
         let mut c = Cache::new(self.cfg);
-        let n = self.set_mask as usize + 1;
-        let n_lines = n * self.assoc;
-        c.lines[c.base..c.base + n_lines]
-            .copy_from_slice(&self.lines[self.base..self.base + n_lines]);
-        c.tick = self.tick;
-        c.hits = self.hits;
-        c.misses = self.misses;
-        c.writebacks = self.writebacks;
+        c.clone_from(self);
         c
+    }
+
+    /// Copies `source` into this allocation when the geometry matches,
+    /// so a snapshot refreshed once per simulation point never
+    /// reallocates.
+    fn clone_from(&mut self, source: &Cache) {
+        if self.cfg != source.cfg {
+            *self = source.clone();
+            return;
+        }
+        // The aligned `base` is a property of each allocation, so a
+        // field-wise copy would carry a stale offset; copy the live
+        // region between the two allocations' own bases instead.
+        let n_lines = (self.set_mask as usize + 1) * self.assoc;
+        self.lines[self.base..self.base + n_lines]
+            .copy_from_slice(&source.lines[source.base..source.base + n_lines]);
+        self.tick = source.tick;
+        self.hits = source.hits;
+        self.misses = source.misses;
+        self.writebacks = source.writebacks;
     }
 }
 
@@ -378,7 +388,7 @@ pub struct HierarchyAccess {
 ///
 /// The instruction side shares the L2: [`MemoryHierarchy::fetch`] runs
 /// I-cache accesses through the same L2.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MemoryHierarchy {
     l1d: Cache,
     l1i: Cache,
@@ -392,6 +402,46 @@ pub struct MemoryHierarchy {
     last_mem_block: u64,
     prefetch: PrefetchPolicy,
     prefetches: u64,
+}
+
+impl Clone for MemoryHierarchy {
+    fn clone(&self) -> MemoryHierarchy {
+        MemoryHierarchy {
+            l1d: self.l1d.clone(),
+            l1i: self.l1i.clone(),
+            l2: self.l2.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies every level in place (see [`Cache`]'s `clone_from`).
+    fn clone_from(&mut self, source: &MemoryHierarchy) {
+        // Exhaustive, so a new field fails to compile until it is copied.
+        let MemoryHierarchy {
+            l1d,
+            l1i,
+            l2,
+            l1d_latency,
+            l2_latency,
+            line,
+            mem_first,
+            mem_next,
+            last_mem_block,
+            prefetch,
+            prefetches,
+        } = source;
+        self.l1d.clone_from(l1d);
+        self.l1i.clone_from(l1i);
+        self.l2.clone_from(l2);
+        self.l1d_latency = *l1d_latency;
+        self.l2_latency = *l2_latency;
+        self.line = *line;
+        self.mem_first = *mem_first;
+        self.mem_next = *mem_next;
+        self.last_mem_block = *last_mem_block;
+        self.prefetch = *prefetch;
+        self.prefetches = *prefetches;
+    }
 }
 
 impl MemoryHierarchy {
@@ -548,6 +598,34 @@ mod tests {
     fn small() -> Cache {
         // 2 sets, 2 ways, 32-byte lines.
         Cache::new(CacheConfig { size: 128, assoc: 2, line: 32, latency: 1 })
+    }
+
+    #[test]
+    fn clone_from_matches_clone_for_any_destination() {
+        let filled = |cfg: CacheConfig, seed: u64| {
+            let mut c = Cache::new(cfg);
+            for i in 0..500u64 {
+                c.access((i * 2654435761 + seed) % 8192, i % 3 == 0);
+            }
+            c
+        };
+        let cfg = CacheConfig { size: 1024, assoc: 4, line: 32, latency: 1 };
+        let src = filled(cfg, 7);
+        let other = CacheConfig { size: 2048, assoc: 2, line: 32, latency: 1 };
+        // Same geometry with other contents (copied in place), and a
+        // different geometry (rebuilt).
+        for mut dest in [filled(cfg, 99), filled(other, 99)] {
+            dest.clone_from(&src);
+            let mut fresh = src.clone();
+            for i in 0..500u64 {
+                let addr = (i * 40503 + 11) % 8192;
+                assert_eq!(dest.access(addr, i % 5 == 0), fresh.access(addr, i % 5 == 0));
+            }
+            assert_eq!(
+                (dest.hits(), dest.misses(), dest.writebacks()),
+                (fresh.hits(), fresh.misses(), fresh.writebacks())
+            );
+        }
     }
 
     #[test]

@@ -204,10 +204,37 @@ impl<'p> DetailedSim<'p> {
     ///
     /// Panics if `cfg` is invalid (see [`MachineConfig::validate`]).
     pub fn new(cfg: MachineConfig, program: &'p Program) -> DetailedSim<'p> {
+        // Validate before building the caches, whose own check would
+        // report a bad cache geometry without naming the machine config.
+        cfg.validate().expect("invalid machine config");
+        let (hier, branch) = (MemoryHierarchy::new(&cfg), BranchUnit::new(&cfg.predictor));
+        DetailedSim::with_warm_state(cfg, program, hier, branch)
+    }
+
+    /// Create a simulator whose caches and branch predictor start from
+    /// an existing functional-warming state instead of cold. The timing
+    /// state (pipeline occupancy, cycle counters) starts cold and the
+    /// first [`DetailedSim::simulate`] call zeroes the inherited
+    /// statistics, so only the *contents* of the warm state carry over.
+    ///
+    /// Warmed plan execution installs a snapshot of its continuously
+    /// warmed state here at every simulation point, and takes it back
+    /// with [`DetailedSim::into_warm_state`] to refill in place for the
+    /// next point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` is invalid (see [`MachineConfig::validate`]).
+    pub fn with_warm_state(
+        cfg: MachineConfig,
+        program: &'p Program,
+        hier: MemoryHierarchy,
+        branch: BranchUnit,
+    ) -> DetailedSim<'p> {
         cfg.validate().expect("invalid machine config");
         DetailedSim {
-            hier: MemoryHierarchy::new(&cfg),
-            branch: BranchUnit::new(&cfg.predictor),
+            hier,
+            branch,
             fu: FuPools::new(&cfg),
             reg_ready: [0; 256],
             rob_ring: vec![0; (cfg.rob_entries as usize).next_power_of_two()],
@@ -230,29 +257,10 @@ impl<'p> DetailedSim<'p> {
         }
     }
 
-    /// Create a simulator whose caches and branch predictor start from
-    /// an existing functional-warming checkpoint instead of cold. The
-    /// timing state (pipeline occupancy, cycle counters) starts cold and
-    /// the first [`DetailedSim::simulate`] call zeroes the inherited
-    /// statistics, so only the *contents* of the warm state carry over.
-    ///
-    /// This is how independent workers replicate the persistent-simulator
-    /// warm path: each warms a private `MemoryHierarchy`/`BranchUnit`
-    /// over its point's prefix and installs it here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is invalid (see [`MachineConfig::validate`]).
-    pub fn with_warm_state(
-        cfg: MachineConfig,
-        program: &'p Program,
-        hier: MemoryHierarchy,
-        branch: BranchUnit,
-    ) -> DetailedSim<'p> {
-        let mut sim = DetailedSim::new(cfg, program);
-        sim.hier = hier;
-        sim.branch = branch;
-        sim
+    /// Give back the caches and branch predictor, e.g. to refill them
+    /// for another [`DetailedSim::with_warm_state`].
+    pub fn into_warm_state(self) -> (MemoryHierarchy, BranchUnit) {
+        (self.hier, self.branch)
     }
 
     /// The machine configuration.
@@ -794,6 +802,55 @@ mod tests {
             a.l1_hit_rate(),
             b.l1_hit_rate()
         );
+    }
+
+    /// Plan execution refills one snapshot in place at every point
+    /// (`clone_from`) instead of cloning the warm state afresh. A point
+    /// simulated from the refilled snapshot must match one simulated
+    /// from a fresh clone, under both Table I configs, even though the
+    /// destination held another position's state and statistics.
+    #[test]
+    fn snapshot_refilled_in_place_simulates_like_a_fresh_clone() {
+        let spec = BenchmarkSpec {
+            phases: vec![PhaseSpec {
+                blocks: vec![
+                    BlockSpec {
+                        mix: InstMix { load: 0.35, store: 0.1, ..InstMix::default() },
+                        // Between the two configs' L2 sizes.
+                        mem: MemoryPattern::RandomInSet { working_set: 1536 * 1024 },
+                        ..BlockSpec::default()
+                    },
+                    BlockSpec::default(),
+                ],
+                ..PhaseSpec::default()
+            }],
+            script: vec![ScriptEntry::new(0, 60_000); 4],
+            ..BenchmarkSpec::default()
+        };
+        let cb = CompiledBenchmark::compile(&spec).unwrap();
+        for cfg in [MachineConfig::table1_base(), MachineConfig::table1_sensitivity()] {
+            let mut func = crate::FunctionalSim::new(cb.program());
+            let mut stream = WorkloadStream::new(&cb);
+            let (mut hier, mut bu) = (MemoryHierarchy::new(&cfg), BranchUnit::new(&cfg.predictor));
+            // The destination: state warmed over a short prefix, then run
+            // through a detailed region of its own.
+            func.fast_forward(&mut stream, 5_000, &mut (), Some((&mut hier, &mut bu)));
+            let mut early =
+                DetailedSim::with_warm_state(cfg, cb.program(), hier.clone(), bu.clone());
+            early.simulate(&mut stream.clone(), 5_000);
+            let (mut dest_hier, mut dest_bu) = early.into_warm_state();
+
+            func.fast_forward(&mut stream, 145_000, &mut (), Some((&mut hier, &mut bu)));
+            dest_hier.clone_from(&hier);
+            dest_bu.clone_from(&bu);
+            let mut refilled = DetailedSim::with_warm_state(cfg, cb.program(), dest_hier, dest_bu);
+            let mut fresh =
+                DetailedSim::with_warm_state(cfg, cb.program(), hier.clone(), bu.clone());
+            let a = refilled.simulate(&mut stream.clone(), 20_000);
+            let b = fresh.simulate(&mut stream.clone(), 20_000);
+            assert_eq!(a, b, "l2 size {}", cfg.l2.size);
+            assert!(b.l2_hits > 0 && b.l2_misses > 0 && b.mispredicts > 0, "{b:?}");
+        }
     }
 
     #[test]
