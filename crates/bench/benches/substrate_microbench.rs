@@ -365,9 +365,8 @@ fn bench_phase_pipeline(out: &mut Vec<Measurement>) {
 }
 
 /// Instrumentation overhead on the hottest pipeline: the phase pass
-/// with obs runtime-disabled (one relaxed load per call site; literally
-/// nothing when the `obs` feature is compiled out) versus runtime-
-/// enabled (only measurable when built with `--features obs`).
+/// with obs runtime-disabled (one relaxed load per call site) versus
+/// runtime-enabled.
 fn bench_obs_overhead(out: &mut Vec<Measurement>) {
     let proj = RandomProjection::new(NUM_BLOCKS, DIM, 0xC0A5);
     let events = synth_events(0x5EED);
@@ -377,11 +376,14 @@ fn bench_obs_overhead(out: &mut Vec<Measurement>) {
     group.bench("pipeline_instrumentation_off", || {
         pipeline_current(black_box(&proj), black_box(&events))
     });
-    // The histogram call sites in isolation: a local tally fed in a hot
-    // loop, merged once — the contract every instrumented kernel
-    // follows. Disabled (or compiled out) this must cost nothing
-    // measurable; the tracked baseline pins it.
+    // The histogram call sites in isolation: one hoisted switch check,
+    // then a local tally fed in a hot loop and merged once — the
+    // contract every instrumented kernel follows. Disabled this must
+    // cost nothing measurable; the tracked baseline pins it.
     let hist_sites = || {
+        if !mlpa_obs::is_enabled() {
+            return;
+        }
         let mut t = mlpa_obs::HistTally::default();
         for i in 0..4096u64 {
             t.record(black_box(i));
@@ -389,21 +391,19 @@ fn bench_obs_overhead(out: &mut Vec<Measurement>) {
         mlpa_obs::hist_merge("bench.hist_sites", "n", &t);
     };
     group.bench("hist_sites_off", hist_sites);
-    if cfg!(feature = "obs") {
-        mlpa_obs::set_enabled(true);
-        group.bench("pipeline_instrumentation_on", || {
-            pipeline_current(black_box(&proj), black_box(&events))
-        });
-        group.bench("hist_sites_on", hist_sites);
-        mlpa_obs::set_enabled(false);
-    }
+    mlpa_obs::set_enabled(true);
+    group.bench("pipeline_instrumentation_on", || {
+        pipeline_current(black_box(&proj), black_box(&events))
+    });
+    group.bench("hist_sites_on", hist_sites);
+    mlpa_obs::set_enabled(false);
 }
 
-/// With `--features obs`, pin the enabled-mode overhead of the phase
-/// pipeline below a few percent (skipped in `MLPA_BENCH_SMOKE` runs,
-/// whose single samples are too noisy to compare).
+/// Pin the enabled-mode overhead of the phase pipeline below a few
+/// percent (skipped in `MLPA_BENCH_SMOKE` runs, whose single samples
+/// are too noisy to compare).
 fn assert_obs_overhead(measurements: &[Measurement]) {
-    if !cfg!(feature = "obs") || smoke_mode() {
+    if smoke_mode() {
         return;
     }
     let off = mean_of(measurements, "obs_overhead", "pipeline_instrumentation_off");

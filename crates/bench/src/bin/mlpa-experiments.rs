@@ -49,8 +49,7 @@ OPTIONS
   --verbose         extra per-step detail on stderr
   --progress        per-benchmark progress lines even under --quiet
   --obs PATH        stream JSONL observability events to PATH and
-                    write <out>/RUN_REPORT.json (needs a build with
-                    `--features obs`)
+                    write <out>/RUN_REPORT.json
   --telemetry-ms N  background sampler interval for `sample` events
                     in the --obs stream (default 250; 0 disables the
                     sampler; only meaningful with --obs)
@@ -59,7 +58,6 @@ OPTIONS
                     run executes; 0 picks an ephemeral port. The
                     bound address is printed to stderr as
                     `status server listening on 127.0.0.1:PORT`
-                    (needs a build with `--features obs`)
 ";
 
 /// Every command but the ablation tables, with its `--help` line.
@@ -274,31 +272,16 @@ fn main() {
             elog!("error", "opening obs sink: {e}");
             std::process::exit(2);
         }
-        if !mlpa_obs::is_enabled() {
-            elog!(
-                "obs",
-                "this binary was built without `--features obs`; \
-                 --obs / --status-port will record nothing"
-            );
-        }
     }
     if let Some(port) = o.status_port {
-        // Degrade gracefully on a non-obs build, matching the warning
-        // above: a server with nothing behind it would only serve
-        // empty documents, so don't start one (serve_status would
-        // return Unsupported anyway).
-        if mlpa_obs::is_enabled() {
-            match mlpa_obs::telemetry::serve_status(port) {
-                // elog! so the bound address survives --quiet: CI parses
-                // this line to find the ephemeral port.
-                Ok(addr) => elog!("obs", "status server listening on {addr}"),
-                Err(e) => {
-                    elog!("error", "--status-port {port}: {e}");
-                    std::process::exit(2);
-                }
+        match mlpa_obs::telemetry::serve_status(port) {
+            // elog! so the bound address survives --quiet: CI parses
+            // this line to find the ephemeral port.
+            Ok(addr) => elog!("obs", "status server listening on {addr}"),
+            Err(e) => {
+                elog!("error", "--status-port {port}: {e}");
+                std::process::exit(2);
             }
-        } else {
-            elog!("obs", "--status-port {port} ignored: rebuild with `--features obs`");
         }
     }
     let outcome = run(&o);

@@ -4,8 +4,8 @@
 
 use mlpa_core::prelude::*;
 use mlpa_core::{
-    attribute_segments, execute_plan_cached, ground_truth_cached, ground_truth_segmented_cached,
-    AccuracyAttribution, CoastsOutcome, ExecutionOutcome, FineOutcome, MultilevelOutcome,
+    attribute_segments, execute_plan_cached, ground_truth_segmented_cached, AccuracyAttribution,
+    CoastsOutcome, ExecutionOutcome, FineOutcome, MultilevelOutcome,
 };
 use mlpa_sim::{MachineConfig, MetricDeviation, MetricEstimate, SimMetrics};
 use mlpa_workloads::{BenchmarkSpec, CompiledBenchmark, Suite};
@@ -197,11 +197,11 @@ impl Experiment {
         let co: CoastsOutcome = coasts_with(&mut ctx, &self.coasts)?;
         let ml: MultilevelOutcome = multilevel_with(&mut ctx, &self.multilevel)?;
 
-        // One lane per config, in config order. Under Config A the truth
-        // comes from a *segmented* detailed pass sliced at the coarse
-        // interval boundaries: its per-segment statistics telescope
-        // exactly to the single-pass totals (same cost, same result) and
-        // additionally feed the accuracy attribution.
+        // One lane per config, in config order. Each lane's truth comes
+        // from a *segmented* detailed pass sliced at the coarse interval
+        // boundaries: its per-segment statistics telescope exactly to
+        // the whole-run totals (same cost, same result), and Config A's
+        // segments also feed the accuracy attribution.
         let plans = [&fine.plan, &co.plan, &ml.plan];
         let lens: Vec<u64> = co.intervals.iter().map(|iv| iv.len).collect();
         let cache = self.cache.as_deref();
@@ -211,19 +211,14 @@ impl Experiment {
             || (),
             |_, ci| {
                 let config = &self.configs[ci];
-                let (truth, segments) = if ci == 0 {
-                    let segments = ground_truth_segmented_cached(cache, &cb, config, &lens);
-                    let mut whole = SimMetrics::default();
-                    for s in &segments {
-                        whole += *s;
-                    }
-                    (whole.estimate(), segments)
-                } else {
-                    (ground_truth_cached(cache, &cb, config).estimate(), Vec::new())
-                };
+                let segments = ground_truth_segmented_cached(cache, &cb, config, &lens);
+                let mut whole = SimMetrics::default();
+                for s in &segments {
+                    whole += *s;
+                }
                 let outcomes =
                     plans.map(|plan| execute_plan_cached(cache, &cb, config, plan, self.warmup));
-                Lane { truth, segments, outcomes }
+                Lane { truth: whole.estimate(), segments, outcomes }
             },
         );
         let lane_a = &lanes[0];
@@ -360,7 +355,7 @@ impl Experiment {
 struct Lane {
     /// Ground truth under the lane's config.
     truth: MetricEstimate,
-    /// Config A only: the truth per coarse interval, for attribution.
+    /// The truth per coarse interval (Config A's feeds attribution).
     segments: Vec<SimMetrics>,
     /// Plan executions in [`Method::ALL`] order.
     outcomes: [ExecutionOutcome; 3],

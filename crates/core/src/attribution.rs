@@ -72,8 +72,8 @@ pub struct AccuracyAttribution {
     /// (prologue/epilogue intervals); error incurred there is not
     /// attributable to any phase.
     pub unclassified_weight: f64,
-    /// Whole-run ground truth (from the segmented pass's telescoped
-    /// totals — bit-identical to [`crate::estimate::ground_truth`]).
+    /// Whole-run ground truth (the segmented pass's telescoped totals,
+    /// bit-identical to [`crate::estimate::ground_truth`]).
     pub truth: MetricEstimate,
     /// The sampled whole-program estimate being attributed.
     pub estimate: MetricEstimate,

@@ -2,9 +2,9 @@
 //!
 //! Accepts analysis requests over HTTP and runs them on a bounded
 //! worker pool with response-level caching and in-flight deduplication;
-//! the protocol lives in [`mlpa_core::serve`]. Build with
-//! `--features obs` for live `/metrics`; without it the daemon still
-//! serves and caches, but counters read zero.
+//! the protocol lives in [`mlpa_core::serve`]. The daemon switches obs
+//! collection on at start, so `/metrics` always serves live counters,
+//! gauges and histograms.
 //!
 //! ```text
 //! mlpa-serve [--port N] [--workers N] [--queue N]
@@ -81,9 +81,6 @@ fn main() {
     if let Err(e) = mlpa_obs::init(&cfg) {
         elog!("error", "opening obs sink: {e}");
         std::process::exit(2);
-    }
-    if !mlpa_obs::is_enabled() {
-        elog!("obs", "built without `--features obs`; /metrics will be empty");
     }
     let daemon = match Daemon::start(o.serve) {
         Ok(d) => d,

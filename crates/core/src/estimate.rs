@@ -188,20 +188,18 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Simulate the entire benchmark in detail — the ground truth the
-/// paper's Table II deviations are measured against.
+/// paper's Table II deviations are measured against. This is the
+/// one-segment case of [`ground_truth_segmented`].
 pub fn ground_truth(cb: &CompiledBenchmark, config: &MachineConfig) -> SimMetrics {
-    let _span = mlpa_obs::span("core.truth.full");
-    mlpa_obs::add("core.truth.passes", 1);
-    let mut sim = DetailedSim::new(*config, cb.program());
-    sim.simulate(&mut WorkloadStream::new(cb), u64::MAX)
+    ground_truth_segmented(cb, config, &[u64::MAX])[0]
 }
 
 /// Ground truth measured in segments: one persistent-state detailed
 /// pass over the trace, slicing the *statistics* at the cumulative
 /// boundaries of `lens`. Microarchitectural state persists across
 /// `simulate` calls while statistics reset, and cycles are counted as
-/// commit-cycle deltas, so the per-segment metrics sum exactly to the
-/// single-pass [`ground_truth`] totals — accuracy attribution gets the
+/// commit-cycle deltas, so segments that tile the trace sum exactly to
+/// the one-segment [`ground_truth`] — accuracy attribution gets the
 /// per-interval truth without paying a second full pass.
 ///
 /// Each segment runs to the cumulative target, so a segment that
@@ -230,30 +228,11 @@ pub fn ground_truth_segmented(
         .collect()
 }
 
-/// [`ground_truth`] behind the artifact cache: reuse a stored result
-/// when the cache holds one, simulate (and store) otherwise. With
-/// `cache = None` this is exactly [`ground_truth`].
-pub fn ground_truth_cached(
-    cache: Option<&ArtifactCache>,
-    cb: &CompiledBenchmark,
-    config: &MachineConfig,
-) -> SimMetrics {
-    let key = cache.map(|_| CacheKey::new().field("spec", cb.spec()).field("config", config));
-    if let (Some(c), Some(k)) = (cache, &key) {
-        if let Some(m) = c.get::<SimMetrics>(k) {
-            return m;
-        }
-    }
-    let m = ground_truth(cb, config);
-    if let (Some(c), Some(k)) = (cache, &key) {
-        c.put(k, &m);
-    }
-    m
-}
-
-/// [`ground_truth_segmented`] behind the artifact cache. The segment
-/// boundaries are part of the key, so the same benchmark measured with
-/// different `lens` gets distinct entries.
+/// [`ground_truth_segmented`] behind the artifact cache: reuse a stored
+/// result when the cache holds one, simulate (and store) otherwise.
+/// With `cache = None` this is exactly [`ground_truth_segmented`]. The
+/// segment boundaries are part of the key, so the same benchmark
+/// measured with different `lens` gets distinct entries.
 pub fn ground_truth_segmented_cached(
     cache: Option<&ArtifactCache>,
     cb: &CompiledBenchmark,
@@ -451,15 +430,11 @@ mod tests {
         let cache = crate::cache::ArtifactCache::open(&root).unwrap();
         let c = Some(&cache);
 
-        let truth_cold = ground_truth_cached(c, &bench, &config);
-        let truth_warm = ground_truth_cached(c, &bench, &config);
-        assert_eq!(truth_cold, truth_warm);
-        assert_eq!(truth_cold, ground_truth_cached(None, &bench, &config));
-
         let lens = [100_000u64, 100_000, 100_000];
         let seg_cold = ground_truth_segmented_cached(c, &bench, &config, &lens);
         let seg_warm = ground_truth_segmented_cached(c, &bench, &config, &lens);
         assert_eq!(seg_cold, seg_warm);
+        assert_eq!(seg_cold, ground_truth_segmented_cached(None, &bench, &config, &lens));
 
         let exec_cold = execute_plan_cached(c, &bench, &config, &plan, WarmupMode::Warmed);
         let exec_warm = execute_plan_cached(c, &bench, &config, &plan, WarmupMode::Warmed);

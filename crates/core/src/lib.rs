@@ -57,9 +57,8 @@ pub use attribution::{
 pub use cache::{atomic_write, ArtifactCache, CacheKey, FlightRole, Singleflight, CACHE_SCHEMA};
 pub use coasts::{coasts, coasts_with, CoastsConfig, CoastsOutcome};
 pub use estimate::{
-    execute_plan, execute_plan_cached, execute_plan_checked, ground_truth, ground_truth_cached,
-    ground_truth_segmented, ground_truth_segmented_cached, panic_message, ExecutionCost,
-    ExecutionOutcome, WarmupMode,
+    execute_plan, execute_plan_cached, execute_plan_checked, ground_truth, ground_truth_segmented,
+    ground_truth_segmented_cached, panic_message, ExecutionCost, ExecutionOutcome, WarmupMode,
 };
 pub use multilevel::{multilevel, multilevel_with, MultilevelConfig, MultilevelOutcome};
 pub use pipeline::{

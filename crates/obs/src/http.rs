@@ -17,8 +17,8 @@
 //!   accept loop and every later request;
 //! * handler panics are confined to the connection thread.
 //!
-//! Nothing here touches obs registries, so the module is compiled with
-//! and without the `enabled` feature.
+//! Nothing here touches obs registries: the same server and client work
+//! whether collection is on or off.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

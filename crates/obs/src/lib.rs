@@ -1,4 +1,4 @@
-//! Zero-cost observability for the mlpa workspace.
+//! Observability for the mlpa workspace.
 //!
 //! Five instruments, one switch:
 //!
@@ -29,18 +29,19 @@
 //! [`selfprofile`] turns the span stream into a per-span-name
 //! self/total-time tree embedded in the run report.
 //!
-//! Everything above is compiled to an inline no-op unless the crate
-//! feature `enabled` is on; with the feature on it is still inert (one
-//! relaxed atomic load per call site) until [`init`] or [`set_enabled`]
-//! flips the runtime switch. Instrumentation never touches RNG state or
-//! work ordering, so enabling it cannot perturb deterministic results.
+//! Everything above is inert until [`init`] or [`set_enabled`] flips
+//! the runtime switch: while it is off an instrument call costs one
+//! relaxed atomic load, and hot loops hoist even that into one
+//! [`is_enabled`] check per call. Instrumentation never touches RNG
+//! state or work ordering, so enabling it cannot perturb deterministic
+//! results.
 //!
 //! Events stream to an optional JSONL sink (one JSON object per line,
 //! flushed per line); [`report`] aggregates everything into a
 //! [`Report`] for `results/RUN_REPORT.json`. Logging ([`info!`],
-//! [`vlog!`], [`elog!`], [`progress!`]) is *always* compiled — it
-//! replaces the ad-hoc `eprintln!` progress output and is controlled by
-//! [`Verbosity`], not by the feature flag.
+//! [`vlog!`], [`elog!`], [`progress!`]) replaces the ad-hoc
+//! `eprintln!` progress output and is controlled by [`Verbosity`], not
+//! by the collection switch.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -53,11 +54,17 @@ pub mod promtext;
 pub mod selfprofile;
 pub mod telemetry;
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::{Mutex, OnceLock, RwLock};
+use std::time::Instant;
 
 // ---------------------------------------------------------------------------
-// Logging (always compiled; gated by runtime verbosity only)
+// Logging (gated by runtime verbosity only)
 // ---------------------------------------------------------------------------
 
 /// How much progress output goes to stderr.
@@ -106,7 +113,7 @@ pub fn log(level: Verbosity, target: &str, args: fmt::Arguments<'_>) {
     if level == Verbosity::Quiet || verbosity() >= level {
         eprintln!("[{target}] {args}");
     }
-    imp::sink_log(level, target, args);
+    sink_log(level, target, args);
 }
 
 /// Print a progress line; honours [`set_force_progress`] so `--progress`
@@ -115,7 +122,7 @@ pub fn progress(target: &str, args: fmt::Arguments<'_>) {
     if progress_active() {
         eprintln!("[{target}] {args}");
     }
-    imp::sink_log(Verbosity::Normal, target, args);
+    sink_log(Verbosity::Normal, target, args);
 }
 
 /// Log at [`Verbosity::Normal`]: `info!("suite", "ran {n} benchmarks")`.
@@ -152,7 +159,7 @@ macro_rules! progress {
 }
 
 // ---------------------------------------------------------------------------
-// Configuration and run report (always compiled)
+// Configuration and run report
 // ---------------------------------------------------------------------------
 
 /// Runtime configuration consumed by [`init`].
@@ -418,8 +425,8 @@ pub fn parse_vm_hwm(status: &str) -> Option<u64> {
 /// Peak resident-set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`), or `None` where the probe is unavailable
 /// (non-Linux, unreadable procfs, malformed or zero `VmHWM`). Unlike
-/// the counters this works even without the `enabled` feature: it reads
-/// the kernel's high-water mark, not obs state. Machine- and
+/// the counters this works with collection off: it reads the kernel's
+/// high-water mark, not obs state. Machine- and
 /// allocator-dependent — report it alongside wall-clock, never in
 /// sections a regression gate diffs.
 pub fn peak_rss_bytes() -> Option<u64> {
@@ -527,1035 +534,800 @@ pub fn hist_quantile(buckets: &[u64; HIST_BUCKETS], count: u64, q: f64, min: u64
 }
 
 // ---------------------------------------------------------------------------
-// Live implementation (feature `enabled`)
+// Collection (inert until `init` or `set_enabled` flips the runtime switch)
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::{
-        hist_bucket, hist_quantile, HistogramStat, ObsConfig, PhaseStat, Report, Verbosity,
-        WorkerStat, EVENTS_SCHEMA, HIST_BUCKETS,
-    };
-    use crate::json;
-    use std::cell::RefCell;
-    use std::collections::BTreeMap;
-    use std::fmt;
-    use std::fs::File;
-    use std::io::{self, BufWriter, Write};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Mutex, OnceLock, RwLock};
-    use std::time::Instant;
+static ENABLED: AtomicBool = AtomicBool::new(false);
+static EPOCH: OnceLock<Instant> = OnceLock::new();
+static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(0);
+static SPAN_TOTALS: Mutex<BTreeMap<&'static str, (u64, u128)>> = Mutex::new(BTreeMap::new());
+/// Per (span name, parent span name) aggregation feeding the
+/// self-profile tree; the `None` parent is a root (thread-local
+/// stack was empty when the span opened).
+type SpanEdgeMap = BTreeMap<(&'static str, Option<&'static str>), (u64, u128)>;
+static SPAN_EDGES: Mutex<SpanEdgeMap> = Mutex::new(BTreeMap::new());
+static COUNTERS: RwLock<BTreeMap<&'static str, &'static AtomicU64>> = RwLock::new(BTreeMap::new());
+/// Last-write-wins gauges. Same leaked-`AtomicU64` discipline as
+/// counters, but stores instead of adds.
+static GAUGES: RwLock<BTreeMap<&'static str, &'static AtomicU64>> = RwLock::new(BTreeMap::new());
+static WORKERS: Mutex<Vec<WorkerStat>> = Mutex::new(Vec::new());
+/// Live per-pool worker aggregates for the telemetry sampler:
+/// currently-open guards, cumulative busy nanoseconds, job count.
+static POOLS: RwLock<BTreeMap<&'static str, &'static PoolLive>> = RwLock::new(BTreeMap::new());
+static SINK: Mutex<Option<BufWriter<File>>> = Mutex::new(None);
+static HISTS: RwLock<BTreeMap<&'static str, &'static Hist>> = RwLock::new(BTreeMap::new());
+/// Span-duration histograms live in their own registry (reported
+/// under a `span.` name prefix) so they can never collide with an
+/// explicitly recorded histogram name.
+static SPAN_HISTS: RwLock<BTreeMap<&'static str, &'static Hist>> = RwLock::new(BTreeMap::new());
+static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(0);
-    static SPAN_TOTALS: Mutex<BTreeMap<&'static str, (u64, u128)>> = Mutex::new(BTreeMap::new());
-    /// Per (span name, parent span name) aggregation feeding the
-    /// self-profile tree; the `None` parent is a root (thread-local
-    /// stack was empty when the span opened).
-    type SpanEdgeMap = BTreeMap<(&'static str, Option<&'static str>), (u64, u128)>;
-    static SPAN_EDGES: Mutex<SpanEdgeMap> = Mutex::new(BTreeMap::new());
-    static COUNTERS: RwLock<BTreeMap<&'static str, &'static AtomicU64>> =
-        RwLock::new(BTreeMap::new());
-    /// Last-write-wins gauges. Same leaked-`AtomicU64` discipline as
-    /// counters, but stores instead of adds.
-    static GAUGES: RwLock<BTreeMap<&'static str, &'static AtomicU64>> =
-        RwLock::new(BTreeMap::new());
-    static WORKERS: Mutex<Vec<WorkerStat>> = Mutex::new(Vec::new());
-    /// Live per-pool worker aggregates for the telemetry sampler:
-    /// currently-open guards, cumulative busy nanoseconds, job count.
-    static POOLS: RwLock<BTreeMap<&'static str, &'static PoolLive>> = RwLock::new(BTreeMap::new());
-    static SINK: Mutex<Option<BufWriter<File>>> = Mutex::new(None);
-    static HISTS: RwLock<BTreeMap<&'static str, &'static Hist>> = RwLock::new(BTreeMap::new());
-    /// Span-duration histograms live in their own registry (reported
-    /// under a `span.` name prefix) so they can never collide with an
-    /// explicitly recorded histogram name.
-    static SPAN_HISTS: RwLock<BTreeMap<&'static str, &'static Hist>> = RwLock::new(BTreeMap::new());
-    static NEXT_TID: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Open spans on this thread: (id, name). Names ride along so a
+    /// closing span can attribute its duration to its parent *name*
+    /// for the self-profile without a global id lookup.
+    static SPAN_STACK: RefCell<Vec<(u64, &'static str)>> = const { RefCell::new(Vec::new()) };
+    /// Stable per-thread id for sink events (trace-track mapping).
+    static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+}
 
-    thread_local! {
-        /// Open spans on this thread: (id, name). Names ride along so a
-        /// closing span can attribute its duration to its parent *name*
-        /// for the self-profile without a global id lookup.
-        static SPAN_STACK: RefCell<Vec<(u64, &'static str)>> = const { RefCell::new(Vec::new()) };
-        /// Stable per-thread id for sink events (trace-track mapping).
-        static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+fn tid() -> u64 {
+    TID.with(|t| *t)
+}
+
+fn epoch() -> Instant {
+    *EPOCH.get_or_init(Instant::now)
+}
+
+pub(crate) fn t_us() -> u128 {
+    epoch().elapsed().as_micros()
+}
+
+/// One JSON object per line; flushed per line so a crash (or a
+/// concurrent reader) never sees a partial record. The whole line is
+/// written under the sink mutex, which is what guarantees `sample`
+/// events from the telemetry thread never tear lines emitted by
+/// scoped workers.
+pub(crate) fn emit(line: &str) {
+    let mut sink = SINK.lock().expect("obs sink poisoned");
+    if let Some(w) = sink.as_mut() {
+        let _ = writeln!(w, "{line}");
+        let _ = w.flush();
     }
+}
 
-    fn tid() -> u64 {
-        TID.with(|t| *t)
-    }
+/// Whether a JSONL sink is currently open.
+pub(crate) fn sink_open() -> bool {
+    SINK.lock().expect("obs sink poisoned").is_some()
+}
 
-    fn epoch() -> Instant {
-        *EPOCH.get_or_init(Instant::now)
-    }
-
-    pub(crate) fn t_us() -> u128 {
-        epoch().elapsed().as_micros()
-    }
-
-    /// One JSON object per line; flushed per line so a crash (or a
-    /// concurrent reader) never sees a partial record. The whole line is
-    /// written under the sink mutex, which is what guarantees `sample`
-    /// events from the telemetry thread never tear lines emitted by
-    /// scoped workers.
-    pub(crate) fn emit(line: &str) {
-        let mut sink = SINK.lock().expect("obs sink poisoned");
-        if let Some(w) = sink.as_mut() {
-            let _ = writeln!(w, "{line}");
-            let _ = w.flush();
-        }
-    }
-
-    /// Whether a JSONL sink is currently open.
-    pub(crate) fn sink_open() -> bool {
-        SINK.lock().expect("obs sink poisoned").is_some()
-    }
-
-    /// Install the runtime configuration: pin the epoch, open the JSONL
-    /// sink (if any), and flip the collection switch.
-    pub fn init(cfg: &ObsConfig) -> io::Result<()> {
-        let _ = epoch();
-        if let Some(path) = &cfg.sink {
-            if let Some(dir) = path.parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir)?;
-                }
+/// Install the runtime configuration: pin the epoch, open the JSONL
+/// sink (if any), and flip the collection switch.
+pub fn init(cfg: &ObsConfig) -> io::Result<()> {
+    let _ = epoch();
+    if let Some(path) = &cfg.sink {
+        if let Some(dir) = path.parent() {
+            if !dir.as_os_str().is_empty() {
+                std::fs::create_dir_all(dir)?;
             }
-            let file = File::create(path)?;
-            *SINK.lock().expect("obs sink poisoned") = Some(BufWriter::new(file));
         }
-        ENABLED.store(cfg.enabled, Ordering::Release);
-        emit(&format!(
-            "{{\"ev\":\"run_start\",\"schema\":\"{EVENTS_SCHEMA}\",\"t_us\":{}}}",
-            t_us()
-        ));
-        // Sample events go to the JSONL sink, so the sampler only runs
-        // when both an interval and a sink are configured.
-        if let (Some(ms), Some(_)) = (cfg.sample_ms, &cfg.sink) {
-            crate::telemetry::start_sampler(ms);
+        let file = File::create(path)?;
+        *SINK.lock().expect("obs sink poisoned") = Some(BufWriter::new(file));
+    }
+    ENABLED.store(cfg.enabled, Ordering::Release);
+    emit(&format!("{{\"ev\":\"run_start\",\"schema\":\"{EVENTS_SCHEMA}\",\"t_us\":{}}}", t_us()));
+    // Sample events go to the JSONL sink, so the sampler only runs
+    // when both an interval and a sink are configured.
+    if let (Some(ms), Some(_)) = (cfg.sample_ms, &cfg.sink) {
+        crate::telemetry::start_sampler(ms);
+    }
+    Ok(())
+}
+
+/// Flip the runtime collection switch.
+pub fn set_enabled(on: bool) {
+    ENABLED.store(on, Ordering::Release);
+}
+
+/// Whether collection is active (one relaxed load — this is the
+/// entire cost of an instrument call while disabled at runtime).
+#[inline]
+pub fn is_enabled() -> bool {
+    ENABLED.load(Ordering::Relaxed)
+}
+
+/// Add `delta` to the named counter. Registers the counter on first
+/// use; hot loops should batch locally and call this once per outer
+/// call.
+pub fn add(name: &'static str, delta: u64) {
+    if !is_enabled() {
+        return;
+    }
+    if let Some(c) = COUNTERS.read().expect("obs counters poisoned").get(name) {
+        c.fetch_add(delta, Ordering::Relaxed);
+        return;
+    }
+    let mut map = COUNTERS.write().expect("obs counters poisoned");
+    map.entry(name)
+        .or_insert_with(|| Box::leak(Box::new(AtomicU64::new(0))))
+        .fetch_add(delta, Ordering::Relaxed);
+}
+
+/// Current value of a named counter (0 if never touched).
+pub fn counter_value(name: &str) -> u64 {
+    COUNTERS
+        .read()
+        .expect("obs counters poisoned")
+        .get(name)
+        .map_or(0, |c| c.load(Ordering::Relaxed))
+}
+
+/// All counters and their totals, sorted by name.
+pub fn counters_snapshot() -> Vec<(String, u64)> {
+    COUNTERS
+        .read()
+        .expect("obs counters poisoned")
+        .iter()
+        .map(|(name, c)| (name.to_string(), c.load(Ordering::Relaxed)))
+        .collect()
+}
+
+/// Store `value` into the named gauge (last write wins). Registers
+/// the gauge on first use, like counters. Gauges move in both
+/// directions; nothing downstream may ever gate their *values*.
+pub fn gauge_set(name: &'static str, value: u64) {
+    if !is_enabled() {
+        return;
+    }
+    if let Some(g) = GAUGES.read().expect("obs gauges poisoned").get(name) {
+        g.store(value, Ordering::Relaxed);
+        return;
+    }
+    let mut map = GAUGES.write().expect("obs gauges poisoned");
+    map.entry(name)
+        .or_insert_with(|| Box::leak(Box::new(AtomicU64::new(0))))
+        .store(value, Ordering::Relaxed);
+}
+
+/// Last value written to a named gauge (0 if never written).
+pub fn gauge_value(name: &str) -> u64 {
+    GAUGES.read().expect("obs gauges poisoned").get(name).map_or(0, |g| g.load(Ordering::Relaxed))
+}
+
+/// All gauges and their last-written values, sorted by name.
+pub fn gauges_snapshot() -> Vec<(String, u64)> {
+    GAUGES
+        .read()
+        .expect("obs gauges poisoned")
+        .iter()
+        .map(|(name, g)| (name.to_string(), g.load(Ordering::Relaxed)))
+        .collect()
+}
+
+/// Live aggregates for one worker pool, updated as jobs run (not
+/// just when guards drop) so the telemetry sampler can report
+/// mid-run busy fractions.
+pub(crate) struct PoolLive {
+    live: AtomicU64,
+    busy_ns: AtomicU64,
+    jobs: AtomicU64,
+}
+
+fn pool_live_of(pool: &'static str) -> &'static PoolLive {
+    if let Some(p) = POOLS.read().expect("obs pools poisoned").get(pool) {
+        return p;
+    }
+    let mut map = POOLS.write().expect("obs pools poisoned");
+    map.entry(pool).or_insert_with(|| {
+        Box::leak(Box::new(PoolLive {
+            live: AtomicU64::new(0),
+            busy_ns: AtomicU64::new(0),
+            jobs: AtomicU64::new(0),
+        }))
+    })
+}
+
+/// Mid-run snapshot of every worker pool that has ever opened a
+/// guard, sorted by pool name.
+pub fn pool_live_snapshot() -> Vec<PoolLiveStat> {
+    POOLS
+        .read()
+        .expect("obs pools poisoned")
+        .iter()
+        .map(|(pool, p)| PoolLiveStat {
+            pool: pool.to_string(),
+            live: p.live.load(Ordering::Relaxed),
+            busy_ns: p.busy_ns.load(Ordering::Relaxed),
+            jobs: p.jobs.load(Ordering::Relaxed),
+        })
+        .collect()
+}
+
+/// One live histogram: lock-free log2 buckets plus count/sum and
+/// atomically maintained min/max. Leaked into `'static` on first
+/// use, like counters.
+struct Hist {
+    unit: &'static str,
+    buckets: [AtomicU64; HIST_BUCKETS],
+    count: AtomicU64,
+    sum: AtomicU64,
+    min: AtomicU64,
+    max: AtomicU64,
+}
+
+impl Hist {
+    fn new(unit: &'static str) -> Hist {
+        Hist {
+            unit,
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
         }
-        Ok(())
     }
 
-    /// Flip the runtime collection switch.
-    pub fn set_enabled(on: bool) {
-        ENABLED.store(on, Ordering::Release);
+    fn record(&self, value: u64) {
+        self.buckets[hist_bucket(value)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.min.fetch_min(value, Ordering::Relaxed);
+        self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Whether collection is active (one relaxed load — this is the
-    /// entire cost of an instrument call while disabled at runtime).
-    #[inline]
-    pub fn is_enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    /// Add `delta` to the named counter. Registers the counter on first
-    /// use; hot loops should batch locally and call this once per outer
-    /// call.
-    pub fn add(name: &'static str, delta: u64) {
-        if !is_enabled() {
-            return;
+    fn merge(&self, t: &HistTally) {
+        for (b, &c) in t.buckets.iter().enumerate() {
+            if c > 0 {
+                self.buckets[b].fetch_add(c, Ordering::Relaxed);
+            }
         }
-        if let Some(c) = COUNTERS.read().expect("obs counters poisoned").get(name) {
-            c.fetch_add(delta, Ordering::Relaxed);
-            return;
+        self.count.fetch_add(t.count, Ordering::Relaxed);
+        self.sum.fetch_add(t.sum, Ordering::Relaxed);
+        self.min.fetch_min(t.min, Ordering::Relaxed);
+        self.max.fetch_max(t.max, Ordering::Relaxed);
+    }
+
+    fn snapshot(&self, name: String) -> Option<HistogramStat> {
+        let count = self.count.load(Ordering::Relaxed);
+        if count == 0 {
+            return None;
         }
-        let mut map = COUNTERS.write().expect("obs counters poisoned");
-        map.entry(name)
-            .or_insert_with(|| Box::leak(Box::new(AtomicU64::new(0))))
-            .fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current value of a named counter (0 if never touched).
-    pub fn counter_value(name: &str) -> u64 {
-        COUNTERS
-            .read()
-            .expect("obs counters poisoned")
-            .get(name)
-            .map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-
-    /// All counters and their totals, sorted by name.
-    pub fn counters_snapshot() -> Vec<(String, u64)> {
-        COUNTERS
-            .read()
-            .expect("obs counters poisoned")
-            .iter()
-            .map(|(name, c)| (name.to_string(), c.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// Store `value` into the named gauge (last write wins). Registers
-    /// the gauge on first use, like counters. Gauges move in both
-    /// directions; nothing downstream may ever gate their *values*.
-    pub fn gauge_set(name: &'static str, value: u64) {
-        if !is_enabled() {
-            return;
+        let mut buckets = [0u64; HIST_BUCKETS];
+        for (b, c) in buckets.iter_mut().enumerate() {
+            *c = self.buckets[b].load(Ordering::Relaxed);
         }
-        if let Some(g) = GAUGES.read().expect("obs gauges poisoned").get(name) {
-            g.store(value, Ordering::Relaxed);
-            return;
-        }
-        let mut map = GAUGES.write().expect("obs gauges poisoned");
-        map.entry(name)
-            .or_insert_with(|| Box::leak(Box::new(AtomicU64::new(0))))
-            .store(value, Ordering::Relaxed);
-    }
-
-    /// Last value written to a named gauge (0 if never written).
-    pub fn gauge_value(name: &str) -> u64 {
-        GAUGES
-            .read()
-            .expect("obs gauges poisoned")
-            .get(name)
-            .map_or(0, |g| g.load(Ordering::Relaxed))
-    }
-
-    /// All gauges and their last-written values, sorted by name.
-    pub fn gauges_snapshot() -> Vec<(String, u64)> {
-        GAUGES
-            .read()
-            .expect("obs gauges poisoned")
-            .iter()
-            .map(|(name, g)| (name.to_string(), g.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// Live aggregates for one worker pool, updated as jobs run (not
-    /// just when guards drop) so the telemetry sampler can report
-    /// mid-run busy fractions.
-    pub(crate) struct PoolLive {
-        live: AtomicU64,
-        busy_ns: AtomicU64,
-        jobs: AtomicU64,
-    }
-
-    fn pool_live_of(pool: &'static str) -> &'static PoolLive {
-        if let Some(p) = POOLS.read().expect("obs pools poisoned").get(pool) {
-            return p;
-        }
-        let mut map = POOLS.write().expect("obs pools poisoned");
-        map.entry(pool).or_insert_with(|| {
-            Box::leak(Box::new(PoolLive {
-                live: AtomicU64::new(0),
-                busy_ns: AtomicU64::new(0),
-                jobs: AtomicU64::new(0),
-            }))
+        let min = self.min.load(Ordering::Relaxed);
+        let max = self.max.load(Ordering::Relaxed);
+        Some(HistogramStat {
+            name,
+            unit: self.unit.to_string(),
+            count,
+            sum: self.sum.load(Ordering::Relaxed),
+            min,
+            max,
+            p50: hist_quantile(&buckets, count, 0.50, min, max),
+            p90: hist_quantile(&buckets, count, 0.90, min, max),
+            p99: hist_quantile(&buckets, count, 0.99, min, max),
         })
     }
 
-    /// Mid-run snapshot of every worker pool that has ever opened a
-    /// guard, sorted by pool name.
-    pub fn pool_live_snapshot() -> Vec<super::PoolLiveStat> {
-        POOLS
-            .read()
-            .expect("obs pools poisoned")
-            .iter()
-            .map(|(pool, p)| super::PoolLiveStat {
-                pool: pool.to_string(),
-                live: p.live.load(Ordering::Relaxed),
-                busy_ns: p.busy_ns.load(Ordering::Relaxed),
-                jobs: p.jobs.load(Ordering::Relaxed),
-            })
-            .collect()
+    fn raw(&self, name: String) -> Option<HistBuckets> {
+        // Derive `count` from the bucket snapshot instead of the
+        // separate `count` cell: writers increment a bucket before
+        // `count`, so a concurrent mid-run read of `count` can lag
+        // the bucket total and render a `+Inf`/`_count` smaller
+        // than the last cumulative `le` bucket — which the strict
+        // exposition checker rejects as non-cumulative. At
+        // quiescence (finish-time reports) the two are equal.
+        let mut buckets = [0u64; HIST_BUCKETS];
+        for (b, c) in buckets.iter_mut().enumerate() {
+            *c = self.buckets[b].load(Ordering::Relaxed);
+        }
+        let count: u64 = buckets.iter().sum();
+        if count == 0 {
+            return None;
+        }
+        Some(HistBuckets {
+            name,
+            unit: self.unit.to_string(),
+            buckets,
+            count,
+            sum: self.sum.load(Ordering::Relaxed),
+        })
+    }
+}
+
+fn hist_of(
+    registry: &RwLock<BTreeMap<&'static str, &'static Hist>>,
+    name: &'static str,
+    unit: &'static str,
+) -> &'static Hist {
+    if let Some(h) = registry.read().expect("obs hists poisoned").get(name) {
+        return h;
+    }
+    let mut map = registry.write().expect("obs hists poisoned");
+    map.entry(name).or_insert_with(|| Box::leak(Box::new(Hist::new(unit))))
+}
+
+/// Local, unsynchronized histogram tally for hot loops: record into
+/// this on the stack, then [`hist_merge`] once per outer call.
+#[derive(Debug, Clone)]
+pub struct HistTally {
+    buckets: [u64; HIST_BUCKETS],
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+}
+
+impl HistTally {
+    /// An empty tally.
+    pub fn new() -> HistTally {
+        HistTally { buckets: [0; HIST_BUCKETS], count: 0, sum: 0, min: u64::MAX, max: 0 }
     }
 
-    /// One live histogram: lock-free log2 buckets plus count/sum and
-    /// atomically maintained min/max. Leaked into `'static` on first
-    /// use, like counters.
-    struct Hist {
-        unit: &'static str,
-        buckets: [AtomicU64; HIST_BUCKETS],
-        count: AtomicU64,
-        sum: AtomicU64,
-        min: AtomicU64,
-        max: AtomicU64,
+    /// Record one value (no atomics, no branches on the obs switch —
+    /// guard the loop with [`is_enabled`] instead).
+    #[inline]
+    pub fn record(&mut self, value: u64) {
+        self.buckets[hist_bucket(value)] += 1;
+        self.count += 1;
+        self.sum = self.sum.saturating_add(value);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
     }
 
-    impl Hist {
-        fn new(unit: &'static str) -> Hist {
-            Hist {
-                unit,
-                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                min: AtomicU64::new(u64::MAX),
-                max: AtomicU64::new(0),
+    /// Number of values recorded so far.
+    #[inline]
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// True when nothing has been recorded.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+}
+
+impl Default for HistTally {
+    fn default() -> HistTally {
+        HistTally::new()
+    }
+}
+
+/// Record one value into the named histogram. Registers it (with
+/// `unit`) on first use; hot loops should use a [`HistTally`] and
+/// [`hist_merge`] instead.
+pub fn hist_record(name: &'static str, unit: &'static str, value: u64) {
+    if !is_enabled() {
+        return;
+    }
+    hist_of(&HISTS, name, unit).record(value);
+}
+
+/// Merge a local [`HistTally`] into the named histogram (one batch
+/// of atomic adds per bucket touched). Empty tallies are free.
+pub fn hist_merge(name: &'static str, unit: &'static str, tally: &HistTally) {
+    if !is_enabled() || tally.count == 0 {
+        return;
+    }
+    hist_of(&HISTS, name, unit).merge(tally);
+}
+
+/// Summaries of all non-empty histograms, sorted by name.
+/// Span-duration histograms appear with a `span.` name prefix.
+pub fn histograms_snapshot() -> Vec<HistogramStat> {
+    let mut out: Vec<HistogramStat> = Vec::new();
+    for (name, h) in HISTS.read().expect("obs hists poisoned").iter() {
+        if let Some(s) = h.snapshot(name.to_string()) {
+            out.push(s);
+        }
+    }
+    for (name, h) in SPAN_HISTS.read().expect("obs hists poisoned").iter() {
+        if let Some(s) = h.snapshot(format!("span.{name}")) {
+            out.push(s);
+        }
+    }
+    out.sort_by(|a, b| a.name.cmp(&b.name));
+    out
+}
+
+/// Raw bucket counts of all non-empty histograms, sorted by name
+/// (the `/metrics` exposition needs per-bucket counts, not
+/// quantile summaries).
+pub fn hist_buckets_snapshot() -> Vec<HistBuckets> {
+    let mut out: Vec<HistBuckets> = Vec::new();
+    for (name, h) in HISTS.read().expect("obs hists poisoned").iter() {
+        if let Some(s) = h.raw(name.to_string()) {
+            out.push(s);
+        }
+    }
+    for (name, h) in SPAN_HISTS.read().expect("obs hists poisoned").iter() {
+        if let Some(s) = h.raw(format!("span.{name}")) {
+            out.push(s);
+        }
+    }
+    out.sort_by(|a, b| a.name.cmp(&b.name));
+    out
+}
+
+/// The self-profile call-tree edges observed so far: one row per
+/// (span name, parent span name) pair with its call count and total
+/// wall seconds. Roots (spans opened with an empty per-thread span
+/// stack — including every span opened on a scoped worker thread
+/// other than a [`crate::pool`] helper) have `parent == None`.
+pub fn span_edges_snapshot() -> Vec<crate::selfprofile::RawEdge> {
+    SPAN_EDGES
+        .lock()
+        .expect("obs span edges poisoned")
+        .iter()
+        .map(|((name, parent), (calls, ns))| crate::selfprofile::RawEdge {
+            name: name.to_string(),
+            parent: parent.map(|p| p.to_string()),
+            calls: *calls,
+            total_s: *ns as f64 / 1e9,
+        })
+        .collect()
+}
+
+/// RAII timing guard returned by [`span`] / [`span_labeled`].
+#[must_use]
+pub struct Span {
+    inner: Option<SpanInner>,
+}
+
+struct SpanInner {
+    name: &'static str,
+    label: Option<String>,
+    id: u64,
+    parent: Option<u64>,
+    parent_name: Option<&'static str>,
+    start: u128,
+    begin: Instant,
+}
+
+impl Span {
+    /// The span's globally unique id (0 when collection is off).
+    pub fn id(&self) -> u64 {
+        self.inner.as_ref().map_or(0, |i| i.id)
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        let Some(inner) = self.inner.take() else { return };
+        let dur = inner.begin.elapsed();
+        SPAN_STACK.with(|s| {
+            let mut stack = s.borrow_mut();
+            if stack.last().map(|&(id, _)| id) == Some(inner.id) {
+                stack.pop();
             }
+        });
+        {
+            let mut totals = SPAN_TOTALS.lock().expect("obs spans poisoned");
+            let entry = totals.entry(inner.name).or_insert((0, 0));
+            entry.0 += 1;
+            entry.1 += dur.as_nanos();
         }
-
-        fn record(&self, value: u64) {
-            self.buckets[hist_bucket(value)].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(value, Ordering::Relaxed);
-            self.min.fetch_min(value, Ordering::Relaxed);
-            self.max.fetch_max(value, Ordering::Relaxed);
+        {
+            let mut edges = SPAN_EDGES.lock().expect("obs span edges poisoned");
+            let entry = edges.entry((inner.name, inner.parent_name)).or_insert((0, 0));
+            entry.0 += 1;
+            entry.1 += dur.as_nanos();
         }
-
-        fn merge(&self, t: &HistTally) {
-            for (b, &c) in t.buckets.iter().enumerate() {
-                if c > 0 {
-                    self.buckets[b].fetch_add(c, Ordering::Relaxed);
-                }
-            }
-            self.count.fetch_add(t.count, Ordering::Relaxed);
-            self.sum.fetch_add(t.sum, Ordering::Relaxed);
-            self.min.fetch_min(t.min, Ordering::Relaxed);
-            self.max.fetch_max(t.max, Ordering::Relaxed);
-        }
-
-        fn snapshot(&self, name: String) -> Option<HistogramStat> {
-            let count = self.count.load(Ordering::Relaxed);
-            if count == 0 {
-                return None;
-            }
-            let mut buckets = [0u64; HIST_BUCKETS];
-            for (b, c) in buckets.iter_mut().enumerate() {
-                *c = self.buckets[b].load(Ordering::Relaxed);
-            }
-            let min = self.min.load(Ordering::Relaxed);
-            let max = self.max.load(Ordering::Relaxed);
-            Some(HistogramStat {
-                name,
-                unit: self.unit.to_string(),
-                count,
-                sum: self.sum.load(Ordering::Relaxed),
-                min,
-                max,
-                p50: hist_quantile(&buckets, count, 0.50, min, max),
-                p90: hist_quantile(&buckets, count, 0.90, min, max),
-                p99: hist_quantile(&buckets, count, 0.99, min, max),
-            })
-        }
-
-        fn raw(&self, name: String) -> Option<super::HistBuckets> {
-            // Derive `count` from the bucket snapshot instead of the
-            // separate `count` cell: writers increment a bucket before
-            // `count`, so a concurrent mid-run read of `count` can lag
-            // the bucket total and render a `+Inf`/`_count` smaller
-            // than the last cumulative `le` bucket — which the strict
-            // exposition checker rejects as non-cumulative. At
-            // quiescence (finish-time reports) the two are equal.
-            let mut buckets = [0u64; HIST_BUCKETS];
-            for (b, c) in buckets.iter_mut().enumerate() {
-                *c = self.buckets[b].load(Ordering::Relaxed);
-            }
-            let count: u64 = buckets.iter().sum();
-            if count == 0 {
-                return None;
-            }
-            Some(super::HistBuckets {
-                name,
-                unit: self.unit.to_string(),
-                buckets,
-                count,
-                sum: self.sum.load(Ordering::Relaxed),
-            })
-        }
+        hist_of(&SPAN_HISTS, inner.name, "us").record(dur.as_micros() as u64);
+        let label = inner
+            .label
+            .as_deref()
+            .map(|l| format!(",\"label\":\"{}\"", json::escape(l)))
+            .unwrap_or_default();
+        let parent = inner.parent.map(|p| p.to_string()).unwrap_or_else(|| "null".into());
+        emit(&format!(
+            "{{\"ev\":\"span\",\"name\":\"{}\",\"id\":{},\"parent\":{},\"tid\":{},\
+             \"t_us\":{},\"dur_us\":{}{}}}",
+            json::escape(inner.name),
+            inner.id,
+            parent,
+            tid(),
+            inner.start,
+            dur.as_micros(),
+            label,
+        ));
     }
+}
 
-    fn hist_of(
-        registry: &RwLock<BTreeMap<&'static str, &'static Hist>>,
-        name: &'static str,
-        unit: &'static str,
-    ) -> &'static Hist {
-        if let Some(h) = registry.read().expect("obs hists poisoned").get(name) {
-            return h;
-        }
-        let mut map = registry.write().expect("obs hists poisoned");
-        map.entry(name).or_insert_with(|| Box::leak(Box::new(Hist::new(unit))))
+fn open_span(name: &'static str, label: Option<String>) -> Span {
+    if !is_enabled() {
+        return Span { inner: None };
     }
-
-    /// Local, unsynchronized histogram tally for hot loops: record into
-    /// this on the stack, then [`hist_merge`] once per outer call.
-    #[derive(Debug, Clone)]
-    pub struct HistTally {
-        buckets: [u64; HIST_BUCKETS],
-        count: u64,
-        sum: u64,
-        min: u64,
-        max: u64,
+    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed) + 1;
+    let (parent, parent_name) = SPAN_STACK.with(|s| {
+        let mut stack = s.borrow_mut();
+        let parent = stack.last().map(|&(id, _)| id);
+        let parent_name = stack.last().map(|&(_, name)| name);
+        stack.push((id, name));
+        (parent, parent_name)
+    });
+    Span {
+        inner: Some(SpanInner {
+            name,
+            label,
+            id,
+            parent,
+            parent_name,
+            start: t_us(),
+            begin: Instant::now(),
+        }),
     }
+}
 
-    impl HistTally {
-        /// An empty tally.
-        pub fn new() -> HistTally {
-            HistTally { buckets: [0; HIST_BUCKETS], count: 0, sum: 0, min: u64::MAX, max: 0 }
-        }
+/// Open a named timing span; closes (and records) on drop.
+pub fn span(name: &'static str) -> Span {
+    open_span(name, None)
+}
 
-        /// Record one value (no atomics, no branches on the obs switch —
-        /// guard the loop with [`is_enabled`] instead).
-        #[inline]
-        pub fn record(&mut self, value: u64) {
-            self.buckets[hist_bucket(value)] += 1;
-            self.count += 1;
-            self.sum = self.sum.saturating_add(value);
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-        }
-
-        /// Number of values recorded so far.
-        #[inline]
-        pub fn count(&self) -> u64 {
-            self.count
-        }
-
-        /// True when nothing has been recorded.
-        #[inline]
-        pub fn is_empty(&self) -> bool {
-            self.count == 0
-        }
+/// Open a span with a dynamic label (e.g. a benchmark name); totals
+/// aggregate under the static `name`, the label goes to the sink.
+pub fn span_labeled(name: &'static str, label: &str) -> Span {
+    if !is_enabled() {
+        return Span { inner: None };
     }
+    open_span(name, Some(label.to_string()))
+}
 
-    impl Default for HistTally {
-        fn default() -> HistTally {
-            HistTally::new()
-        }
+/// The calling thread's innermost open span, for a helper thread to
+/// adopt as the parent of the spans it opens.
+#[derive(Clone, Copy)]
+pub(crate) struct SpanParent(Option<(u64, &'static str)>);
+
+pub(crate) fn current_span() -> SpanParent {
+    SpanParent(SPAN_STACK.with(|s| s.borrow().last().copied()))
+}
+
+/// Guard returned by [`adopt_span`]: the adopted parent stays at the
+/// bottom of this thread's span stack until it drops.
+pub(crate) struct Adopted(Option<u64>);
+
+/// Make `parent` the parent of the spans this thread opens next, as
+/// if they had been opened on the thread that owns it.
+pub(crate) fn adopt_span(parent: SpanParent) -> Adopted {
+    if let Some(top) = parent.0 {
+        SPAN_STACK.with(|s| s.borrow_mut().push(top));
     }
+    Adopted(parent.0.map(|(id, _)| id))
+}
 
-    /// Record one value into the named histogram. Registers it (with
-    /// `unit`) on first use; hot loops should use a [`HistTally`] and
-    /// [`hist_merge`] instead.
-    pub fn hist_record(name: &'static str, unit: &'static str, value: u64) {
-        if !is_enabled() {
-            return;
-        }
-        hist_of(&HISTS, name, unit).record(value);
-    }
-
-    /// Merge a local [`HistTally`] into the named histogram (one batch
-    /// of atomic adds per bucket touched). Empty tallies are free.
-    pub fn hist_merge(name: &'static str, unit: &'static str, tally: &HistTally) {
-        if !is_enabled() || tally.count == 0 {
-            return;
-        }
-        hist_of(&HISTS, name, unit).merge(tally);
-    }
-
-    /// Summaries of all non-empty histograms, sorted by name.
-    /// Span-duration histograms appear with a `span.` name prefix.
-    pub fn histograms_snapshot() -> Vec<HistogramStat> {
-        let mut out: Vec<HistogramStat> = Vec::new();
-        for (name, h) in HISTS.read().expect("obs hists poisoned").iter() {
-            if let Some(s) = h.snapshot(name.to_string()) {
-                out.push(s);
-            }
-        }
-        for (name, h) in SPAN_HISTS.read().expect("obs hists poisoned").iter() {
-            if let Some(s) = h.snapshot(format!("span.{name}")) {
-                out.push(s);
-            }
-        }
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
-    }
-
-    /// Raw bucket counts of all non-empty histograms, sorted by name
-    /// (the `/metrics` exposition needs per-bucket counts, not
-    /// quantile summaries).
-    pub fn hist_buckets_snapshot() -> Vec<super::HistBuckets> {
-        let mut out: Vec<super::HistBuckets> = Vec::new();
-        for (name, h) in HISTS.read().expect("obs hists poisoned").iter() {
-            if let Some(s) = h.raw(name.to_string()) {
-                out.push(s);
-            }
-        }
-        for (name, h) in SPAN_HISTS.read().expect("obs hists poisoned").iter() {
-            if let Some(s) = h.raw(format!("span.{name}")) {
-                out.push(s);
-            }
-        }
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
-    }
-
-    /// The self-profile call-tree edges observed so far: one row per
-    /// (span name, parent span name) pair with its call count and total
-    /// wall seconds. Roots (spans opened with an empty per-thread span
-    /// stack — including every span opened on a scoped worker thread
-    /// other than a [`crate::pool`] helper) have `parent == None`.
-    pub fn span_edges_snapshot() -> Vec<crate::selfprofile::RawEdge> {
-        SPAN_EDGES
-            .lock()
-            .expect("obs span edges poisoned")
-            .iter()
-            .map(|((name, parent), (calls, ns))| crate::selfprofile::RawEdge {
-                name: name.to_string(),
-                parent: parent.map(|p| p.to_string()),
-                calls: *calls,
-                total_s: *ns as f64 / 1e9,
-            })
-            .collect()
-    }
-
-    /// RAII timing guard returned by [`span`] / [`span_labeled`].
-    #[must_use]
-    pub struct Span {
-        inner: Option<SpanInner>,
-    }
-
-    struct SpanInner {
-        name: &'static str,
-        label: Option<String>,
-        id: u64,
-        parent: Option<u64>,
-        parent_name: Option<&'static str>,
-        start: u128,
-        begin: Instant,
-    }
-
-    impl Span {
-        /// The span's globally unique id (0 when collection is off).
-        pub fn id(&self) -> u64 {
-            self.inner.as_ref().map_or(0, |i| i.id)
-        }
-    }
-
-    impl Drop for Span {
-        fn drop(&mut self) {
-            let Some(inner) = self.inner.take() else { return };
-            let dur = inner.begin.elapsed();
+impl Drop for Adopted {
+    fn drop(&mut self) {
+        if let Some(id) = self.0 {
             SPAN_STACK.with(|s| {
                 let mut stack = s.borrow_mut();
-                if stack.last().map(|&(id, _)| id) == Some(inner.id) {
+                if stack.last().map(|&(top, _)| top) == Some(id) {
                     stack.pop();
                 }
             });
-            {
-                let mut totals = SPAN_TOTALS.lock().expect("obs spans poisoned");
-                let entry = totals.entry(inner.name).or_insert((0, 0));
-                entry.0 += 1;
-                entry.1 += dur.as_nanos();
-            }
-            {
-                let mut edges = SPAN_EDGES.lock().expect("obs span edges poisoned");
-                let entry = edges.entry((inner.name, inner.parent_name)).or_insert((0, 0));
-                entry.0 += 1;
-                entry.1 += dur.as_nanos();
-            }
-            hist_of(&SPAN_HISTS, inner.name, "us").record(dur.as_micros() as u64);
-            let label = inner
-                .label
-                .as_deref()
-                .map(|l| format!(",\"label\":\"{}\"", json::escape(l)))
-                .unwrap_or_default();
-            let parent = inner.parent.map(|p| p.to_string()).unwrap_or_else(|| "null".into());
-            emit(&format!(
-                "{{\"ev\":\"span\",\"name\":\"{}\",\"id\":{},\"parent\":{},\"tid\":{},\
-                 \"t_us\":{},\"dur_us\":{}{}}}",
-                json::escape(inner.name),
-                inner.id,
-                parent,
-                tid(),
-                inner.start,
-                dur.as_micros(),
-                label,
-            ));
         }
     }
+}
 
-    fn open_span(name: &'static str, label: Option<String>) -> Span {
-        if !is_enabled() {
-            return Span { inner: None };
-        }
-        let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed) + 1;
-        let (parent, parent_name) = SPAN_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            let parent = stack.last().map(|&(id, _)| id);
-            let parent_name = stack.last().map(|&(_, name)| name);
-            stack.push((id, name));
-            (parent, parent_name)
-        });
-        Span {
-            inner: Some(SpanInner {
-                name,
-                label,
-                id,
-                parent,
-                parent_name,
-                start: t_us(),
-                begin: Instant::now(),
-            }),
-        }
-    }
+/// Per-worker utilization guard returned by [`worker`].
+#[must_use]
+pub struct Worker {
+    inner: Option<WorkerInner>,
+}
 
-    /// Open a named timing span; closes (and records) on drop.
-    pub fn span(name: &'static str) -> Span {
-        open_span(name, None)
-    }
+struct WorkerInner {
+    pool: &'static str,
+    index: usize,
+    created: Instant,
+    busy_ns: u128,
+    jobs: u64,
+    live: &'static PoolLive,
+}
 
-    /// Open a span with a dynamic label (e.g. a benchmark name); totals
-    /// aggregate under the static `name`, the label goes to the sink.
-    pub fn span_labeled(name: &'static str, label: &str) -> Span {
-        if !is_enabled() {
-            return Span { inner: None };
-        }
-        open_span(name, Some(label.to_string()))
-    }
-
-    /// The calling thread's innermost open span, for a helper thread to
-    /// adopt as the parent of the spans it opens.
-    #[derive(Clone, Copy)]
-    pub(crate) struct SpanParent(Option<(u64, &'static str)>);
-
-    pub(crate) fn current_span() -> SpanParent {
-        SpanParent(SPAN_STACK.with(|s| s.borrow().last().copied()))
-    }
-
-    /// Guard returned by [`adopt_span`]: the adopted parent stays at the
-    /// bottom of this thread's span stack until it drops.
-    pub(crate) struct Adopted(Option<u64>);
-
-    /// Make `parent` the parent of the spans this thread opens next, as
-    /// if they had been opened on the thread that owns it.
-    pub(crate) fn adopt_span(parent: SpanParent) -> Adopted {
-        if let Some(top) = parent.0 {
-            SPAN_STACK.with(|s| s.borrow_mut().push(top));
-        }
-        Adopted(parent.0.map(|(id, _)| id))
-    }
-
-    impl Drop for Adopted {
-        fn drop(&mut self) {
-            if let Some(id) = self.0 {
-                SPAN_STACK.with(|s| {
-                    let mut stack = s.borrow_mut();
-                    if stack.last().map(|&(top, _)| top) == Some(id) {
-                        stack.pop();
-                    }
-                });
+impl Worker {
+    /// Run one job under this worker, timing it as busy work.
+    pub fn busy<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        match &mut self.inner {
+            None => f(),
+            Some(w) => {
+                let begin = Instant::now();
+                let r = f();
+                let ns = begin.elapsed().as_nanos();
+                w.busy_ns += ns;
+                w.jobs += 1;
+                w.live.busy_ns.fetch_add(ns as u64, Ordering::Relaxed);
+                w.live.jobs.fetch_add(1, Ordering::Relaxed);
+                r
             }
         }
     }
+}
 
-    /// Per-worker utilization guard returned by [`worker`].
-    #[must_use]
-    pub struct Worker {
-        inner: Option<WorkerInner>,
-    }
-
-    struct WorkerInner {
-        pool: &'static str,
-        index: usize,
-        created: Instant,
-        busy_ns: u128,
-        jobs: u64,
-        live: &'static PoolLive,
-    }
-
-    impl Worker {
-        /// Run one job under this worker, timing it as busy work.
-        pub fn busy<R>(&mut self, f: impl FnOnce() -> R) -> R {
-            match &mut self.inner {
-                None => f(),
-                Some(w) => {
-                    let begin = Instant::now();
-                    let r = f();
-                    let ns = begin.elapsed().as_nanos();
-                    w.busy_ns += ns;
-                    w.jobs += 1;
-                    w.live.busy_ns.fetch_add(ns as u64, Ordering::Relaxed);
-                    w.live.jobs.fetch_add(1, Ordering::Relaxed);
-                    r
-                }
-            }
-        }
-    }
-
-    impl Drop for Worker {
-        fn drop(&mut self) {
-            let Some(w) = self.inner.take() else { return };
-            w.live.live.fetch_sub(1, Ordering::Relaxed);
-            let wall = w.created.elapsed();
-            let wall_s = wall.as_secs_f64();
-            let busy_s = w.busy_ns as f64 / 1e9;
-            let stat = WorkerStat {
-                pool: w.pool.to_string(),
-                index: w.index,
-                busy_s,
-                wall_s,
-                jobs: w.jobs,
-                busy_fraction: if wall_s > 0.0 { busy_s / wall_s } else { 0.0 },
-            };
-            emit(&format!(
-                "{{\"ev\":\"worker\",\"pool\":\"{}\",\"index\":{},\"tid\":{},\"busy_us\":{},\
-                 \"wall_us\":{},\"jobs\":{}}}",
-                json::escape(w.pool),
-                w.index,
-                tid(),
-                w.busy_ns / 1_000,
-                wall.as_micros(),
-                w.jobs,
-            ));
-            WORKERS.lock().expect("obs workers poisoned").push(stat);
-        }
-    }
-
-    /// Open a utilization guard for worker `index` of `pool`; records
-    /// busy/wall time and job count on drop.
-    pub fn worker(pool: &'static str, index: usize) -> Worker {
-        if !is_enabled() {
-            return Worker { inner: None };
-        }
-        let live = pool_live_of(pool);
-        live.live.fetch_add(1, Ordering::Relaxed);
-        Worker {
-            inner: Some(WorkerInner {
-                pool,
-                index,
-                created: Instant::now(),
-                busy_ns: 0,
-                jobs: 0,
-                live,
-            }),
-        }
-    }
-
-    /// Mirror a log line into the JSONL sink.
-    pub fn sink_log(level: Verbosity, target: &str, args: fmt::Arguments<'_>) {
-        if !is_enabled() {
-            return;
-        }
-        // Cheap pre-check: skip formatting entirely when no sink is open.
-        if SINK.lock().expect("obs sink poisoned").is_none() {
-            return;
-        }
-        let level = match level {
-            Verbosity::Quiet => "error",
-            Verbosity::Normal => "info",
-            Verbosity::Verbose => "debug",
+impl Drop for Worker {
+    fn drop(&mut self) {
+        let Some(w) = self.inner.take() else { return };
+        w.live.live.fetch_sub(1, Ordering::Relaxed);
+        let wall = w.created.elapsed();
+        let wall_s = wall.as_secs_f64();
+        let busy_s = w.busy_ns as f64 / 1e9;
+        let stat = WorkerStat {
+            pool: w.pool.to_string(),
+            index: w.index,
+            busy_s,
+            wall_s,
+            jobs: w.jobs,
+            busy_fraction: if wall_s > 0.0 { busy_s / wall_s } else { 0.0 },
         };
         emit(&format!(
-            "{{\"ev\":\"log\",\"t_us\":{},\"tid\":{},\"level\":\"{level}\",\"target\":\"{}\",\
-             \"msg\":\"{}\"}}",
-            t_us(),
+            "{{\"ev\":\"worker\",\"pool\":\"{}\",\"index\":{},\"tid\":{},\"busy_us\":{},\
+             \"wall_us\":{},\"jobs\":{}}}",
+            json::escape(w.pool),
+            w.index,
             tid(),
-            json::escape(target),
-            json::escape(&args.to_string()),
+            w.busy_ns / 1_000,
+            wall.as_micros(),
+            w.jobs,
+        ));
+        WORKERS.lock().expect("obs workers poisoned").push(stat);
+    }
+}
+
+/// Open a utilization guard for worker `index` of `pool`; records
+/// busy/wall time and job count on drop.
+pub fn worker(pool: &'static str, index: usize) -> Worker {
+    if !is_enabled() {
+        return Worker { inner: None };
+    }
+    let live = pool_live_of(pool);
+    live.live.fetch_add(1, Ordering::Relaxed);
+    Worker {
+        inner: Some(WorkerInner {
+            pool,
+            index,
+            created: Instant::now(),
+            busy_ns: 0,
+            jobs: 0,
+            live,
+        }),
+    }
+}
+
+/// Mirror a log line into the JSONL sink.
+fn sink_log(level: Verbosity, target: &str, args: fmt::Arguments<'_>) {
+    if !is_enabled() {
+        return;
+    }
+    // Cheap pre-check: skip formatting entirely when no sink is open.
+    if SINK.lock().expect("obs sink poisoned").is_none() {
+        return;
+    }
+    let level = match level {
+        Verbosity::Quiet => "error",
+        Verbosity::Normal => "info",
+        Verbosity::Verbose => "debug",
+    };
+    emit(&format!(
+        "{{\"ev\":\"log\",\"t_us\":{},\"tid\":{},\"level\":\"{level}\",\"target\":\"{}\",\
+         \"msg\":\"{}\"}}",
+        t_us(),
+        tid(),
+        json::escape(target),
+        json::escape(&args.to_string()),
+    ));
+}
+
+/// Emit a `counters` snapshot event (all counter totals at this
+/// instant) to the sink. The trace exporter derives counter-series
+/// tracks (e.g. cache hit rates) from successive snapshots.
+pub fn emit_counters_snapshot() {
+    if !is_enabled() {
+        return;
+    }
+    if SINK.lock().expect("obs sink poisoned").is_none() {
+        return;
+    }
+    let body = counters_snapshot()
+        .iter()
+        .map(|(name, value)| format!("\"{}\":{value}", json::escape(name)))
+        .collect::<Vec<_>>()
+        .join(",");
+    emit(&format!("{{\"ev\":\"counters\",\"t_us\":{},\"counters\":{{{body}}}}}", t_us()));
+}
+
+/// Aggregate everything collected so far into a [`Report`].
+pub fn report() -> Report {
+    let phases: Vec<PhaseStat> = SPAN_TOTALS
+        .lock()
+        .expect("obs spans poisoned")
+        .iter()
+        .map(|(name, (count, ns))| PhaseStat {
+            name: name.to_string(),
+            count: *count,
+            total_s: *ns as f64 / 1e9,
+        })
+        .collect();
+    let workers = WORKERS.lock().expect("obs workers poisoned").clone();
+    let histograms = histograms_snapshot();
+    let edges = span_edges_snapshot();
+    let self_profile = if phases.is_empty() {
+        None
+    } else {
+        Some(crate::selfprofile::build(&phases, &histograms, &workers, &edges))
+    };
+    Report {
+        wall_s: epoch().elapsed().as_secs_f64(),
+        phases,
+        workers,
+        counters: counters_snapshot(),
+        gauges: gauges_snapshot(),
+        histograms,
+        self_profile,
+    }
+}
+
+/// Stop the telemetry sampler (which emits one final `sample`
+/// event), then emit one `hist` summary event per non-empty
+/// histogram, the final `run_end` event, and flush the sink.
+pub fn finish() {
+    crate::telemetry::stop_sampler();
+    for h in histograms_snapshot() {
+        emit(&format!(
+            "{{\"ev\":\"hist\",\"t_us\":{},\"name\":\"{}\",\"unit\":\"{}\",\"count\":{},\
+             \"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
+            t_us(),
+            json::escape(&h.name),
+            json::escape(&h.unit),
+            h.count,
+            h.sum,
+            h.min,
+            h.max,
+            h.p50,
+            h.p90,
+            h.p99,
         ));
     }
-
-    /// Emit a `counters` snapshot event (all counter totals at this
-    /// instant) to the sink. The trace exporter derives counter-series
-    /// tracks (e.g. cache hit rates) from successive snapshots.
-    pub fn emit_counters_snapshot() {
-        if !is_enabled() {
-            return;
-        }
-        if SINK.lock().expect("obs sink poisoned").is_none() {
-            return;
-        }
-        let body = counters_snapshot()
-            .iter()
-            .map(|(name, value)| format!("\"{}\":{value}", json::escape(name)))
-            .collect::<Vec<_>>()
-            .join(",");
-        emit(&format!("{{\"ev\":\"counters\",\"t_us\":{},\"counters\":{{{body}}}}}", t_us()));
+    emit(&format!("{{\"ev\":\"run_end\",\"t_us\":{}}}", t_us()));
+    let mut sink = SINK.lock().expect("obs sink poisoned");
+    if let Some(w) = sink.as_mut() {
+        let _ = w.flush();
     }
+}
 
-    /// Aggregate everything collected so far into a [`Report`].
-    pub fn report() -> Report {
-        let phases: Vec<PhaseStat> = SPAN_TOTALS
-            .lock()
-            .expect("obs spans poisoned")
-            .iter()
-            .map(|(name, (count, ns))| PhaseStat {
-                name: name.to_string(),
-                count: *count,
-                total_s: *ns as f64 / 1e9,
-            })
-            .collect();
-        let workers = WORKERS.lock().expect("obs workers poisoned").clone();
-        let histograms = histograms_snapshot();
-        let edges = span_edges_snapshot();
-        let self_profile = if phases.is_empty() {
-            None
-        } else {
-            Some(crate::selfprofile::build(&phases, &histograms, &workers, &edges))
-        };
-        Report {
-            wall_s: epoch().elapsed().as_secs_f64(),
-            phases,
-            workers,
-            counters: counters_snapshot(),
-            gauges: gauges_snapshot(),
-            histograms,
-            self_profile,
-        }
+/// Reset all global state. Test-only: not part of the public
+/// contract, and racy against concurrent instrumented threads.
+#[doc(hidden)]
+pub fn reset_for_tests() {
+    crate::telemetry::reset_for_tests();
+    ENABLED.store(false, Ordering::Release);
+    SPAN_TOTALS.lock().expect("obs spans poisoned").clear();
+    SPAN_EDGES.lock().expect("obs span edges poisoned").clear();
+    for (_, c) in COUNTERS.read().expect("obs counters poisoned").iter() {
+        c.store(0, Ordering::Relaxed);
     }
-
-    /// Stop the telemetry sampler (which emits one final `sample`
-    /// event), then emit one `hist` summary event per non-empty
-    /// histogram, the final `run_end` event, and flush the sink.
-    pub fn finish() {
-        crate::telemetry::stop_sampler();
-        for h in histograms_snapshot() {
-            emit(&format!(
-                "{{\"ev\":\"hist\",\"t_us\":{},\"name\":\"{}\",\"unit\":\"{}\",\"count\":{},\
-                 \"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-                t_us(),
-                json::escape(&h.name),
-                json::escape(&h.unit),
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                h.p50,
-                h.p90,
-                h.p99,
-            ));
-        }
-        emit(&format!("{{\"ev\":\"run_end\",\"t_us\":{}}}", t_us()));
-        let mut sink = SINK.lock().expect("obs sink poisoned");
-        if let Some(w) = sink.as_mut() {
-            let _ = w.flush();
-        }
+    for (_, g) in GAUGES.read().expect("obs gauges poisoned").iter() {
+        g.store(0, Ordering::Relaxed);
     }
-
-    /// Reset all global state. Test-only: not part of the public
-    /// contract, and racy against concurrent instrumented threads.
-    #[doc(hidden)]
-    pub fn reset_for_tests() {
-        crate::telemetry::reset_for_tests();
-        ENABLED.store(false, Ordering::Release);
-        SPAN_TOTALS.lock().expect("obs spans poisoned").clear();
-        SPAN_EDGES.lock().expect("obs span edges poisoned").clear();
-        for (_, c) in COUNTERS.read().expect("obs counters poisoned").iter() {
-            c.store(0, Ordering::Relaxed);
-        }
-        for (_, g) in GAUGES.read().expect("obs gauges poisoned").iter() {
-            g.store(0, Ordering::Relaxed);
-        }
-        for (_, p) in POOLS.read().expect("obs pools poisoned").iter() {
-            p.live.store(0, Ordering::Relaxed);
-            p.busy_ns.store(0, Ordering::Relaxed);
-            p.jobs.store(0, Ordering::Relaxed);
-        }
-        WORKERS.lock().expect("obs workers poisoned").clear();
-        for registry in [&HISTS, &SPAN_HISTS] {
-            for (_, h) in registry.read().expect("obs hists poisoned").iter() {
-                for b in &h.buckets {
-                    b.store(0, Ordering::Relaxed);
-                }
-                h.count.store(0, Ordering::Relaxed);
-                h.sum.store(0, Ordering::Relaxed);
-                h.min.store(u64::MAX, Ordering::Relaxed);
-                h.max.store(0, Ordering::Relaxed);
+    for (_, p) in POOLS.read().expect("obs pools poisoned").iter() {
+        p.live.store(0, Ordering::Relaxed);
+        p.busy_ns.store(0, Ordering::Relaxed);
+        p.jobs.store(0, Ordering::Relaxed);
+    }
+    WORKERS.lock().expect("obs workers poisoned").clear();
+    for registry in [&HISTS, &SPAN_HISTS] {
+        for (_, h) in registry.read().expect("obs hists poisoned").iter() {
+            for b in &h.buckets {
+                b.store(0, Ordering::Relaxed);
             }
+            h.count.store(0, Ordering::Relaxed);
+            h.sum.store(0, Ordering::Relaxed);
+            h.min.store(u64::MAX, Ordering::Relaxed);
+            h.max.store(0, Ordering::Relaxed);
         }
-        *SINK.lock().expect("obs sink poisoned") = None;
     }
+    *SINK.lock().expect("obs sink poisoned") = None;
 }
-
-// ---------------------------------------------------------------------------
-// No-op implementation (feature off): every call inlines to nothing
-// ---------------------------------------------------------------------------
-
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::{HistogramStat, ObsConfig, Report, Verbosity};
-    use std::fmt;
-    use std::io;
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn init(_cfg: &ObsConfig) -> io::Result<()> {
-        Ok(())
-    }
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn set_enabled(_on: bool) {}
-
-    /// Always `false`: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn is_enabled() -> bool {
-        false
-    }
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn add(_name: &'static str, _delta: u64) {}
-
-    /// Always 0: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn counter_value(_name: &str) -> u64 {
-        0
-    }
-
-    /// Always empty: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn counters_snapshot() -> Vec<(String, u64)> {
-        Vec::new()
-    }
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn gauge_set(_name: &'static str, _value: u64) {}
-
-    /// Always 0: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn gauge_value(_name: &str) -> u64 {
-        0
-    }
-
-    /// Always empty: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn gauges_snapshot() -> Vec<(String, u64)> {
-        Vec::new()
-    }
-
-    /// Always empty: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn pool_live_snapshot() -> Vec<super::PoolLiveStat> {
-        Vec::new()
-    }
-
-    /// Always empty: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn hist_buckets_snapshot() -> Vec<super::HistBuckets> {
-        Vec::new()
-    }
-
-    /// Always empty: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn span_edges_snapshot() -> Vec<crate::selfprofile::RawEdge> {
-        Vec::new()
-    }
-
-    /// Zero-sized stand-in for the live local histogram tally.
-    #[derive(Debug, Clone, Default)]
-    pub struct HistTally(());
-
-    impl HistTally {
-        /// An empty tally: the `enabled` feature is compiled out.
-        #[inline(always)]
-        pub fn new() -> HistTally {
-            HistTally(())
-        }
-
-        /// No-op: the `enabled` feature is compiled out.
-        #[inline(always)]
-        pub fn record(&mut self, _value: u64) {}
-
-        /// Always 0: the `enabled` feature is compiled out.
-        #[inline(always)]
-        pub fn count(&self) -> u64 {
-            0
-        }
-
-        /// Always true: the `enabled` feature is compiled out.
-        #[inline(always)]
-        pub fn is_empty(&self) -> bool {
-            true
-        }
-    }
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn hist_record(_name: &'static str, _unit: &'static str, _value: u64) {}
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn hist_merge(_name: &'static str, _unit: &'static str, _tally: &HistTally) {}
-
-    /// Always empty: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn histograms_snapshot() -> Vec<HistogramStat> {
-        Vec::new()
-    }
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn emit_counters_snapshot() {}
-
-    /// Zero-sized stand-in for the live span guard.
-    #[must_use]
-    pub struct Span(());
-
-    impl Span {
-        /// Always 0: the `enabled` feature is compiled out.
-        #[inline(always)]
-        pub fn id(&self) -> u64 {
-            0
-        }
-    }
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn span(_name: &'static str) -> Span {
-        Span(())
-    }
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn span_labeled(_name: &'static str, _label: &str) -> Span {
-        Span(())
-    }
-
-    /// Zero-sized stand-in: there is no span stack to hand over.
-    #[derive(Clone, Copy)]
-    pub(crate) struct SpanParent;
-
-    #[inline(always)]
-    pub(crate) fn current_span() -> SpanParent {
-        SpanParent
-    }
-
-    /// Zero-sized stand-in for the adoption guard.
-    pub(crate) struct Adopted;
-
-    #[inline(always)]
-    pub(crate) fn adopt_span(_parent: SpanParent) -> Adopted {
-        Adopted
-    }
-
-    /// Zero-sized stand-in for the live worker guard.
-    #[must_use]
-    pub struct Worker(());
-
-    impl Worker {
-        /// Runs the job with no timing: the `enabled` feature is
-        /// compiled out.
-        #[inline(always)]
-        pub fn busy<R>(&mut self, f: impl FnOnce() -> R) -> R {
-            f()
-        }
-    }
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn worker(_pool: &'static str, _index: usize) -> Worker {
-        Worker(())
-    }
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn sink_log(_level: Verbosity, _target: &str, _args: fmt::Arguments<'_>) {}
-
-    /// Always empty: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn report() -> Report {
-        Report::default()
-    }
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[inline(always)]
-    pub fn finish() {}
-
-    /// No-op: the `enabled` feature is compiled out.
-    #[doc(hidden)]
-    #[inline(always)]
-    pub fn reset_for_tests() {}
-}
-
-pub use imp::{
-    add, counter_value, counters_snapshot, emit_counters_snapshot, finish, gauge_set, gauge_value,
-    gauges_snapshot, hist_buckets_snapshot, hist_merge, hist_record, histograms_snapshot, init,
-    is_enabled, pool_live_snapshot, report, reset_for_tests, set_enabled, span,
-    span_edges_snapshot, span_labeled, worker, HistTally, Span, Worker,
-};
 
 #[cfg(test)]
 mod quantile_tests {

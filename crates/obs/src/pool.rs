@@ -70,14 +70,14 @@ pub fn run<S, R: Send>(
         }
         done
     };
-    let parent = crate::imp::current_span();
+    let parent = crate::current_span();
     let done = std::thread::scope(|s| {
         // Task 0 is the calling thread's, claimed before any helper starts.
         let first = next.fetch_add(1, Ordering::Relaxed);
         let handles: Vec<_> = (0..helpers)
             .map(|_| {
                 s.spawn(|| {
-                    let _adopted = crate::imp::adopt_span(parent);
+                    let _adopted = crate::adopt_span(parent);
                     work(next.fetch_add(1, Ordering::Relaxed))
                 })
             })

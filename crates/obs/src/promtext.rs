@@ -69,9 +69,8 @@ pub fn render(
     out
 }
 
-/// Render the current state of the live registries (empty document
-/// when the `enabled` feature is compiled out or nothing is
-/// registered).
+/// Render the current state of the live registries (an empty document
+/// when nothing is registered, e.g. before collection was switched on).
 pub fn render_current() -> String {
     render(&crate::counters_snapshot(), &crate::gauges_snapshot(), &crate::hist_buckets_snapshot())
 }

@@ -2,9 +2,9 @@
 //! per-span-name call tree with self/total wall time, plus worker-pool
 //! utilization and a critical-path summary for the experiment-suite pool.
 //!
-//! Everything here is pure aggregation over snapshots the live `imp`
-//! module hands over at [`crate::report`] time, so it compiles (and is
-//! testable) without the `enabled` feature.
+//! Everything here is pure aggregation over the snapshots
+//! [`crate::report`] hands over, so it is testable without collecting
+//! anything.
 //!
 //! Determinism contract: span *names*, *call counts*, and tree edges
 //! (parent, name, calls) are deterministic for a fixed configuration

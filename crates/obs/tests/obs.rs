@@ -1,6 +1,5 @@
-//! Integration tests for the live obs implementation (the crate
-//! dev-depends on itself with `enabled`, so these always exercise the
-//! real machinery regardless of workspace features).
+//! Integration tests for the obs registries, sink and report, with
+//! collection switched on at runtime.
 //!
 //! The obs registry is process-global, so every test takes `GLOBAL` and
 //! resets state on entry.

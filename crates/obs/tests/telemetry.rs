@@ -172,7 +172,7 @@ fn status_server_round_trips_metrics_and_status() {
 
     // /metrics parses under the strict Prometheus checker and carries
     // all three instrument kinds.
-    let (code, scrape1) = mlpa_obs::telemetry::http_get(addr, "/metrics").expect("GET /metrics");
+    let (code, scrape1) = mlpa_obs::http::get(addr, "/metrics").expect("GET /metrics");
     assert_eq!(code, 200);
     let exp = mlpa_obs::promtext::check(&scrape1)
         .unwrap_or_else(|e| panic!("scrape failed strict check: {e}\n{scrape1}"));
@@ -186,7 +186,7 @@ fn status_server_round_trips_metrics_and_status() {
     // Metrics are live: a counter bump shows up on the next scrape and
     // the exposition stays monotone.
     mlpa_obs::add("test.server.ops", 5);
-    let (code, scrape2) = mlpa_obs::telemetry::http_get(addr, "/metrics").expect("second GET");
+    let (code, scrape2) = mlpa_obs::http::get(addr, "/metrics").expect("second GET");
     assert_eq!(code, 200);
     let exp2 = mlpa_obs::promtext::check(&scrape2).expect("second scrape");
     assert_eq!(exp2.samples.get("mlpa_counter_test_server_ops_total"), Some(&15.0));
@@ -196,7 +196,7 @@ fn status_server_round_trips_metrics_and_status() {
     }
 
     // /status reports the run phase and progress gauges as JSON.
-    let (code, status) = mlpa_obs::telemetry::http_get(addr, "/status").expect("GET /status");
+    let (code, status) = mlpa_obs::http::get(addr, "/status").expect("GET /status");
     assert_eq!(code, 200);
     let v = json::parse(&status).expect("status JSON");
     assert_eq!(v.get("schema").and_then(Value::as_str), Some("mlpa-status-v1"));
@@ -208,9 +208,9 @@ fn status_server_round_trips_metrics_and_status() {
 
     // Unknown paths 404 rather than crashing the serve loop, and the
     // server still answers afterwards.
-    let (code, _) = mlpa_obs::telemetry::http_get(addr, "/nope").expect("GET /nope");
+    let (code, _) = mlpa_obs::http::get(addr, "/nope").expect("GET /nope");
     assert_eq!(code, 404);
-    let (code, _) = mlpa_obs::telemetry::http_get(addr, "/status").expect("GET after 404");
+    let (code, _) = mlpa_obs::http::get(addr, "/status").expect("GET after 404");
     assert_eq!(code, 200);
 
     mlpa_obs::telemetry::stop_status_server();
@@ -240,7 +240,7 @@ fn stalled_connection_does_not_delay_a_concurrent_scrape() {
     std::io::Write::write_all(&mut partial, b"GET /met").expect("partial write");
 
     let t0 = std::time::Instant::now();
-    let (code, scrape) = mlpa_obs::telemetry::http_get(addr, "/metrics").expect("GET /metrics");
+    let (code, scrape) = mlpa_obs::http::get(addr, "/metrics").expect("GET /metrics");
     let elapsed = t0.elapsed();
     assert_eq!(code, 200);
     assert!(scrape.contains("mlpa_counter_test_loris_ops_total 3"), "scrape content: {scrape}");

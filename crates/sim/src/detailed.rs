@@ -298,9 +298,8 @@ impl<'p> DetailedSim<'p> {
         let mut buf = Vec::with_capacity(64);
         let mut tally = ObsTally::default();
         // One enablement load per region: every per-instruction obs site
-        // below branches on this register-resident local. With the obs
-        // feature compiled out it is a constant `false` and the sites
-        // (and `tally`) fold away entirely.
+        // below branches on this register-resident local, so with
+        // collection off they cost a predicted-not-taken branch.
         let obs = mlpa_obs::is_enabled();
 
         while m.instructions < limit {
@@ -502,9 +501,7 @@ impl<'p> DetailedSim<'p> {
             // dispatch cycle, i.e. how many older instructions were
             // still in flight when it entered the window. `obs` is a
             // register-resident local, so the check is branch-predicted
-            // away; when the obs feature is compiled out it is a
-            // constant `false` and the whole block (and `tally`) is
-            // eliminated.
+            // away while collection is off.
             if obs && m.instructions & 8191 == 0 {
                 tally.samples += 1;
                 let rob = Self::in_flight(rob_ring, rob_mask, rob_cap, insts_seen, dispatch);
@@ -539,10 +536,9 @@ impl<'p> DetailedSim<'p> {
 
 /// Per-`simulate` obs accumulator (occupancy samples, cache miss-run
 /// lengths, warmup-bias miss counts), flushed to the obs counters and
-/// histograms once at the end of the call. With the obs feature
-/// compiled out the `HistTally` fields are zero-sized and every use is
-/// behind a constant-false `is_enabled()`, so the whole struct folds
-/// away.
+/// histograms once at the end of the call. Every use sits behind the
+/// call's one hoisted `is_enabled()` check, so with collection off the
+/// struct is only initialised, never touched.
 #[derive(Debug, Default)]
 struct ObsTally {
     samples: u64,

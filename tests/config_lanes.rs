@@ -24,17 +24,23 @@ fn run_equals_a_serial_replay_of_its_public_calls() {
     let ml = multilevel_with(&mut ctx, &exp.multilevel).expect("multi-level selection");
     let plans = [&fine.plan, &co.plan, &ml.plan];
 
-    let [config_a, config_b] = &exp.configs;
     let lens: Vec<u64> = co.intervals.iter().map(|iv| iv.len).collect();
-    let segments = ground_truth_segmented(&cb, config_a, &lens);
-    let mut whole_a = SimMetrics::default();
-    for s in &segments {
-        whole_a += *s;
-    }
-    let truths = [whole_a.estimate(), ground_truth(&cb, config_b).estimate()];
-    let outcomes = [config_a, config_b]
+    let segments = exp.configs.each_ref().map(|config| ground_truth_segmented(&cb, config, &lens));
+    let truths = segments.each_ref().map(|segs| {
+        let mut whole = SimMetrics::default();
+        for s in segs {
+            whole += *s;
+        }
+        whole.estimate()
+    });
+    let outcomes = exp
+        .configs
+        .each_ref()
         .map(|config| plans.map(|plan| execute_plan(&cb, config, plan, exp.warmup)));
-    let attribution = attribute_segments(&spec.name, &co, &outcomes[0][1], &segments);
+    let attribution = attribute_segments(&spec.name, &co, &outcomes[0][1], &segments[0]);
+    // The coarse intervals tile the trace, so segments add up exactly
+    // to one whole-run pass.
+    assert_eq!(truths[1], ground_truth(&cb, &exp.configs[1]).estimate());
 
     assert_eq!(got.name, spec.name);
     assert_eq!(got.total_insts, fine.plan.total_insts());
