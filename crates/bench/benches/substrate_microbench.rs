@@ -188,7 +188,7 @@ fn bench_substrate(out: &mut Vec<Measurement>) -> f64 {
 /// group derives is the paper-scale profiling win the perf baseline
 /// tracks.
 fn bench_streaming(out: &mut Vec<Measurement>) {
-    use mlpa_core::pipeline::{ProfilingContext, ProjectionSettings, ShardDriver, FINE_INTERVAL};
+    use mlpa_core::pipeline::{ProfilingContext, ProjectionSettings, FINE_INTERVAL};
     use mlpa_phase::interval::FixedLengthProfiler;
     use mlpa_phase::loops::LoopMonitor;
     let spec = suite::benchmark_with_iters("eon", 1).expect("eon").scaled(0.25);
@@ -197,7 +197,6 @@ fn bench_streaming(out: &mut Vec<Measurement>) {
     let sharded = || {
         let mut ctx = ProfilingContext::new(&cb, ProjectionSettings::default(), FINE_INTERVAL);
         ctx.set_shards(8);
-        ctx.set_shard_driver(ShardDriver::Chained);
         ctx.prepare();
         (ctx.loop_profile().clone(), ctx.fine_intervals().to_vec())
     };

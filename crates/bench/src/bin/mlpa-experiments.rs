@@ -32,10 +32,11 @@ OPTIONS
   --cold            cold fast-forward (no warming) — scale-amplified
   --jobs N          worker threads for the suite run (default 0 = all
                     cores); results are bit-identical for every N
-  --shards N        trace segments per profiling pass (default 1 =
-                    one chained segment); shards profile concurrently
-                    without materialising the prefix, and their merge
-                    is bit-identical to the single segment for every N
+  --shards N        trace segments per profiling pass (default 1);
+                    each pass is one walk whatever N is, and with
+                    --cache each segment is checkpointed as it ends,
+                    so N is the resume granularity; the merge is
+                    bit-identical to the single segment for every N
   --ratio R         cost-model ratio c_d/c_f (default: paper 32.5)
   --measured-ratio  also report speedups at the measured ratio
   --out DIR         output directory (default: results)

@@ -101,12 +101,12 @@ pub struct Experiment {
     /// core (see [`Experiment::run_benchmark`]). Results are
     /// bit-identical for every value.
     pub jobs: usize,
-    /// Trace segments per profiling pass (1 = one chained segment).
-    /// Every pass walks block metadata without materialising
-    /// instructions; more segments can run on worker threads and are
-    /// checkpointed one by one, and their merge is bit-identical to the
-    /// single segment, so this is purely a wall-clock/resume knob for
-    /// paper-scale traces.
+    /// Trace segments per profiling pass (1 = one segment). Every pass
+    /// is one metadata walk on the calling thread whatever the count;
+    /// with a [`Experiment::cache`], each of two or more segments is
+    /// checkpointed as it completes, and their merge is bit-identical
+    /// to the single segment, so this only sets the resume granularity
+    /// of paper-scale traces.
     pub shards: usize,
     /// Optional artifact cache: profiling passes, selections, ground
     /// truths, and plan executions consult and populate it, so a

@@ -48,52 +48,16 @@ impl ProjectionSettings {
     }
 }
 
-/// How a profiling pass schedules its trace segments.
+/// How a profiling pass schedules its trace segments. There is one
+/// schedule: the segments are chained along a single metadata walk on
+/// the calling thread (see [`ProfilingContext::set_shards`]).
 ///
-/// Every pass walks block metadata (no instruction is materialised),
-/// and both drivers produce bit-identical artifacts and merges; they
-/// differ only in wall-clock shape:
-///
-/// * [`ShardDriver::Chained`] streams the trace **once** on the calling
-///   thread, handing consecutive segments to freshly seeded shard
-///   profilers — no prefix replay, so total work is one metadata walk
-///   plus the (cheap, O(1)-per-block) shard profilers. A single
-///   segment always runs this way, whatever the driver.
-/// * [`ShardDriver::Threaded`] runs every segment on its own scoped
-///   thread; each worker fast-forwards through its prefix with the
-///   metadata walk and profiles only its slice. Wall-clock is the
-///   longest single shard (≈ one metadata walk for the last segment),
-///   with the profiling work and any cache hits overlapped across
-///   cores.
-/// * [`ShardDriver::Auto`] (the default) picks `Threaded` when the
-///   machine reports more than one available core, `Chained` otherwise
-///   — on a single core prefix replay costs ~`shards/2` extra walks
-///   for nothing.
+/// The type exists only for [`ProfilingContext::set_shard_driver`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardDriver {
-    /// Decide from `std::thread::available_parallelism()`.
+    /// One walk on the calling thread, segment after segment.
     #[default]
-    Auto,
-    /// Single-threaded, single-pass segment chaining.
     Chained,
-    /// One scoped worker thread per segment with prefix fast-forward.
-    Threaded,
-}
-
-impl ShardDriver {
-    /// Whether `shards` segments run on worker threads: never for one
-    /// segment; otherwise as the driver says, `Auto` resolved against
-    /// the machine's available parallelism.
-    fn threaded(self, shards: usize) -> bool {
-        shards > 1
-            && match self {
-                ShardDriver::Chained => false,
-                ShardDriver::Threaded => true,
-                ShardDriver::Auto => {
-                    std::thread::available_parallelism().map_or(1, |n| n.get()) > 1
-                }
-            }
-    }
 }
 
 /// A metadata walk over a benchmark's trace: block ids and sizes in
@@ -124,22 +88,22 @@ impl<'b> MetaWalk<'b> {
     }
 }
 
-/// One kind of whole-trace profiling pass, as the segment drivers see
+/// One kind of whole-trace profiling pass, as the segment loop sees
 /// it: an O(1)-per-block tracker that carries the pass's state across
 /// segment boundaries, and a shard profiler that turns one segment
 /// into a mergeable artifact.
-trait SegmentPass: Sync {
+trait SegmentPass {
     /// The pass's state at a block boundary.
     type Tracker;
     /// One segment's mergeable product.
-    type Art: Artifact + Send;
+    type Art: Artifact;
     /// The tracker at the start of the trace.
     fn tracker(&self) -> Self::Tracker;
     /// Advance `t` over one block.
     fn advance(t: &mut Self::Tracker, m: BlockMeta);
     /// Profile the walk's blocks up to `end`, entering with `t`'s
-    /// state; with `carry`, `t` advances through them too (a chained
-    /// segment that has a successor).
+    /// state; with `carry`, `t` advances through them too (a segment
+    /// that has a successor).
     fn segment(
         &self,
         t: &mut Self::Tracker,
@@ -268,10 +232,8 @@ pub struct ProfilingContext<'b> {
     fine_intervals: Option<Vec<Interval>>,
     boundary: Option<BoundaryPass>,
     cache: Option<Arc<ArtifactCache>>,
-    /// Trace segments per profiling pass (1 = one chained segment).
+    /// Trace segments per profiling pass (1 = one segment).
     shards: usize,
-    /// How multi-segment passes schedule their segments.
-    driver: ShardDriver,
 }
 
 impl<'b> ProfilingContext<'b> {
@@ -292,27 +254,25 @@ impl<'b> ProfilingContext<'b> {
             boundary: None,
             cache: None,
             shards: 1,
-            driver: ShardDriver::Auto,
         }
     }
 
     /// Split the profiling passes into `shards` trace segments (1, the
-    /// default, is one segment walked on the calling thread). Every
-    /// count merges bit-identically to the single segment — pinned by
-    /// `sharded_profiling.rs` and the `mlpa-phase` property tests — so
-    /// this is purely a wall-clock/resume lever: two or more segments
-    /// can run on worker threads (see [`ShardDriver`]), and each of
-    /// them is checkpointed in the artifact cache as it completes.
+    /// default, is one segment). Every count merges bit-identically to
+    /// the single segment — pinned by `sharded_profiling.rs` and the
+    /// `mlpa-phase` property tests — and every count is one metadata
+    /// walk on the calling thread, so `shards` sets only the checkpoint
+    /// granularity: with two or more segments, each is checkpointed in
+    /// the artifact cache as it completes, and a killed run resumes at
+    /// the first missing one.
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards.max(1);
     }
 
-    /// Override how sharded passes schedule their segments (default:
-    /// [`ShardDriver::Auto`]). Scheduling never changes results — both
-    /// drivers emit identical per-shard artifacts and merges.
-    pub fn set_shard_driver(&mut self, driver: ShardDriver) {
-        self.driver = driver;
-    }
+    /// Does nothing: every pass chains its segments on the calling
+    /// thread. Kept only because `benchmark/src/sample.rs`, which does
+    /// not change with the library, calls it.
+    pub fn set_shard_driver(&mut self, _driver: ShardDriver) {}
 
     /// Attach an artifact cache: every profiling pass first consults it
     /// and stores its product after computing. A warm cache makes all
@@ -415,91 +375,53 @@ impl<'b> ProfilingContext<'b> {
         t
     }
 
-    /// Run `pass` over the context's trace segments under its driver
-    /// and return the per-segment artifacts in trace order.
+    /// Run `pass` over the context's trace segments and return the
+    /// per-segment artifacts in trace order.
     ///
-    /// With more than one segment, each segment's artifact goes through
-    /// the artifact cache under the pass's `key` plus the shard count
-    /// and index, so a killed run resumes at the first missing segment.
-    /// The count is part of the key because segment boundaries derive
-    /// from it: shards of different partitions are not interchangeable
-    /// (their *merge* is identical, their pieces are not). One segment
-    /// is the whole pass: it reads and writes no checkpoint (the caller
-    /// caches the merge).
+    /// All segments share one metadata walk on the calling thread, with
+    /// the pass's tracker carried across their boundaries. With more
+    /// than one segment, each segment's artifact goes through the
+    /// artifact cache under the pass's `key` plus the shard count and
+    /// index, so a killed run resumes at the first missing segment; a
+    /// checkpointed segment still advances the walk and tracker (to keep
+    /// alignment) but skips the profiler work. The count is part of the
+    /// key because segment boundaries derive from it: shards of
+    /// different partitions are not interchangeable (their *merge* is
+    /// identical, their pieces are not). One segment is the whole pass:
+    /// it reads and writes no checkpoint (the caller caches the merge).
     fn run_segments<P: SegmentPass>(&self, pass: &P, key: &CacheKey) -> Vec<P::Art> {
         let shards = self.shards;
         let targets = self.shard_targets();
         let store = self.cache.as_deref().filter(|_| shards > 1);
-        // A segment's checkpoint key, and its artifact if a previous
-        // run stored one.
-        let lookup = |k: usize| {
-            let key = store.map(|_| key.clone().field("shards", &shards).field("shard", &k));
-            let hit = store.zip(key.as_ref()).and_then(|(c, key)| c.get::<P::Art>(key));
-            if hit.is_some() {
-                mlpa_obs::add("core.profile.shard_resumes", 1);
-            }
-            (key, hit)
-        };
-        let run = |k: usize, t: &mut P::Tracker, carry: bool, walk: &mut MetaWalk<'_>, key| {
-            let _span = mlpa_obs::span("core.profile.shard");
-            mlpa_obs::add("core.profile.shards_run", 1);
-            // Last-write-wins: with concurrent shards the gauge tracks
-            // whichever segment started most recently, which is the
-            // live view we want. One segment has no progress to show.
-            if shards > 1 {
-                mlpa_obs::gauge_set("core.shard.total", shards as u64);
-                mlpa_obs::gauge_set("core.shard.segment", k as u64);
-            }
-            let art = pass.segment(t, carry, walk, targets[k + 1]);
-            if let (Some(c), Some(key)) = (store, &key) {
-                c.put(key, &art);
-            }
-            art
-        };
-        let cb = self.cb;
-        if !self.driver.threaded(shards) {
-            // Chained: one walk, the tracker carried across segments; a
-            // checkpointed segment still advances the walk and tracker
-            // (to keep alignment) but skips the profiler work.
-            let mut walk = MetaWalk::new(cb);
-            let mut t = pass.tracker();
-            return (0..shards)
-                .map(|k| match lookup(k) {
-                    (_, Some(art)) => {
-                        while let Some(m) = walk.next_before(targets[k + 1]) {
-                            P::advance(&mut t, m);
-                        }
-                        art
+        let mut walk = MetaWalk::new(self.cb);
+        let mut t = pass.tracker();
+        (0..shards)
+            .map(|k| {
+                let end = targets[k + 1];
+                let ckpt =
+                    store.map(|c| (c, key.clone().field("shards", &shards).field("shard", &k)));
+                if let Some(art) = ckpt.as_ref().and_then(|(c, key)| c.get(key)) {
+                    mlpa_obs::add("core.profile.shard_resumes", 1);
+                    while let Some(m) = walk.next_before(end) {
+                        P::advance(&mut t, m);
                     }
-                    (key, None) => run(k, &mut t, k + 1 < shards, &mut walk, key),
-                })
-                .collect();
-        }
-        // Threaded: one scoped worker per segment, each fast-forwarding
-        // through its prefix with the tracker alone.
-        let (lookup, run, targets) = (&lookup, &run, &targets);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|k| {
-                    scope.spawn(move || {
-                        let (key, hit) = lookup(k);
-                        if let Some(art) = hit {
-                            return art;
-                        }
-                        let mut walk = MetaWalk::new(cb);
-                        let mut t = pass.tracker();
-                        while let Some(m) = walk.next_before(targets[k]) {
-                            P::advance(&mut t, m);
-                        }
-                        run(k, &mut t, false, &mut walk, key)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        })
+                    return art;
+                }
+                let _span = mlpa_obs::span("core.profile.shard");
+                mlpa_obs::add("core.profile.shards_run", 1);
+                // The gauges name the segment in progress; one segment
+                // has no progress to show.
+                if shards > 1 {
+                    mlpa_obs::gauge_set("core.shard.total", shards as u64);
+                    mlpa_obs::gauge_set("core.shard.segment", k as u64);
+                }
+                let art = pass.segment(&mut t, k + 1 < shards, &mut walk, end);
+                if let Some((c, key)) = &ckpt {
+                    c.put(key, &art);
+                }
+                art
+            })
+            .collect()
     }
 
     /// The loop (cyclic-structure) profile of the trace.

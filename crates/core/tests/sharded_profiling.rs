@@ -1,6 +1,6 @@
 //! Context-level sharding integration: `ProfilingContext` must produce
 //! **bit-identical** profiles, selections, and estimates for every
-//! segment count and driver — one segment included — matching the
+//! segment count — one segment included — matching the
 //! `mlpa-phase` reference observers over a materialising functional
 //! run, and per-shard artifacts in the cache must let a killed run
 //! resume without re-profiling completed segments.
@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use mlpa_core::artifact::ProfileShardArtifact;
 use mlpa_core::cache::{ArtifactCache, CacheKey};
-use mlpa_core::pipeline::{ProfilingContext, ProjectionSettings, ShardDriver, FINE_INTERVAL};
+use mlpa_core::pipeline::{ProfilingContext, ProjectionSettings, FINE_INTERVAL};
 use mlpa_core::prelude::*;
 use mlpa_phase::interval::{BoundaryProfiler, FixedLengthProfiler, Interval};
 use mlpa_phase::loops::{LoopMonitor, LoopProfile};
@@ -42,7 +42,7 @@ fn tmp_root(tag: &str) -> PathBuf {
 type Profiles = (LoopProfile, Vec<Interval>, Vec<Interval>, bool);
 
 /// The reference: the `mlpa-phase` observers riding one materialising
-/// functional run, independent of the context's segment drivers.
+/// functional run, independent of the context's segment loop.
 fn reference(cb: &CompiledBenchmark) -> Profiles {
     let proj = ProjectionSettings::default().build(cb);
     let mut monitor = LoopMonitor::new(cb.program());
@@ -59,13 +59,11 @@ fn reference(cb: &CompiledBenchmark) -> Profiles {
 fn profiles_with(
     cb: &CompiledBenchmark,
     shards: usize,
-    driver: ShardDriver,
     cache: Option<Arc<ArtifactCache>>,
     prepare: bool,
 ) -> Profiles {
     let mut ctx = ProfilingContext::new(cb, ProjectionSettings::default(), FINE_INTERVAL);
     ctx.set_shards(shards);
-    ctx.set_shard_driver(driver);
     if let Some(c) = cache {
         ctx.set_cache(c);
     }
@@ -83,18 +81,12 @@ fn profiles_with(
 fn every_segment_count_matches_the_reference_observers() {
     let cb = two_phase_cb();
     let want = reference(&cb);
-    // Scheduling is a wall-clock knob only: every shard count under
-    // every driver, prepared or lazy, reproduces the reference
+    // Every shard count, prepared or lazy, reproduces the reference
     // bit-for-bit.
-    for driver in [ShardDriver::Chained, ShardDriver::Threaded] {
-        for shards in [1, 2, 3, 5, 8] {
-            for prepare in [true, false] {
-                let got = profiles_with(&cb, shards, driver, None, prepare);
-                assert!(
-                    got == want,
-                    "shards={shards} ({driver:?}, prepare={prepare}) diverged from the reference"
-                );
-            }
+    for shards in [1, 2, 3, 5, 8] {
+        for prepare in [true, false] {
+            let got = profiles_with(&cb, shards, None, prepare);
+            assert!(got == want, "shards={shards} (prepare={prepare}) diverged from the reference");
         }
     }
 }
@@ -160,9 +152,7 @@ fn shard_artifacts_resume_an_interrupted_run() {
     let root = tmp_root("resume");
     let cache = Arc::new(ArtifactCache::open(&root).unwrap());
 
-    // Cold run under the threaded driver; the resumed runs below use
-    // the chained driver — per-shard artifacts are driver-agnostic.
-    let pristine = profiles_with(&cb, shards, ShardDriver::Threaded, Some(cache.clone()), true);
+    let pristine = profiles_with(&cb, shards, Some(cache.clone()), true);
 
     // The cold run deposited one artifact per shard.
     for kind in ["profile-shard", "boundary-shard"] {
@@ -187,14 +177,14 @@ fn shard_artifacts_resume_an_interrupted_run() {
     tampered.loops.total_insts += 1_000_000;
     cache.put(&key, &tampered);
     drop_merged();
-    let poisoned = profiles_with(&cb, shards, ShardDriver::Chained, Some(cache.clone()), true);
+    let poisoned = profiles_with(&cb, shards, Some(cache.clone()), true);
     assert_ne!(poisoned.0, pristine.0, "resume must read the cached shard artifacts");
 
     // With the real artifact restored, resume reproduces the cold run
     // bit-for-bit.
     cache.put(&key, &original);
     drop_merged();
-    let resumed = profiles_with(&cb, shards, ShardDriver::Chained, Some(cache.clone()), true);
+    let resumed = profiles_with(&cb, shards, Some(cache.clone()), true);
     assert_eq!(resumed, pristine, "resumed run must match the uninterrupted one");
 
     let _ = fs::remove_dir_all(&root);

@@ -57,11 +57,6 @@ const REQUIRED_COUNTERS: &[&str] = &[
 struct ReportChecks {
     /// Counters that must be absent or exactly zero.
     require_zero: Vec<String>,
-    /// `--require-nonzero NAME` (repeatable) asserts a counter is
-    /// present with a nonzero total — e.g. the CI streaming-smoke job
-    /// requires `core.profile.shard_resumes` after a resumed run, to
-    /// prove it actually consumed checkpointed shard artifacts.
-    require_nonzero: Vec<String>,
     /// Warm-cache mode: waive the required sim counters and the
     /// non-empty-histogram rule (a fully warm run records neither), and
     /// require `core.cache.hits / (hits + misses)` to reach this value.
@@ -88,13 +83,6 @@ fn main() -> ExitCode {
                 Some(name) => checks.require_zero.push(name),
                 None => {
                     eprintln!("obs-check: --require-zero needs a counter name");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--require-nonzero" => match args.next() {
-                Some(name) => checks.require_nonzero.push(name),
-                None => {
-                    eprintln!("obs-check: --require-nonzero needs a counter name");
                     return ExitCode::FAILURE;
                 }
             },
@@ -126,7 +114,7 @@ fn main() -> ExitCode {
                      [--metrics <scrape.txt> [--metrics-prev <scrape.txt>] \
                      [--metrics-counter-min <counter> <min>]...] \
                      [--status <status.json>] [--require-zero <counter>]... \
-                     [--require-nonzero <counter>]... [--min-cache-hit-rate <0..1>]"
+                     [--min-cache-hit-rate <0..1>]"
                 );
                 return ExitCode::FAILURE;
             }
@@ -474,13 +462,6 @@ fn check_report(text: &str, checks: &ReportChecks) -> Result<(), String> {
             if value != 0.0 {
                 return Err(format!("counter `{name}` is {value}, expected 0 or absent"));
             }
-        }
-    }
-    for name in &checks.require_nonzero {
-        let value =
-            counter(name).ok_or_else(|| format!("counter `{name}` is absent, expected nonzero"))?;
-        if value == 0.0 {
-            return Err(format!("counter `{name}` is 0, expected nonzero"));
         }
     }
     if let Some(min_rate) = checks.min_cache_hit_rate {
@@ -857,25 +838,6 @@ mod tests {
         report.counters.push(("core.profile.shards_run".into(), 3));
         let err = check_report(&report.to_json(), &checks).unwrap_err();
         assert!(err.contains("core.profile.shards_run") && err.contains("expected 0"), "{err}");
-    }
-
-    #[test]
-    fn require_nonzero_demands_a_present_nonzero_counter() {
-        let mut report = sample_report();
-        let checks = ReportChecks {
-            require_nonzero: vec!["core.profile.shard_resumes".into()],
-            ..ReportChecks::default()
-        };
-        // Absent fails.
-        let err = check_report(&report.to_json(), &checks).unwrap_err();
-        assert!(err.contains("core.profile.shard_resumes") && err.contains("absent"), "{err}");
-        // Present-but-zero fails.
-        report.counters.push(("core.profile.shard_resumes".into(), 0));
-        let err = check_report(&report.to_json(), &checks).unwrap_err();
-        assert!(err.contains("expected nonzero"), "{err}");
-        // Nonzero passes.
-        report.counters.last_mut().unwrap().1 = 7;
-        assert!(check_report(&report.to_json(), &checks).is_ok());
     }
 
     #[test]

@@ -241,7 +241,10 @@ pub struct PhaseStat {
     pub total_s: f64,
 }
 
-/// Utilization of one worker thread over its lifetime.
+/// Utilization of one worker slot — a `(pool, index)` pair — summed
+/// over every [`worker`] guard opened on it, so a process that opens
+/// guards forever (the `plan` guard of each plan execution in a
+/// daemon) keeps one row per slot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerStat {
     /// Pool label (e.g. `plan`, `suite`).
@@ -250,7 +253,7 @@ pub struct WorkerStat {
     pub index: usize,
     /// Seconds spent inside [`Worker::busy`] closures.
     pub busy_s: f64,
-    /// Seconds from guard creation to drop.
+    /// Seconds from guard creation to drop, summed over guards.
     pub wall_s: f64,
     /// Number of jobs executed.
     pub jobs: u64,
@@ -550,6 +553,7 @@ static COUNTERS: RwLock<BTreeMap<&'static str, &'static AtomicU64>> = RwLock::ne
 /// Last-write-wins gauges. Same leaked-`AtomicU64` discipline as
 /// counters, but stores instead of adds.
 static GAUGES: RwLock<BTreeMap<&'static str, &'static AtomicU64>> = RwLock::new(BTreeMap::new());
+/// One row per worker slot `(pool, index)`, in first-drop order.
 static WORKERS: Mutex<Vec<WorkerStat>> = Mutex::new(Vec::new());
 /// Live per-pool worker aggregates for the telemetry sampler:
 /// currently-open guards, cumulative busy nanoseconds, job count.
@@ -1150,16 +1154,6 @@ impl Drop for Worker {
         let Some(w) = self.inner.take() else { return };
         w.live.live.fetch_sub(1, Ordering::Relaxed);
         let wall = w.created.elapsed();
-        let wall_s = wall.as_secs_f64();
-        let busy_s = w.busy_ns as f64 / 1e9;
-        let stat = WorkerStat {
-            pool: w.pool.to_string(),
-            index: w.index,
-            busy_s,
-            wall_s,
-            jobs: w.jobs,
-            busy_fraction: if wall_s > 0.0 { busy_s / wall_s } else { 0.0 },
-        };
         emit(&format!(
             "{{\"ev\":\"worker\",\"pool\":\"{}\",\"index\":{},\"tid\":{},\"busy_us\":{},\
              \"wall_us\":{},\"jobs\":{}}}",
@@ -1170,12 +1164,30 @@ impl Drop for Worker {
             wall.as_micros(),
             w.jobs,
         ));
-        WORKERS.lock().expect("obs workers poisoned").push(stat);
+        let mut rows = WORKERS.lock().expect("obs workers poisoned");
+        let i =
+            rows.iter().position(|r| r.pool == w.pool && r.index == w.index).unwrap_or_else(|| {
+                rows.push(WorkerStat {
+                    pool: w.pool.to_string(),
+                    index: w.index,
+                    busy_s: 0.0,
+                    wall_s: 0.0,
+                    jobs: 0,
+                    busy_fraction: 0.0,
+                });
+                rows.len() - 1
+            });
+        let row = &mut rows[i];
+        row.busy_s += w.busy_ns as f64 / 1e9;
+        row.wall_s += wall.as_secs_f64();
+        row.jobs += w.jobs;
+        row.busy_fraction = if row.wall_s > 0.0 { row.busy_s / row.wall_s } else { 0.0 };
     }
 }
 
-/// Open a utilization guard for worker `index` of `pool`; records
-/// busy/wall time and job count on drop.
+/// Open a utilization guard for worker `index` of `pool`; on drop it
+/// emits a `worker` event and adds its busy/wall time and job count to
+/// the slot's [`WorkerStat`] row.
 pub fn worker(pool: &'static str, index: usize) -> Worker {
     if !is_enabled() {
         return Worker { inner: None };

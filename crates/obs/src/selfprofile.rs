@@ -72,7 +72,7 @@ pub struct SpanEdge {
 pub struct PoolSummary {
     /// Pool label (e.g. `plan`, `suite`).
     pub pool: String,
-    /// Number of worker guards that completed.
+    /// Number of worker slots (distinct indices) that completed a guard.
     pub workers: u64,
     /// Total jobs executed across the pool.
     pub jobs: u64,
@@ -90,10 +90,10 @@ pub struct PoolSummary {
 pub struct CriticalPath {
     /// Pool the summary describes (`suite`).
     pub pool: String,
-    /// Number of worker guards that completed.
+    /// Number of worker slots (distinct indices) that completed a guard.
     pub workers: u64,
-    /// Longest single-worker guard lifetime — the parallel section's
-    /// wall clock is at least this.
+    /// Longest single-slot wall time (its guards' lifetimes summed) —
+    /// the parallel section's wall clock is at least this.
     pub wall_s: f64,
     /// Busiest worker's busy seconds: the critical path. Total busy
     /// work cannot finish faster than this without re-balancing jobs.

@@ -254,6 +254,28 @@ fn sink_is_line_buffered_one_object_per_line() {
     std::fs::remove_file(&sink).ok();
 }
 
+/// A long-lived process opens a guard on the same slot again and
+/// again (a daemon's `plan` guard per plan execution): the report keeps
+/// one row per `(pool, index)`, with jobs and times summed over guards.
+#[test]
+fn guards_on_one_slot_share_one_row() {
+    let _g = lock();
+    mlpa_obs::set_enabled(true);
+    const GUARDS: u64 = 25;
+    for _ in 0..GUARDS {
+        let mut worker = mlpa_obs::worker("test-slot", 0);
+        worker.busy(|| ());
+        worker.busy(|| ());
+    }
+    let report = mlpa_obs::report();
+    mlpa_obs::set_enabled(false);
+    assert_eq!(report.workers.len(), 1, "{:?}", report.workers);
+    let row = &report.workers[0];
+    assert_eq!((row.pool.as_str(), row.index), ("test-slot", 0));
+    assert_eq!(row.jobs, 2 * GUARDS);
+    assert!(row.busy_fraction >= 0.0 && row.busy_fraction <= 1.0 + 1e-6, "{row:?}");
+}
+
 /// The log2 bucket map and its inverse, pinned at every power-of-two
 /// boundary (the off-by-one surface of the whole instrument).
 #[test]
