@@ -459,8 +459,9 @@ fn run(o: &Options) -> Result<(), String> {
         // Peak RSS and host identity are machine-dependent, so they
         // live in their own `resources` section that obs-diff does not
         // gate on — alongside wall-clock, they document the memory
-        // footprint and the machine behind paper-scale
-        // (--scale 1.0 --shards N) runs.
+        // footprint and the machine behind paper-scale runs
+        // (--iters 8 --scale 8: --scale multiplies trace length and
+        // defaults to 1.0; the fine interval stays 10 k instructions).
         let host = mlpa_obs::host_meta().to_value();
         let resources = match mlpa_obs::peak_rss_bytes() {
             Some(rss) => format!("{{\"peak_rss_bytes\": {rss}, \"host\": {host}}}"),

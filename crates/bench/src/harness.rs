@@ -4,8 +4,8 @@
 
 use mlpa_core::prelude::*;
 use mlpa_core::{
-    attribute_segments, execute_plan_cached, ground_truth_segmented_cached, AccuracyAttribution,
-    CoastsOutcome, ExecutionOutcome, FineOutcome, MultilevelOutcome,
+    attribute_segments, truth_and_plans_cached, AccuracyAttribution, CoastsOutcome,
+    ExecutionOutcome, FineOutcome, MultilevelOutcome,
 };
 use mlpa_sim::{MachineConfig, MetricDeviation, MetricEstimate, SimMetrics};
 use mlpa_workloads::{BenchmarkSpec, CompiledBenchmark, Suite};
@@ -155,8 +155,10 @@ impl Experiment {
 
     /// Run one benchmark through every method and both configs.
     ///
-    /// After selection the work splits into one lane per config: its
-    /// ground truth, then its three plan executions. The lanes run on
+    /// After selection the work splits into one lane per config: one
+    /// detailed pass that measures its ground truth and simulates the
+    /// three plans' points on the way ([`truth_and_plans_cached`]). The
+    /// lanes run on
     /// the calling thread plus a helper when the process-wide spare-core
     /// budget has one free (see [`mlpa_obs::pool`]), and one after the
     /// other on the calling thread otherwise. Each lane is a pure
@@ -201,7 +203,8 @@ impl Experiment {
         // from a *segmented* detailed pass sliced at the coarse interval
         // boundaries: its per-segment statistics telescope exactly to
         // the whole-run totals (same cost, same result), and Config A's
-        // segments also feed the accuracy attribution.
+        // segments also feed the accuracy attribution. The same pass
+        // simulates every plan point, warm state included.
         let plans = [&fine.plan, &co.plan, &ml.plan];
         let lens: Vec<u64> = co.intervals.iter().map(|iv| iv.len).collect();
         let cache = self.cache.as_deref();
@@ -211,13 +214,13 @@ impl Experiment {
             || (),
             |_, ci| {
                 let config = &self.configs[ci];
-                let segments = ground_truth_segmented_cached(cache, &cb, config, &lens);
+                let (segments, outcomes) =
+                    truth_and_plans_cached(cache, &cb, config, &lens, &plans, self.warmup);
                 let mut whole = SimMetrics::default();
                 for s in &segments {
                     whole += *s;
                 }
-                let outcomes =
-                    plans.map(|plan| execute_plan_cached(cache, &cb, config, plan, self.warmup));
+                let outcomes = outcomes.try_into().expect("one outcome per plan");
                 Lane { truth: whole.estimate(), segments, outcomes }
             },
         );

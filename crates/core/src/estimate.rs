@@ -2,17 +2,23 @@
 //! in detail, and combine the weighted per-point metrics into a
 //! whole-program estimate.
 //!
-//! [`execute_plan`] is the one executor: a single chained traversal of
-//! the trace. Warm microarchitectural state at a point is defined as
-//! *functional warming of the whole prefix* `[0, start)`, so a point's
-//! metrics are a pure function of its start offset and never depend on
-//! which other points the plan holds.
+//! [`execute_plan`] is the plan executor for runs without ground truth:
+//! a single chained traversal of the trace. Warm microarchitectural
+//! state at a point is defined as *functional warming of the whole
+//! prefix* `[0, start)`, so a point's metrics are a pure function of its
+//! start offset and never depend on which other points the plan holds.
+//!
+//! [`truth_and_plans`] serves runs that also want ground truth: the one
+//! detailed pass that measures the truth simulates every plan point on
+//! the way, from the same functionally warmed state, so the warming
+//! traversals disappear and the results stay bit-identical.
 
 use crate::cache::{ArtifactCache, CacheKey};
 use crate::plan::SimulationPlan;
+use mlpa_isa::{InstructionStream, Program};
 use mlpa_sim::{
-    BranchUnit, DetailedSim, FunctionalSim, MachineConfig, MemoryHierarchy, MetricEstimate,
-    SimMetrics,
+    BranchUnit, DetailedSim, FunctionalSim, L2Hook, L2Op, L2Replica, MachineConfig,
+    MemoryHierarchy, MetricEstimate, RegionVisitor, SimMetrics,
 };
 use mlpa_workloads::{CompiledBenchmark, WorkloadStream};
 
@@ -96,9 +102,19 @@ pub fn execute_plan(
     plan: &SimulationPlan,
     mode: WarmupMode,
 ) -> ExecutionOutcome {
+    execute_on(cb.program(), WorkloadStream::new(cb), config, plan, mode)
+}
+
+/// [`execute_plan`] over any stream of `program`.
+fn execute_on<S: InstructionStream + Clone>(
+    program: &Program,
+    mut stream: S,
+    config: &MachineConfig,
+    plan: &SimulationPlan,
+    mode: WarmupMode,
+) -> ExecutionOutcome {
     let _span = mlpa_obs::span("core.plan.execute");
-    let mut stream = WorkloadStream::new(cb);
-    let mut func = FunctionalSim::new(cb.program());
+    let mut func = FunctionalSim::new(program);
     let mut per_point = Vec::with_capacity(plan.len());
     let mut cost = ExecutionCost::default();
     let mut pos = 0u64;
@@ -140,7 +156,7 @@ pub fn execute_plan(
                     snap_bu.clone_from(bu);
                     let mut fork = stream.clone();
                     let mut sim =
-                        DetailedSim::with_warm_state(*config, cb.program(), snap_hier, snap_bu);
+                        DetailedSim::with_warm_state(*config, program, snap_hier, snap_bu);
                     let m = sim.simulate(&mut fork, p.len);
                     *snapshot = Some(sim.into_warm_state());
                     let advanced =
@@ -149,7 +165,7 @@ pub fn execute_plan(
                     m
                 }
                 None => {
-                    let mut sim = DetailedSim::new(*config, cb.program());
+                    let mut sim = DetailedSim::new(*config, program);
                     sim.simulate(&mut stream, p.len)
                 }
             };
@@ -212,10 +228,19 @@ pub fn ground_truth_segmented(
     config: &MachineConfig,
     lens: &[u64],
 ) -> Vec<SimMetrics> {
+    segmented_on(cb.program(), WorkloadStream::new(cb), config, lens)
+}
+
+/// [`ground_truth_segmented`] over any stream of `program`.
+fn segmented_on<S: InstructionStream>(
+    program: &Program,
+    mut stream: S,
+    config: &MachineConfig,
+    lens: &[u64],
+) -> Vec<SimMetrics> {
     let _span = mlpa_obs::span("core.truth.segmented");
     mlpa_obs::add("core.truth.passes", 1);
-    let mut sim = DetailedSim::new(*config, cb.program());
-    let mut stream = WorkloadStream::new(cb);
+    let mut sim = DetailedSim::new(*config, program);
     let mut pos = 0u64;
     let mut target = 0u64;
     lens.iter()
@@ -228,32 +253,6 @@ pub fn ground_truth_segmented(
         .collect()
 }
 
-/// [`ground_truth_segmented`] behind the artifact cache: reuse a stored
-/// result when the cache holds one, simulate (and store) otherwise.
-/// With `cache = None` this is exactly [`ground_truth_segmented`]. The
-/// segment boundaries are part of the key, so the same benchmark
-/// measured with different `lens` gets distinct entries.
-pub fn ground_truth_segmented_cached(
-    cache: Option<&ArtifactCache>,
-    cb: &CompiledBenchmark,
-    config: &MachineConfig,
-    lens: &[u64],
-) -> Vec<SimMetrics> {
-    let key = cache.map(|_| {
-        CacheKey::new().field("spec", cb.spec()).field("config", config).field("lens", &lens)
-    });
-    if let (Some(c), Some(k)) = (cache, &key) {
-        if let Some(ms) = c.get::<Vec<SimMetrics>>(k) {
-            return ms;
-        }
-    }
-    let ms = ground_truth_segmented(cb, config, lens);
-    if let (Some(c), Some(k)) = (cache, &key) {
-        c.put(k, &ms);
-    }
-    ms
-}
-
 /// [`execute_plan`] behind the artifact cache. The key covers the
 /// benchmark, machine config, warmup mode, and the full plan contents.
 pub fn execute_plan_cached(
@@ -263,13 +262,7 @@ pub fn execute_plan_cached(
     plan: &SimulationPlan,
     mode: WarmupMode,
 ) -> ExecutionOutcome {
-    let key = cache.map(|_| {
-        CacheKey::new()
-            .field("spec", cb.spec())
-            .field("config", config)
-            .field("mode", &mode)
-            .field("plan", plan)
-    });
+    let key = cache.map(|_| plan_key(cb, config, plan, mode));
     if let (Some(c), Some(k)) = (cache, &key) {
         if let Some(out) = c.get::<ExecutionOutcome>(k) {
             return out;
@@ -280,6 +273,318 @@ pub fn execute_plan_cached(
         c.put(k, &out);
     }
     out
+}
+
+/// The store key of a segmented truth. The segment boundaries are part
+/// of it, so the same benchmark measured with different `lens` gets
+/// distinct entries.
+fn truth_key(cb: &CompiledBenchmark, config: &MachineConfig, lens: &[u64]) -> CacheKey {
+    CacheKey::new().field("spec", cb.spec()).field("config", config).field("lens", &lens)
+}
+
+/// The store key of a plan execution.
+fn plan_key(
+    cb: &CompiledBenchmark,
+    config: &MachineConfig,
+    plan: &SimulationPlan,
+    mode: WarmupMode,
+) -> CacheKey {
+    CacheKey::new()
+        .field("spec", cb.spec())
+        .field("config", config)
+        .field("mode", &mode)
+        .field("plan", plan)
+}
+
+/// [`ground_truth_segmented`] and [`execute_plan`] for every plan, from
+/// one detailed pass, with results bit-identical to the separate calls.
+///
+/// The pass measures the truth segments of `lens` and stops at each
+/// block boundary where a plan's next point starts: the first boundary
+/// at or past both the point's `start` and the end of the plan's
+/// previous point, as `execute_plan`'s fast-forward lands. There it
+/// simulates the point on a fork of the stream. With
+/// [`WarmupMode::Cold`] the point starts from a fresh simulator. With
+/// [`WarmupMode::Warmed`] it starts from the functional warm state of
+/// its prefix, assembled without a warming traversal: the truth
+/// simulator's L1s and branch unit, which functional warming would leave
+/// identical, plus an [`L2Replica`] fed the truth's L2-bound traffic in
+/// functional order until the last point has started (DESIGN.md
+/// "Parallel execution" gives the exactness argument).
+///
+/// Points that start past the last truth boundary still run: the pass
+/// simulates on, outside the truth, until each has started, and points
+/// past the end of the trace come back empty as `execute_plan`'s do.
+pub fn truth_and_plans(
+    cb: &CompiledBenchmark,
+    config: &MachineConfig,
+    lens: &[u64],
+    plans: &[&SimulationPlan],
+    mode: WarmupMode,
+) -> (Vec<SimMetrics>, Vec<ExecutionOutcome>) {
+    fused_on(cb.program(), WorkloadStream::new(cb), config, lens, plans, mode)
+}
+
+/// [`truth_and_plans`] over any stream of `program` whose dynamic
+/// blocks span their static blocks whole.
+fn fused_on<S: InstructionStream + Clone>(
+    program: &Program,
+    mut stream: S,
+    config: &MachineConfig,
+    lens: &[u64],
+    plans: &[&SimulationPlan],
+    mode: WarmupMode,
+) -> (Vec<SimMetrics>, Vec<ExecutionOutcome>) {
+    let _span = mlpa_obs::span("core.truth.fused");
+    mlpa_obs::add("core.truth.passes", 1);
+    let mut sim = DetailedSim::new(*config, program);
+    let mut points = PointStarts::new(program, config, plans, mode);
+    points.start_due(&sim, &stream, false);
+    let mut target = 0u64;
+    let segments = lens
+        .iter()
+        .map(|&len| {
+            target = target.saturating_add(len);
+            let limit = target.saturating_sub(points.pos);
+            sim.simulate_with(&mut stream, limit, &mut points)
+        })
+        .collect();
+    while let Some(next) = points.next_target() {
+        let limit = next - points.pos;
+        if sim.simulate_with(&mut stream, limit, &mut points).instructions < limit {
+            // The trace ended first: fast-forwarding would stop at its end.
+            points.start_due(&sim, &stream, true);
+        }
+    }
+    (segments, points.finish())
+}
+
+/// [`truth_and_plans`] behind the artifact cache, with `cache = None`
+/// exactly [`truth_and_plans`]. Plans are stored under
+/// [`execute_plan_cached`]'s keys, so either reuses the other's entries,
+/// and the truth under the key segmented truths have always had. When
+/// the store holds every entry nothing is simulated; otherwise one pass
+/// runs the truth and the missing plans, and stores what was missing.
+pub fn truth_and_plans_cached(
+    cache: Option<&ArtifactCache>,
+    cb: &CompiledBenchmark,
+    config: &MachineConfig,
+    lens: &[u64],
+    plans: &[&SimulationPlan],
+    mode: WarmupMode,
+) -> (Vec<SimMetrics>, Vec<ExecutionOutcome>) {
+    let Some(c) = cache else { return truth_and_plans(cb, config, lens, plans, mode) };
+    let truth_key = truth_key(cb, config, lens);
+    let plan_keys: Vec<CacheKey> = plans.iter().map(|p| plan_key(cb, config, p, mode)).collect();
+    let stored_truth = c.get::<Vec<SimMetrics>>(&truth_key);
+    let mut outcomes: Vec<Option<ExecutionOutcome>> =
+        plan_keys.iter().map(|k| c.get::<ExecutionOutcome>(k)).collect();
+    let missing: Vec<usize> = (0..plans.len()).filter(|&i| outcomes[i].is_none()).collect();
+    let segments = match stored_truth {
+        Some(segments) if missing.is_empty() => segments,
+        stored => {
+            let todo: Vec<&SimulationPlan> = missing.iter().map(|&i| plans[i]).collect();
+            let (segments, fresh) = truth_and_plans(cb, config, lens, &todo, mode);
+            if stored.is_none() {
+                c.put(&truth_key, &segments);
+            }
+            for (&i, out) in missing.iter().zip(fresh) {
+                c.put(&plan_keys[i], &out);
+                outcomes[i] = Some(out);
+            }
+            segments
+        }
+    };
+    (segments, outcomes.into_iter().map(|o| o.expect("every plan executed")).collect())
+}
+
+/// One plan's progress through a [`truth_and_plans`] pass.
+struct PlanCursor<'a> {
+    plan: &'a SimulationPlan,
+    /// Index of the next point to start.
+    next: usize,
+    /// Where the previous point's simulation ended (0 before the first).
+    end: u64,
+    per_point: Vec<SimMetrics>,
+    cost: ExecutionCost,
+}
+
+impl PlanCursor<'_> {
+    /// The position the next point waits for: its start, or the end of
+    /// the previous point when that overshot it.
+    fn target(&self) -> Option<u64> {
+        self.plan.points().get(self.next).map(|p| p.start.max(self.end))
+    }
+}
+
+/// The [`RegionVisitor`] of a [`truth_and_plans`] pass: tracks the
+/// pass's position, feeds the replica L2, and simulates every point
+/// whose boundary the pass has reached.
+struct PointStarts<'a> {
+    program: &'a Program,
+    config: MachineConfig,
+    plans: Vec<PlanCursor<'a>>,
+    /// Instructions the pass has simulated so far.
+    pos: u64,
+    /// The smallest target over the plans; `u64::MAX` once every point
+    /// has started.
+    due: u64,
+    /// Warmed mode: the functional-order L2, fed until the last point
+    /// has started.
+    replica: Option<L2Replica>,
+    /// Warmed mode: the point snapshot, refilled in place at every point.
+    snapshot: Option<(MemoryHierarchy, BranchUnit)>,
+    /// Reports the point simulations as the `plan` pool's jobs, as
+    /// [`execute_plan`] does.
+    worker: mlpa_obs::Worker,
+}
+
+impl<'a> PointStarts<'a> {
+    fn new(
+        program: &'a Program,
+        config: &MachineConfig,
+        plans: &[&'a SimulationPlan],
+        mode: WarmupMode,
+    ) -> PointStarts<'a> {
+        let plans: Vec<PlanCursor<'a>> = plans
+            .iter()
+            .map(|&plan| PlanCursor {
+                plan,
+                next: 0,
+                end: 0,
+                per_point: Vec::with_capacity(plan.len()),
+                cost: ExecutionCost::default(),
+            })
+            .collect();
+        let warmed = mode == WarmupMode::Warmed && !plans.is_empty();
+        let mut starts = PointStarts {
+            program,
+            config: *config,
+            plans,
+            pos: 0,
+            due: 0,
+            replica: warmed.then(|| L2Replica::new(config)),
+            snapshot: warmed
+                .then(|| (MemoryHierarchy::new(config), BranchUnit::new(&config.predictor))),
+            worker: mlpa_obs::worker("plan", 0),
+        };
+        starts.refresh_due();
+        starts
+    }
+
+    fn next_target(&self) -> Option<u64> {
+        self.plans.iter().filter_map(PlanCursor::target).min()
+    }
+
+    fn refresh_due(&mut self) {
+        self.due = self.next_target().unwrap_or(u64::MAX);
+        if self.due == u64::MAX {
+            // Every point has started: nothing reads the warm state again.
+            self.replica = None;
+            self.snapshot = None;
+        }
+    }
+
+    /// Simulate every point whose target the pass has reached (every
+    /// remaining point when `at_end`, the trace having ended), with
+    /// `sim` and `stream` stopped at the pass's position.
+    fn start_due<S: InstructionStream + Clone>(
+        &mut self,
+        sim: &DetailedSim<'_>,
+        stream: &S,
+        at_end: bool,
+    ) {
+        for c in 0..self.plans.len() {
+            while let Some(target) = self.plans[c].target() {
+                if target > self.pos && !at_end {
+                    break;
+                }
+                let i = self.plans[c].next;
+                let len = self.plans[c].plan.points()[i].len;
+                let m = self.simulate_point(sim, stream, i, len);
+                let cursor = &mut self.plans[c];
+                cursor.cost.functional_insts += self.pos - cursor.end;
+                cursor.cost.detailed_insts += m.instructions;
+                cursor.per_point.push(m);
+                cursor.end = self.pos + m.instructions;
+                cursor.next += 1;
+            }
+        }
+        self.refresh_due();
+    }
+
+    /// Simulate point `i` of a plan for `len` instructions on a fork of
+    /// `stream`, from the state its warmup mode defines.
+    fn simulate_point<S: InstructionStream + Clone>(
+        &mut self,
+        sim: &DetailedSim<'_>,
+        stream: &S,
+        i: usize,
+        len: u64,
+    ) -> SimMetrics {
+        let _span = mlpa_obs::span_labeled("core.plan.point", &format!("point {i}"));
+        let (config, program) = (self.config, self.program);
+        let (replica, snapshot) = (&self.replica, &mut self.snapshot);
+        self.worker.busy(|| {
+            let mut fork = stream.clone();
+            let Some(replica) = replica else {
+                return DetailedSim::new(config, program).simulate(&mut fork, len);
+            };
+            let (mut hier, mut bu) = snapshot.take().expect("snapshot returned");
+            replica.snapshot_into(sim.hierarchy(), &mut hier);
+            bu.clone_from(sim.branch_unit());
+            let mut point = DetailedSim::with_warm_state(config, program, hier, bu);
+            let m = point.simulate(&mut fork, len);
+            *snapshot = Some(point.into_warm_state());
+            m
+        })
+    }
+
+    fn finish(self) -> Vec<ExecutionOutcome> {
+        self.plans
+            .into_iter()
+            .map(|c| {
+                let estimate = SimMetrics::weighted_estimate(
+                    c.plan.points().iter().zip(&c.per_point).map(|(p, m)| (p.weight, *m)),
+                );
+                if mlpa_obs::is_enabled() {
+                    mlpa_obs::add("core.plan.points", c.plan.len() as u64);
+                    mlpa_obs::add("core.plan.functional_insts", c.cost.functional_insts);
+                    mlpa_obs::add("core.plan.detailed_insts", c.cost.detailed_insts);
+                }
+                ExecutionOutcome { estimate, per_point: c.per_point, cost: c.cost }
+            })
+            .collect()
+    }
+}
+
+impl L2Hook for PointStarts<'_> {
+    #[inline]
+    fn fetch_miss(&mut self, line: u64) {
+        if let Some(r) = &mut self.replica {
+            r.fetch_miss(line);
+        }
+    }
+
+    #[inline]
+    fn data_op(&mut self, op: L2Op) {
+        if let Some(r) = &mut self.replica {
+            r.data_op(op);
+        }
+    }
+}
+
+impl<S: InstructionStream + Clone> RegionVisitor<S> for PointStarts<'_> {
+    #[inline]
+    fn block_end(&mut self, sim: &DetailedSim<'_>, stream: &S, insts: u64) {
+        self.pos += insts;
+        if let Some(r) = &mut self.replica {
+            r.block_end(sim, stream, insts);
+        }
+        if self.due <= self.pos {
+            self.start_due(sim, stream, false);
+        }
+    }
 }
 
 /// Execute a plan that did not come from profiling this benchmark in
@@ -431,10 +736,20 @@ mod tests {
         let c = Some(&cache);
 
         let lens = [100_000u64, 100_000, 100_000];
-        let seg_cold = ground_truth_segmented_cached(c, &bench, &config, &lens);
-        let seg_warm = ground_truth_segmented_cached(c, &bench, &config, &lens);
-        assert_eq!(seg_cold, seg_warm);
-        assert_eq!(seg_cold, ground_truth_segmented_cached(None, &bench, &config, &lens));
+        let plans = [&plan];
+        let fused_cold =
+            truth_and_plans_cached(c, &bench, &config, &lens, &plans, WarmupMode::Warmed);
+        let fused_warm =
+            truth_and_plans_cached(c, &bench, &config, &lens, &plans, WarmupMode::Warmed);
+        assert_eq!(fused_cold, fused_warm);
+        assert_eq!(
+            fused_cold,
+            truth_and_plans_cached(None, &bench, &config, &lens, &plans, WarmupMode::Warmed)
+        );
+        assert_eq!(fused_cold.0, ground_truth_segmented(&bench, &config, &lens));
+        let _ = std::fs::remove_dir_all(&root);
+        let cache = crate::cache::ArtifactCache::open(&root).unwrap();
+        let c = Some(&cache);
 
         let exec_cold = execute_plan_cached(c, &bench, &config, &plan, WarmupMode::Warmed);
         let exec_warm = execute_plan_cached(c, &bench, &config, &plan, WarmupMode::Warmed);
@@ -546,6 +861,239 @@ mod tests {
         assert_eq!(segs[3], SimMetrics::default(), "past-the-end segment is empty");
         let sum: u64 = segs.iter().map(|s| s.instructions).sum();
         assert_eq!(sum, ground_truth(&cb, &config).instructions);
+    }
+
+    /// A benchmark with real L2 traffic under both Table I configs: a
+    /// random working set between their L2 sizes, with stores, so L2
+    /// lines go dirty and write back.
+    fn l2_cb() -> CompiledBenchmark {
+        use mlpa_workloads::behavior::{InstMix, MemoryPattern};
+        use mlpa_workloads::spec::{BlockSpec, PhaseSpec};
+        CompiledBenchmark::compile(&BenchmarkSpec {
+            phases: vec![PhaseSpec {
+                blocks: vec![
+                    BlockSpec {
+                        mix: InstMix { load: 0.35, store: 0.15, ..InstMix::default() },
+                        mem: MemoryPattern::RandomInSet { working_set: 1536 * 1024 },
+                        ..BlockSpec::default()
+                    },
+                    BlockSpec::default(),
+                ],
+                ..PhaseSpec::default()
+            }],
+            script: vec![ScriptEntry::new(0, 60_000); 5],
+            ..BenchmarkSpec::default()
+        })
+        .unwrap()
+    }
+
+    /// A plan of `(start, len)` points with equal weights.
+    fn plan(points: &[(u64, u64)], total: u64) -> SimulationPlan {
+        let w = 1.0 / points.len() as f64;
+        let points = points.iter().map(|&(start, len)| PlanPoint { start, len, weight: w });
+        SimulationPlan::new(points.collect(), total).unwrap()
+    }
+
+    /// Three plans over a `total`-instruction trace: a point at 0, an
+    /// adjacent point the first one's block overshoot pushes back, a
+    /// point two plans share, and a point near the end.
+    fn plans(total: u64) -> [SimulationPlan; 3] {
+        [
+            plan(&[(0, 5_000), (5_000, 3_000), (60_000, 10_000), (total / 2, 20_000)], total),
+            plan(&[(60_000, 10_000), (100_000, 1_000), (total - 8_000, 5_000)], total),
+            plan(&[(130_000, 30_000)], total),
+        ]
+    }
+
+    /// [`truth_and_plans`] over `stream` must equal the separate calls it
+    /// replaces, field by field.
+    fn assert_fused_exact<S: InstructionStream + Clone>(
+        program: &Program,
+        stream: &S,
+        config: &MachineConfig,
+        lens: &[u64],
+        plans: &[&SimulationPlan],
+        mode: WarmupMode,
+    ) {
+        let (segments, outcomes) = fused_on(program, stream.clone(), config, lens, plans, mode);
+        assert_eq!(segments, segmented_on(program, stream.clone(), config, lens), "segments");
+        assert_eq!(outcomes.len(), plans.len());
+        for (i, (got, plan)) in outcomes.iter().zip(plans).enumerate() {
+            let want = execute_on(program, stream.clone(), config, plan, mode);
+            assert_eq!(got.per_point.len(), plan.len(), "plan {i} kept every point");
+            assert_eq!(got.per_point, want.per_point, "plan {i} per-point metrics");
+            assert_eq!(got.cost, want.cost, "plan {i} cost");
+            assert_eq!(got.estimate, want.estimate, "plan {i} estimate");
+        }
+    }
+
+    fn check_on_cb(cb: &CompiledBenchmark, config: &MachineConfig, lens: &[u64], mode: WarmupMode) {
+        let total = ground_truth_len(cb);
+        let plans = plans(total);
+        let plans = plans.each_ref();
+        assert_fused_exact(cb.program(), &WorkloadStream::new(cb), config, lens, &plans, mode);
+    }
+
+    fn coarse_lens(total: u64) -> [u64; 3] {
+        [total / 5, total / 3, u64::MAX]
+    }
+
+    #[test]
+    fn fused_pass_is_exact_under_both_table1_configs() {
+        let cb = l2_cb();
+        let lens = coarse_lens(ground_truth_len(&cb));
+        for config in [MachineConfig::table1_base(), MachineConfig::table1_sensitivity()] {
+            check_on_cb(&cb, &config, &lens, WarmupMode::Warmed);
+        }
+    }
+
+    #[test]
+    fn fused_pass_is_exact_with_next_line_prefetch() {
+        let cb = l2_cb();
+        let lens = coarse_lens(ground_truth_len(&cb));
+        let mut config = MachineConfig::table1_base();
+        config.prefetch = mlpa_sim::config::PrefetchPolicy::NextLine;
+        check_on_cb(&cb, &config, &lens, WarmupMode::Warmed);
+    }
+
+    #[test]
+    fn fused_pass_is_exact_in_cold_mode() {
+        let cb = l2_cb();
+        let lens = coarse_lens(ground_truth_len(&cb));
+        for config in [MachineConfig::table1_base(), MachineConfig::table1_sensitivity()] {
+            check_on_cb(&cb, &config, &lens, WarmupMode::Cold);
+        }
+    }
+
+    /// Truth segments that end before the last points still leave every
+    /// point simulated, exactly, in both modes: the pass runs on past
+    /// the truth until each point has started.
+    #[test]
+    fn fused_pass_is_exact_when_truth_stops_before_the_last_point() {
+        let cb = l2_cb();
+        let total = ground_truth_len(&cb);
+        let config = MachineConfig::table1_base();
+        for lens in [&[total / 4][..], &[total / 4, 0], &[]] {
+            for mode in [WarmupMode::Warmed, WarmupMode::Cold] {
+                check_on_cb(&cb, &config, lens, mode);
+            }
+        }
+    }
+
+    /// Points whose start the trace never reaches come back empty, as a
+    /// fast-forward past the end leaves them.
+    #[test]
+    fn fused_pass_is_exact_for_points_past_the_trace_end() {
+        let cb = l2_cb();
+        let total = ground_truth_len(&cb);
+        let config = MachineConfig::table1_base();
+        // Claim a longer trace so points can lie past the real end.
+        let late =
+            plan(&[(total / 2, 10_000), (total + 1_000, 1_000), (total + 5_000, 1_000)], 2 * total);
+        for mode in [WarmupMode::Warmed, WarmupMode::Cold] {
+            let stream = WorkloadStream::new(&cb);
+            assert_fused_exact(cb.program(), &stream, &config, &[u64::MAX], &[&late], mode);
+        }
+    }
+
+    /// The suite emits no calls, but the pass takes its warm branch unit
+    /// from the detailed simulator: a trace of calls and returns pins it
+    /// to what functional warming gives (a warmed call pushes its return
+    /// address), with L2 traffic from loads and stores on the way.
+    #[test]
+    fn fused_pass_is_exact_across_calls_and_returns() {
+        use mlpa_isa::rng::SplitMix64;
+        use mlpa_isa::stream::SliceStream;
+        use mlpa_isa::{BranchKind, Instruction, OpClass, ProgramBuilder, Reg};
+
+        let mut b = ProgramBuilder::new("calls");
+        let (main, cont, callee) = (b.add_block(9), b.add_block(9), b.add_block(9));
+        let program = b.finish();
+        let mut rng = SplitMix64::new(0xCA11);
+        let mut block = |tail: Instruction| {
+            let mut insts: Vec<Instruction> = (0..8u8)
+                .map(|i| {
+                    let addr = (0x1000_0000 + rng.range_u64(512 * 1024)) & !7;
+                    match i % 4 {
+                        0 => Instruction::load(Reg::int(8 + i), Reg::int(1), addr),
+                        1 => Instruction::store(Reg::int(2), Reg::int(1), addr),
+                        _ => Instruction::alu(
+                            OpClass::IntAlu,
+                            Reg::int(8 + i),
+                            [Reg::int(1), Reg::int(2)],
+                        ),
+                    }
+                })
+                .collect();
+            insts.push(tail);
+            insts
+        };
+        let mut trace = Vec::new();
+        for _ in 0..12_000 {
+            let call = block(Instruction::branch(BranchKind::Call, Reg::int(1), true, callee));
+            let ret = block(Instruction::branch(BranchKind::Return, Reg::int(1), true, cont));
+            let jump = block(Instruction::branch(BranchKind::Jump, Reg::int(1), true, main));
+            trace.extend([(main, call), (callee, ret), (cont, jump)]);
+        }
+        let total = trace.len() as u64 * 9;
+        let mut small = MachineConfig::table1_base();
+        // A small L2, so the loads and stores keep it turning over.
+        small.l2 = mlpa_sim::CacheConfig { size: 64 * 1024, assoc: 4, line: 32, latency: 20 };
+        // Caches so small that every block's fetches miss and meet its
+        // data accesses in the same L2 sets, so the replica's replay
+        // order decides the L2 state.
+        let mut tiny = small;
+        tiny.icache = mlpa_sim::CacheConfig { size: 64, assoc: 1, line: 32, latency: 1 };
+        tiny.dcache = mlpa_sim::CacheConfig { size: 128, assoc: 2, line: 32, latency: 1 };
+        tiny.l2 = mlpa_sim::CacheConfig { size: 512, assoc: 2, line: 32, latency: 10 };
+        let plans = plans(total);
+        let plans = plans.each_ref();
+        let stream = SliceStream::new(&trace);
+        for config in [small, tiny] {
+            for mode in [WarmupMode::Warmed, WarmupMode::Cold] {
+                assert_fused_exact(&program, &stream, &config, &coarse_lens(total), &plans, mode);
+            }
+        }
+    }
+
+    /// The cached twin shares its plan keys with `execute_plan_cached`:
+    /// an entry either stored is reused, the rest is computed in one pass
+    /// and stored, and a fully stored lane runs no pass at all.
+    #[test]
+    fn fused_cache_shares_the_separate_keys() {
+        let _g = crate::testobs::counter_lock();
+        let bench = l2_cb();
+        let config = MachineConfig::table1_base();
+        let total = ground_truth_len(&bench);
+        let lens = coarse_lens(total);
+        let plans = plans(total);
+        let plans = plans.each_ref();
+        let root =
+            std::env::temp_dir().join(format!("mlpa-fused-cache-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cache = crate::cache::ArtifactCache::open(&root).unwrap();
+        let c = Some(&cache);
+        let want = truth_and_plans(&bench, &config, &lens, &plans, WarmupMode::Warmed);
+
+        // One plan stored by the separate call; the pass fills in the rest.
+        let first = execute_plan_cached(c, &bench, &config, plans[0], WarmupMode::Warmed);
+        assert_eq!(first, want.1[0]);
+        let got = truth_and_plans_cached(c, &bench, &config, &lens, &plans, WarmupMode::Warmed);
+        assert_eq!(got, want);
+        // Everything is stored now, the plans under the separate call's
+        // keys too.
+        let passes = mlpa_obs::counter_value("core.truth.passes");
+        let again = truth_and_plans_cached(c, &bench, &config, &lens, &plans, WarmupMode::Warmed);
+        assert_eq!(again, want);
+        for (plan, out) in plans.iter().zip(&want.1) {
+            assert_eq!(&execute_plan_cached(c, &bench, &config, plan, WarmupMode::Warmed), out);
+        }
+        assert_eq!(
+            mlpa_obs::counter_value("core.truth.passes"),
+            passes,
+            "all served from the store"
+        );
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -58,7 +58,8 @@ pub use cache::{atomic_write, ArtifactCache, CacheKey, FlightRole, Singleflight,
 pub use coasts::{coasts, coasts_with, CoastsConfig, CoastsOutcome};
 pub use estimate::{
     execute_plan, execute_plan_cached, execute_plan_checked, ground_truth, ground_truth_segmented,
-    ground_truth_segmented_cached, panic_message, ExecutionCost, ExecutionOutcome, WarmupMode,
+    panic_message, truth_and_plans, truth_and_plans_cached, ExecutionCost, ExecutionOutcome,
+    WarmupMode,
 };
 pub use multilevel::{multilevel, multilevel_with, MultilevelConfig, MultilevelOutcome};
 pub use pipeline::{

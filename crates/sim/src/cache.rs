@@ -5,13 +5,25 @@
 //! and tag come from shift/mask arithmetic (set counts are powers of
 //! two by [`CacheConfig::validate`]), per-access latencies are hoisted
 //! into [`MemoryHierarchy`] fields, per-line state is interleaved into
-//! 16-byte [`Line`] records so one 4-way set spans a single 64-byte
+//! 8-byte [`Line`] records so one 8-way set spans a single 64-byte
 //! host cache line, and the LRU victim scan runs on the packed
 //! `stamp << 1 | dirty` word alone (invalid lines keep meta 0, which
 //! loses to every real stamp; `tick` starts at 1 so a touched line can
 //! never carry stamp 0). The naive `%`/`/` three-array formulation
 //! lives on in [`crate::reference`] and property tests pin the two
 //! bit-identical.
+//!
+//! Both halves of a line are 32 bits wide, and both stay exact:
+//!
+//! * **Tags** are never truncated. An address whose tag does not fit
+//!   below [`u32::MAX`] (the invalid-line sentinel) panics instead of
+//!   aliasing another line. Generated workloads keep every address
+//!   below 2^32 (`mlpa_workloads::spec::ADDRESS_LIMIT`, enforced by
+//!   spec validation), so no cache geometry can reach the panic.
+//! * **Stamps** get 31 bits. When a cache's clock reaches 2^31 − 1, every
+//!   valid line's stamp is rewritten as its LRU rank within its set and
+//!   the clock restarts above every rank. LRU only ever compares stamps
+//!   within one set, so hits, victims and write-backs are unchanged.
 //!
 //! Write-back accounting follows the write-back/write-allocate
 //! discipline end to end:
@@ -39,6 +51,17 @@ use crate::config::{CacheConfig, MachineConfig, PrefetchPolicy};
 /// Sentinel meaning "no dirty victim was evicted".
 const NO_WRITEBACK: u64 = u64::MAX;
 
+/// Tag of an invalid line; no real tag may reach it (see [`Cache::locate`]).
+const INVALID_TAG: u32 = u32::MAX;
+
+/// Largest LRU stamp: a stamp shares its line's 32-bit `meta` with the
+/// dirty bit. The clock is renormalised when it gets here.
+const TICK_MAX: u32 = (1 << 31) - 1;
+
+/// `addr >> MEM_BLOCK_SHIFT` is the memory block whose successor pays the
+/// cheaper burst latency.
+const MEM_BLOCK_SHIFT: u32 = 10;
+
 /// Result of one cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Access {
@@ -59,23 +82,23 @@ impl Access {
     }
 }
 
-/// Per-line metadata, interleaved so one set of a 4-way cache spans a
+/// Per-line metadata, interleaved so one set of an 8-way cache spans a
 /// single 64-byte host cache line instead of three parallel arrays.
 /// `meta` packs the LRU stamp and the dirty bit: `stamp << 1 | dirty`.
-/// Valid lines carry distinct positive stamps and invalid lines keep
-/// `meta == 0`, so an argmin over raw `meta` picks exactly the victim
-/// an argmin over stamps would (the dirty bit in the lowest position
-/// can never reorder distinct stamps).
+/// Valid lines carry distinct positive stamps within their set and
+/// invalid lines keep `meta == 0`, so an argmin over raw `meta` picks
+/// exactly the victim an argmin over stamps would (the dirty bit in the
+/// lowest position can never reorder distinct stamps).
 #[derive(Debug, Clone, Copy)]
 struct Line {
-    /// Tag, or `u64::MAX` for an invalid line.
-    tag: u64,
-    /// `stamp << 1 | dirty`.
-    meta: u64,
+    /// Tag, or [`INVALID_TAG`] for an invalid line.
+    tag: u32,
+    /// `stamp << 1 | dirty`, stamps at most [`TICK_MAX`].
+    meta: u32,
 }
 
 impl Line {
-    const INVALID: Line = Line { tag: u64::MAX, meta: 0 };
+    const INVALID: Line = Line { tag: INVALID_TAG, meta: 0 };
 }
 
 /// A timing-only set-associative cache (tags + LRU stamps, no data),
@@ -109,7 +132,12 @@ pub struct Cache {
     /// Element offset of set 0 in `lines` (0 when the allocation cannot
     /// be aligned); fixed for the life of the allocation.
     base: usize,
-    tick: u64,
+    /// The LRU clock: the stamp of the latest lookup, at most [`TICK_MAX`].
+    tick: u32,
+    /// Test hook standing in for [`TICK_MAX`], so tests can force the
+    /// renormalisation at a tiny clock limit.
+    #[cfg(test)]
+    tick_max: u32,
     hits: u64,
     misses: u64,
     writebacks: u64,
@@ -137,6 +165,10 @@ impl Clone for Cache {
         self.lines[self.base..self.base + n_lines]
             .copy_from_slice(&source.lines[source.base..source.base + n_lines]);
         self.tick = source.tick;
+        #[cfg(test)]
+        {
+            self.tick_max = source.tick_max;
+        }
         self.hits = source.hits;
         self.misses = source.misses;
         self.writebacks = source.writebacks;
@@ -155,13 +187,13 @@ impl Cache {
         let sets = cfg.sets();
         let assoc = cfg.assoc as usize;
         let n_lines = (sets as usize) * assoc;
-        // Four slack elements cover any 64-byte alignment shift of the
-        // (16-byte) `Line` elements; `align_offset` reports `MAX` if
+        // Eight slack elements cover any 64-byte alignment shift of the
+        // (8-byte) `Line` elements; `align_offset` reports `MAX` if
         // the allocation's alignment makes 64 unreachable, in which
         // case the cache just runs unaligned.
-        let lines = vec![Line::INVALID; n_lines + 4];
+        let lines = vec![Line::INVALID; n_lines + 8];
         let base = match lines.as_ptr().align_offset(64) {
-            off @ 0..=4 => off,
+            off @ 0..=8 => off,
             _ => 0,
         };
         Cache {
@@ -173,6 +205,8 @@ impl Cache {
             lines,
             base,
             tick: 0,
+            #[cfg(test)]
+            tick_max: TICK_MAX,
             hits: 0,
             misses: 0,
             writebacks: 0,
@@ -182,6 +216,57 @@ impl Cache {
     /// This cache's configuration.
     pub fn config(&self) -> &CacheConfig {
         &self.cfg
+    }
+
+    /// Split `addr` into the element index of its set's first way, the
+    /// set, and the 32-bit tag.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tag does not fit below [`INVALID_TAG`]: truncating
+    /// it would alias another line.
+    #[inline(always)]
+    fn locate(&self, addr: u64) -> (usize, usize, u32) {
+        let block = addr >> self.line_shift;
+        let set = (block & self.set_mask) as usize;
+        let tag = block >> self.set_shift;
+        if tag >= u64::from(INVALID_TAG) {
+            wide_tag(addr, self.line_shift + self.set_shift);
+        }
+        (self.base + set * self.assoc, set, tag as u32)
+    }
+
+    /// The clock value that triggers [`Cache::renormalise`].
+    #[inline(always)]
+    fn tick_max(&self) -> u32 {
+        #[cfg(test)]
+        return self.tick_max;
+        #[cfg(not(test))]
+        TICK_MAX
+    }
+
+    /// Rewrite every valid line's stamp as its LRU rank within its set
+    /// (1 = least recently used) and restart the clock above every rank.
+    /// LRU compares stamps only within a set, so every later hit, victim
+    /// and write-back is exactly what the unbounded clock would give.
+    #[cold]
+    #[inline(never)]
+    fn renormalise(&mut self) {
+        let n_lines = (self.set_mask as usize + 1) * self.assoc;
+        let mut stamps = [0u32; CacheConfig::MAX_ASSOC as usize];
+        for ways in self.lines[self.base..self.base + n_lines].chunks_exact_mut(self.assoc) {
+            for (s, l) in stamps.iter_mut().zip(ways.iter()) {
+                *s = l.meta >> 1;
+            }
+            let stamps = &stamps[..self.assoc];
+            for l in ways.iter_mut().filter(|l| l.meta != 0) {
+                // Valid stamps in a set are distinct and positive, and
+                // invalid lines carry 0, so ranks run 1..=valid ways.
+                let rank = stamps.iter().filter(|&&s| s != 0 && s <= l.meta >> 1).count() as u32;
+                l.meta = rank << 1 | (l.meta & 1);
+            }
+        }
+        self.tick = self.assoc as u32;
     }
 
     /// Look up `addr`, allocating on miss, *without* touching the
@@ -195,11 +280,11 @@ impl Cache {
     /// loop's live timing state).
     #[inline(always)]
     fn lookup(&mut self, addr: u64, write: bool) -> (bool, u64) {
+        if self.tick >= self.tick_max() {
+            self.renormalise();
+        }
         self.tick += 1;
-        let block = addr >> self.line_shift;
-        let set = (block & self.set_mask) as usize;
-        let tag = block >> self.set_shift;
-        let base = self.base + set * self.assoc;
+        let (base, set, tag) = self.locate(addr);
 
         let ways = &mut self.lines[base..base + self.assoc];
         // One fixed-trip branchless scan computes the way-match mask
@@ -219,32 +304,33 @@ impl Cache {
         // like the tag-aware stamp scan of the reference; the way index
         // in the low 6 bits (assoc ≤ [`CacheConfig::MAX_ASSOC`]) makes
         // ties resolve to the lowest way, like a strict-`<` scan.
+        let key = |l: &Line, w: u64| u64::from(l.meta) << 6 | w;
         let (hit_mask, vkey) = match &*ways {
-            [l0] => (u64::from(l0.tag == tag), l0.meta << 6),
+            [l0] => (u64::from(l0.tag == tag), key(l0, 0)),
             [l0, l1] => (
                 u64::from(l0.tag == tag) | u64::from(l1.tag == tag) << 1,
-                (l0.meta << 6).min(l1.meta << 6 | 1),
+                key(l0, 0).min(key(l1, 1)),
             ),
             [l0, l1, l2, l3] => (
                 u64::from(l0.tag == tag)
                     | u64::from(l1.tag == tag) << 1
                     | u64::from(l2.tag == tag) << 2
                     | u64::from(l3.tag == tag) << 3,
-                (l0.meta << 6).min(l1.meta << 6 | 1).min((l2.meta << 6 | 2).min(l3.meta << 6 | 3)),
+                key(l0, 0).min(key(l1, 1)).min(key(l2, 2).min(key(l3, 3))),
             ),
             _ => {
                 let mut hit_mask = 0u64;
                 let mut vkey = u64::MAX;
                 for (w, l) in ways.iter().enumerate() {
                     hit_mask |= u64::from(l.tag == tag) << w;
-                    vkey = vkey.min(l.meta << 6 | w as u64);
+                    vkey = vkey.min(key(l, w as u64));
                 }
                 (hit_mask, vkey)
             }
         };
         if hit_mask != 0 {
             let l = &mut ways[hit_mask.trailing_zeros() as usize];
-            l.meta = (self.tick << 1) | (l.meta & 1) | u64::from(write);
+            l.meta = (self.tick << 1) | (l.meta & 1) | u32::from(write);
             return (true, NO_WRITEBACK);
         }
 
@@ -253,10 +339,10 @@ impl Cache {
         // dirty bit alone decides the write-back.
         let mut writeback = NO_WRITEBACK;
         if v.meta & 1 != 0 {
-            writeback = ((v.tag << self.set_shift) | set as u64) << self.line_shift;
+            writeback = ((u64::from(v.tag) << self.set_shift) | set as u64) << self.line_shift;
         }
         v.tag = tag;
-        v.meta = (self.tick << 1) | u64::from(write);
+        v.meta = (self.tick << 1) | u32::from(write);
         if writeback != NO_WRITEBACK {
             self.writebacks += 1;
         }
@@ -293,10 +379,7 @@ impl Cache {
     /// a write-back drain is not a demand reference.
     #[inline]
     pub fn writeback(&mut self, addr: u64) {
-        let block = addr >> self.line_shift;
-        let set = (block & self.set_mask) as usize;
-        let tag = block >> self.set_shift;
-        let base = self.base + set * self.assoc;
+        let (base, _, tag) = self.locate(addr);
         let ways = &mut self.lines[base..base + self.assoc];
         let mut hit_mask = 0u64;
         for (w, l) in ways.iter().enumerate() {
@@ -335,10 +418,7 @@ impl Cache {
     /// Whether `addr`'s line is resident (no state change).
     #[inline]
     pub fn probe(&self, addr: u64) -> bool {
-        let block = addr >> self.line_shift;
-        let set = (block & self.set_mask) as usize;
-        let tag = block >> self.set_shift;
-        let base = self.base + set * self.assoc;
+        let (base, _, tag) = self.locate(addr);
         self.lines[base..base + self.assoc].iter().any(|l| l.tag == tag)
     }
 
@@ -371,6 +451,17 @@ impl Cache {
         self.tick = 0;
         self.reset_stats();
     }
+}
+
+/// The panic behind [`Cache::locate`], out of the hot path.
+#[cold]
+#[inline(never)]
+fn wide_tag(addr: u64, tag_shift: u32) -> ! {
+    panic!(
+        "address {addr:#x} needs a cache tag wider than 32 bits (tag shift {tag_shift}); \
+         addresses must stay below {:#x} for this geometry",
+        u64::from(INVALID_TAG) << tag_shift
+    )
 }
 
 /// Latency outcome of a data access through L1 → L2 → memory.
@@ -483,7 +574,7 @@ impl MemoryHierarchy {
     fn mem_latency(&mut self, addr: u64) -> u32 {
         // SimpleScalar-style first/next latency: sequential-block bursts
         // pay the cheaper "following" latency.
-        let block = addr >> 10;
+        let block = addr >> MEM_BLOCK_SHIFT;
         let lat = if block == self.last_mem_block || block == self.last_mem_block.wrapping_add(1) {
             self.mem_next
         } else {
@@ -503,6 +594,18 @@ impl MemoryHierarchy {
     /// victims written back via [`Cache::writeback`].
     #[inline]
     pub fn data_access(&mut self, addr: u64, write: bool) -> HierarchyAccess {
+        self.data_access_with(addr, write, &mut ())
+    }
+
+    /// [`MemoryHierarchy::data_access`], reporting each operation it
+    /// sends to the L2 to `hook`, in issue order.
+    #[inline(always)]
+    pub fn data_access_with<K: L2Hook>(
+        &mut self,
+        addr: u64,
+        write: bool,
+        hook: &mut K,
+    ) -> HierarchyAccess {
         // Host-prefetch the L2 set metadata before the L1 lookup: the
         // L1 hit/miss and dirty-victim branches below are data-dependent
         // coin flips, and a mispredict flush would otherwise restart
@@ -520,10 +623,12 @@ impl MemoryHierarchy {
         // access's LRU or victim choice, and `Cache::writeback` does not.
         if l1_writeback != NO_WRITEBACK {
             self.l2.writeback(l1_writeback);
+            hook.data_op(L2Op::Writeback(l1_writeback));
         }
         // Demand L2 fetch — clean even for stores: the store's dirtiness
         // lives in the L1 line until that line is evicted.
         let l2_hit = self.l2.access(addr, false).is_hit();
+        hook.data_op(L2Op::Access(addr));
         let latency = if l2_hit {
             self.l1d_latency + self.l2_latency
         } else {
@@ -535,8 +640,10 @@ impl MemoryHierarchy {
             let next = addr + self.line;
             if let Some(wb) = self.l1d.fill(next) {
                 self.l2.writeback(wb);
+                hook.data_op(L2Op::Writeback(wb));
             }
             self.l2.fill(next);
+            hook.data_op(L2Op::Fill(next));
             self.prefetches += 1;
         }
         HierarchyAccess { latency, l1_hit: false, l2_hit }
@@ -546,9 +653,17 @@ impl MemoryHierarchy {
     /// beyond the pipelined L1I hit path (0 on a hit).
     #[inline]
     pub fn fetch(&mut self, addr: u64) -> u32 {
+        self.fetch_with(addr, &mut ())
+    }
+
+    /// [`MemoryHierarchy::fetch`], reporting an L1I miss's L2 access to
+    /// `hook`.
+    #[inline(always)]
+    pub fn fetch_with<K: L2Hook>(&mut self, addr: u64, hook: &mut K) -> u32 {
         if self.l1i.access(addr, false).is_hit() {
             return 0;
         }
+        hook.fetch_miss(addr);
         if self.l2.access(addr, false).is_hit() {
             return self.l2_latency;
         }
@@ -591,6 +706,140 @@ impl MemoryHierarchy {
     }
 }
 
+/// One operation a [`MemoryHierarchy`] sends to its unified L2.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum L2Op {
+    /// A demand access after an L1 miss; an L2 miss also moves the
+    /// memory-burst state.
+    Access(u64),
+    /// An L1D dirty victim's write-back ([`Cache::writeback`]).
+    Writeback(u64),
+    /// A next-line prefetch fill ([`Cache::fill`]).
+    Fill(u64),
+}
+
+/// Observes the L2-bound traffic of [`MemoryHierarchy::fetch_with`] and
+/// [`MemoryHierarchy::data_access_with`]. The unit hook ignores it and
+/// compiles to nothing, so [`MemoryHierarchy::fetch`] and
+/// [`MemoryHierarchy::data_access`] pay nothing for the seam.
+pub trait L2Hook {
+    /// An L1I miss's demand access to the L2 at `line`.
+    #[inline(always)]
+    fn fetch_miss(&mut self, _line: u64) {}
+
+    /// A data-side L2 operation, in issue order.
+    #[inline(always)]
+    fn data_op(&mut self, _op: L2Op) {}
+}
+
+impl L2Hook for () {}
+
+/// A unified L2 and memory-burst state replayed in *functional order*
+/// from a detailed run's L2-bound traffic.
+///
+/// The detailed simulator interleaves a block's instruction fetches with
+/// its data accesses; functional warming
+/// ([`FunctionalSim::fast_forward`](crate::FunctionalSim::fast_forward))
+/// fetches the block's lines first and then makes its data accesses in
+/// program order. The L1s end up in the same state either way, but the
+/// shared L2 and the burst state see the two streams in a different
+/// order. Passed as the [`RegionVisitor`](crate::RegionVisitor) of a
+/// detailed region, the replica holds exactly the L2 and burst state the
+/// warmer would at every block boundary: I-side
+/// misses apply at once (the previous block's data side was replayed
+/// when that block ended), data-side operations wait for the block's
+/// end. [`L2Replica::snapshot_into`] then assembles the full
+/// functionally warmed hierarchy.
+#[derive(Debug)]
+pub struct L2Replica {
+    l2: Cache,
+    last_mem_block: u64,
+    /// The current block's data-side operations, replayed at its end.
+    pending: Vec<L2Op>,
+}
+
+impl L2Replica {
+    /// A cold replica of `cfg`'s L2.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the L2 configuration is invalid.
+    pub fn new(cfg: &MachineConfig) -> L2Replica {
+        L2Replica { l2: Cache::new(cfg.l2), last_mem_block: u64::MAX, pending: Vec::new() }
+    }
+
+    /// Replay the data side of the block that just ended (the replica's
+    /// [`RegionVisitor`](crate::RegionVisitor) boundary call).
+    #[inline]
+    pub(crate) fn end_block(&mut self) {
+        for i in 0..self.pending.len() {
+            let op = self.pending[i];
+            self.apply(op);
+        }
+        self.pending.clear();
+    }
+
+    #[inline]
+    fn apply(&mut self, op: L2Op) {
+        match op {
+            L2Op::Access(addr) => {
+                if !self.l2.access(addr, false).is_hit() {
+                    self.last_mem_block = addr >> MEM_BLOCK_SHIFT;
+                }
+            }
+            L2Op::Writeback(addr) => self.l2.writeback(addr),
+            L2Op::Fill(addr) => {
+                self.l2.fill(addr);
+            }
+        }
+    }
+
+    /// Refill `dest` with the functionally warmed hierarchy: `detailed`'s
+    /// L1s, which both orders leave identical, plus this replica's L2 and
+    /// memory-burst state. `detailed` must be the hierarchy whose traffic
+    /// fed the replica, stopped at a block boundary.
+    pub fn snapshot_into(&self, detailed: &MemoryHierarchy, dest: &mut MemoryHierarchy) {
+        debug_assert!(self.pending.is_empty(), "snapshot inside a block");
+        // Exhaustive, so a new field fails to compile until it is placed.
+        let MemoryHierarchy {
+            l1d,
+            l1i,
+            l2: _,
+            l1d_latency,
+            l2_latency,
+            line,
+            mem_first,
+            mem_next,
+            last_mem_block: _,
+            prefetch,
+            prefetches,
+        } = detailed;
+        dest.l1d.clone_from(l1d);
+        dest.l1i.clone_from(l1i);
+        dest.l2.clone_from(&self.l2);
+        dest.l1d_latency = *l1d_latency;
+        dest.l2_latency = *l2_latency;
+        dest.line = *line;
+        dest.mem_first = *mem_first;
+        dest.mem_next = *mem_next;
+        dest.last_mem_block = self.last_mem_block;
+        dest.prefetch = *prefetch;
+        dest.prefetches = *prefetches;
+    }
+}
+
+impl L2Hook for L2Replica {
+    #[inline]
+    fn fetch_miss(&mut self, line: u64) {
+        self.apply(L2Op::Access(line));
+    }
+
+    #[inline]
+    fn data_op(&mut self, op: L2Op) {
+        self.pending.push(op);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -626,6 +875,80 @@ mod tests {
                 (fresh.hits(), fresh.misses(), fresh.writebacks())
             );
         }
+    }
+
+    /// The 32-bit clock renormalises to per-set LRU ranks when it reaches
+    /// its limit. Forced at a tiny limit, so it fires every few
+    /// operations, the cache must still match the reference cache, whose
+    /// 64-bit clock never wraps, on every access, fill and write-back.
+    #[test]
+    fn clock_renormalisation_matches_a_cache_that_never_renormalises() {
+        use mlpa_isa::rng::SplitMix64;
+        for assoc in [1u32, 2, 4, 8] {
+            let cfg = CacheConfig { size: 16 * 32 * u64::from(assoc), assoc, line: 32, latency: 1 };
+            let mut fast = Cache::new(cfg);
+            fast.tick_max = assoc + 3;
+            let mut naive = crate::reference::Cache::new(cfg);
+            let mut rng = SplitMix64::new(0x5EED).fork(u64::from(assoc));
+            // Three times the capacity, so every set keeps evicting.
+            let span = 3 * cfg.size;
+            for step in 0..200_000u64 {
+                let addr = rng.range_u64(span);
+                match rng.range_u64(10) {
+                    0..=6 => {
+                        let write = rng.chance(0.4);
+                        let got = fast.access(addr, write);
+                        let want = naive.access(addr, write);
+                        assert_eq!(
+                            got.is_hit(),
+                            want,
+                            "{assoc}-way step {step}: access({addr:#x})"
+                        );
+                    }
+                    7..=8 => {
+                        assert_eq!(
+                            fast.fill(addr),
+                            naive.fill(addr),
+                            "{assoc}-way step {step}: fill"
+                        );
+                    }
+                    _ => {
+                        fast.writeback(addr);
+                        naive.writeback(addr);
+                    }
+                }
+                assert!(fast.tick <= assoc + 3, "the clock stays under its limit");
+            }
+            assert_eq!(
+                (fast.hits(), fast.misses(), fast.writebacks()),
+                (naive.hits(), naive.misses(), naive.writebacks()),
+                "{assoc}-way counters"
+            );
+        }
+    }
+
+    /// A tag that does not fit 32 bits would alias the line whose tag it
+    /// truncates to; the cache refuses it instead.
+    #[test]
+    #[should_panic(expected = "wider than 32 bits")]
+    fn tag_wider_than_32_bits_is_rejected_not_aliased() {
+        // 16 sets of 32-byte lines: the tag starts at bit 9.
+        let mut c = Cache::new(CacheConfig { size: 1024, assoc: 2, line: 32, latency: 1 });
+        c.access(0x100, false);
+        // Same set, and a tag whose low 32 bits equal 0x100's.
+        c.access(0x100 + (1 << (32 + 9)), false);
+    }
+
+    #[test]
+    fn widest_exact_tag_is_kept_whole() {
+        let mut c = Cache::new(CacheConfig { size: 1024, assoc: 2, line: 32, latency: 1 });
+        let top = u64::from(INVALID_TAG - 1) << 9;
+        assert!(!c.access(top, true).is_hit());
+        assert!(c.probe(top));
+        assert!(!c.probe(top - (1 << 9)), "neighbouring tag stays distinct");
+        // Evicting it reports its full address back.
+        c.access(0x000, false);
+        assert_eq!(c.fill(0x200), Some(top), "dirty victim address round-trips");
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! byte-identical to it.
 
 use crate::branch::BranchUnit;
-use crate::cache::{HierarchyAccess, MemoryHierarchy};
+use crate::cache::{HierarchyAccess, L2Hook, L2Replica, MemoryHierarchy};
 use crate::config::{FuConfig, MachineConfig};
 use crate::metrics::SimMetrics;
 use mlpa_isa::program::INST_BYTES;
@@ -268,6 +268,16 @@ impl<'p> DetailedSim<'p> {
         &self.cfg
     }
 
+    /// The memory hierarchy.
+    pub fn hierarchy(&self) -> &MemoryHierarchy {
+        &self.hier
+    }
+
+    /// The branch unit.
+    pub fn branch_unit(&self) -> &BranchUnit {
+        &self.branch
+    }
+
     /// Mutable access to the memory hierarchy (e.g. to warm it before a
     /// measured region).
     pub fn hierarchy_mut(&mut self) -> &mut MemoryHierarchy {
@@ -290,6 +300,18 @@ impl<'p> DetailedSim<'p> {
     /// this region. Microarchitectural state persists across calls;
     /// statistics do not.
     pub fn simulate<S: InstructionStream>(&mut self, stream: &mut S, limit: u64) -> SimMetrics {
+        self.simulate_with(stream, limit, &mut ())
+    }
+
+    /// [`DetailedSim::simulate`] with `visitor` shown the region's L2
+    /// traffic and each of its block boundaries (see [`RegionVisitor`]).
+    /// The visitor only observes: the region and its metrics are exactly
+    /// those of [`DetailedSim::simulate`].
+    pub fn simulate_with<S, V>(&mut self, stream: &mut S, limit: u64, visitor: &mut V) -> SimMetrics
+    where
+        S: InstructionStream,
+        V: RegionVisitor<S>,
+    {
         let _span = mlpa_obs::span("sim.detailed");
         self.hier.reset_stats();
         self.branch.reset_stats();
@@ -304,7 +326,8 @@ impl<'p> DetailedSim<'p> {
 
         while m.instructions < limit {
             let Some(id) = stream.next_block(&mut buf) else { break };
-            self.run_block(id, &buf, &mut m, &mut tally, obs);
+            self.run_block(id, &buf, &mut m, &mut tally, obs, visitor);
+            visitor.block_end(self, stream, buf.len() as u64);
         }
 
         m.cycles = self.last_commit_cycle.saturating_sub(start_cycle).max(
@@ -370,13 +393,14 @@ impl<'p> DetailedSim<'p> {
         (seen.saturating_sub(cap)..seen).filter(|&k| ring[(k & mask) as usize] > now).count() as u64
     }
 
-    fn run_block(
+    fn run_block<K: L2Hook>(
         &mut self,
         id: BlockId,
         insts: &[mlpa_isa::Instruction],
         m: &mut SimMetrics,
         tally: &mut ObsTally,
         obs: bool,
+        hook: &mut K,
     ) {
         let block = self.program.block(id);
         let fallthrough = BlockId::new(id.raw().saturating_add(1));
@@ -409,7 +433,7 @@ impl<'p> DetailedSim<'p> {
             let line = pc & line_mask;
             if line != last_fetch_line {
                 last_fetch_line = line;
-                let stall = self.hier.fetch(line);
+                let stall = self.hier.fetch_with(line, hook);
                 if stall > 0 {
                     fetch_cycle += u64::from(stall);
                     fetch_in_cycle = 0;
@@ -452,7 +476,7 @@ impl<'p> DetailedSim<'p> {
                 let is_store = inst.op == OpClass::Store;
                 m.loads += u64::from(!is_store);
                 m.stores += u64::from(is_store);
-                let acc = self.hier.data_access(inst.addr, is_store);
+                let acc = self.hier.data_access_with(inst.addr, is_store, hook);
                 if obs {
                     tally.data_access(acc);
                 }
@@ -531,6 +555,27 @@ impl<'p> DetailedSim<'p> {
         self.last_fetch_line = last_fetch_line;
         self.insts_seen = insts_seen;
         self.mems_seen = mems_seen;
+    }
+}
+
+/// Hooks into a detailed region ([`DetailedSim::simulate_with`]): an
+/// [`L2Hook`] on the simulator's hierarchy, plus a call at every block
+/// boundary. The unit visitor sees nothing and compiles away, so
+/// [`DetailedSim::simulate`] pays nothing for the hooks.
+pub trait RegionVisitor<S: ?Sized>: L2Hook {
+    /// Called after each block, with the simulator as it stands at the
+    /// boundary and `stream` positioned just past the block; `insts` is
+    /// the block's length.
+    #[inline(always)]
+    fn block_end(&mut self, _sim: &DetailedSim<'_>, _stream: &S, _insts: u64) {}
+}
+
+impl<S: ?Sized> RegionVisitor<S> for () {}
+
+impl<S: ?Sized> RegionVisitor<S> for L2Replica {
+    #[inline]
+    fn block_end(&mut self, _sim: &DetailedSim<'_>, _stream: &S, _insts: u64) {
+        self.end_block();
     }
 }
 
@@ -846,6 +891,75 @@ mod tests {
             let b = fresh.simulate(&mut stream.clone(), 20_000);
             assert_eq!(a, b, "l2 size {}", cfg.l2.size);
             assert!(b.l2_hits > 0 && b.l2_misses > 0 && b.mispredicts > 0, "{b:?}");
+        }
+    }
+
+    /// An [`L2Replica`] fed by a detailed run holds the functional-order
+    /// L2 at every block boundary, so a snapshot of it plus the detailed
+    /// run's L1s and branch unit simulates a region exactly like the
+    /// state functional warming reaches: under both Table I configs,
+    /// with next-line prefetch (whose fills and write-backs also reach
+    /// the L2), and with caches so small that every block's fetches and
+    /// data accesses meet in the same L2 sets, where the order the
+    /// replica replays them in decides the outcome.
+    #[test]
+    fn replica_snapshot_simulates_like_functional_warming() {
+        let spec = BenchmarkSpec {
+            phases: vec![PhaseSpec {
+                blocks: vec![
+                    BlockSpec {
+                        mix: InstMix { load: 0.35, store: 0.15, ..InstMix::default() },
+                        // Between the two configs' L2 sizes.
+                        mem: MemoryPattern::RandomInSet { working_set: 1536 * 1024 },
+                        ..BlockSpec::default()
+                    },
+                    BlockSpec::default(),
+                ],
+                ..PhaseSpec::default()
+            }],
+            script: vec![ScriptEntry::new(0, 60_000); 4],
+            ..BenchmarkSpec::default()
+        };
+        let cb = CompiledBenchmark::compile(&spec).unwrap();
+        let mut prefetching = MachineConfig::table1_base();
+        prefetching.prefetch = crate::config::PrefetchPolicy::NextLine;
+        let mut tiny = prefetching;
+        tiny.icache = crate::CacheConfig { size: 64, assoc: 1, line: 32, latency: 1 };
+        tiny.dcache = crate::CacheConfig { size: 128, assoc: 2, line: 32, latency: 1 };
+        tiny.l2 = crate::CacheConfig { size: 512, assoc: 2, line: 32, latency: 10 };
+        let configs =
+            [MachineConfig::table1_base(), MachineConfig::table1_sensitivity(), prefetching, tiny];
+        for cfg in configs {
+            let mut func = crate::FunctionalSim::new(cb.program());
+            let mut warm_stream = WorkloadStream::new(&cb);
+            let (mut hier, mut bu) = (MemoryHierarchy::new(&cfg), BranchUnit::new(&cfg.predictor));
+            let mut truth = DetailedSim::new(cfg, cb.program());
+            let mut truth_stream = WorkloadStream::new(&cb);
+            let mut replica = L2Replica::new(&cfg);
+            let mut snapshot = MemoryHierarchy::new(&cfg);
+            for stop in 1..=4 {
+                let ff = func.fast_forward(
+                    &mut warm_stream,
+                    37_000,
+                    &mut (),
+                    Some((&mut hier, &mut bu)),
+                );
+                let m = truth.simulate_with(&mut truth_stream, 37_000, &mut replica);
+                assert_eq!(ff, m.instructions, "both stop at the same boundary");
+                replica.snapshot_into(truth.hierarchy(), &mut snapshot);
+                let from_replica = DetailedSim::with_warm_state(
+                    cfg,
+                    cb.program(),
+                    snapshot.clone(),
+                    truth.branch_unit().clone(),
+                )
+                .simulate(&mut truth_stream.clone(), 20_000);
+                let from_warming =
+                    DetailedSim::with_warm_state(cfg, cb.program(), hier.clone(), bu.clone())
+                        .simulate(&mut warm_stream.clone(), 20_000);
+                assert_eq!(from_replica, from_warming, "stop {stop}, l2 {}", cfg.l2.size);
+                assert!(from_warming.l2_misses > 0, "{from_warming:?}");
+            }
         }
     }
 

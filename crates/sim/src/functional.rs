@@ -151,8 +151,11 @@ impl<'p> FunctionalSim<'p> {
                     }
                     if let Some(info) = &inst.branch {
                         let pc = block.inst_addr(i as u32);
+                        // The next block in layout, exactly as the detailed
+                        // simulator resolves it: a call pushes it as the
+                        // return address.
                         let fallthrough = BlockId::new(id.raw().saturating_add(1));
-                        bu.warm(pc, info, if info.taken { info.target } else { fallthrough });
+                        bu.warm(pc, info, fallthrough);
                     }
                 }
             }
@@ -241,6 +244,66 @@ mod tests {
         assert!(hier.l1d().hits() + hier.l1d().misses() > 0, "dcache touched");
         assert!(hier.l1i().hits() + hier.l1i().misses() > 0, "icache touched");
         assert_eq!(bu.predictions(), 0, "warming must not count stats");
+    }
+
+    /// Warming resolves branches exactly as the detailed simulator does:
+    /// a call pushes the return address (the next block in layout), not
+    /// its own target. After a prefix that ends in a call, the region
+    /// that opens with the callee's return must simulate identically from
+    /// a functionally warmed branch unit and from a detailed-run one.
+    #[test]
+    fn warmed_branch_unit_matches_a_detailed_run_across_calls() {
+        use crate::DetailedSim;
+        use mlpa_isa::stream::SliceStream;
+        use mlpa_isa::{BranchKind, OpClass, ProgramBuilder, Reg};
+
+        let mut b = ProgramBuilder::new("calls");
+        let (main, cont, callee) = (b.add_block(5), b.add_block(5), b.add_block(5));
+        let prog = b.finish();
+        let body = |tail: Instruction| {
+            let mut insts: Vec<Instruction> = (0..4)
+                .map(|i| {
+                    Instruction::alu(OpClass::IntAlu, Reg::int(8 + i), [Reg::int(1), Reg::int(2)])
+                })
+                .collect();
+            insts.push(tail);
+            insts
+        };
+        let call = (main, body(Instruction::branch(BranchKind::Call, Reg::int(1), true, callee)));
+        let ret = (callee, body(Instruction::branch(BranchKind::Return, Reg::int(1), true, cont)));
+        let jump = (cont, body(Instruction::branch(BranchKind::Jump, Reg::int(1), true, main)));
+        let mut trace = Vec::new();
+        for _ in 0..49 {
+            trace.extend([call.clone(), ret.clone(), jump.clone()]);
+        }
+        trace.push(call.clone());
+        let prefix = trace.len();
+        for _ in 0..20 {
+            trace.extend([ret.clone(), jump.clone(), call.clone()]);
+        }
+        let prefix_insts = (prefix * 5) as u64;
+
+        let cfg = MachineConfig::table1_base();
+        let mut warmed = BranchUnit::new(&cfg.predictor);
+        let mut hier = MemoryHierarchy::new(&cfg);
+        let mut stream = SliceStream::new(&trace);
+        FunctionalSim::new(&prog).fast_forward(
+            &mut stream,
+            prefix_insts,
+            &mut (),
+            Some((&mut hier, &mut warmed)),
+        );
+        let mut detailed = DetailedSim::new(cfg, &prog);
+        detailed.simulate(&mut SliceStream::new(&trace), prefix_insts);
+        let (_, detailed_bu) = detailed.into_warm_state();
+
+        let region = |bu: BranchUnit| {
+            let mut sim = DetailedSim::with_warm_state(cfg, &prog, MemoryHierarchy::new(&cfg), bu);
+            sim.simulate(&mut stream.clone(), u64::MAX)
+        };
+        let (w, d) = (region(warmed), region(detailed_bu));
+        assert_eq!(w, d);
+        assert_eq!(d.mispredicts, 0, "every return predicted from the return stack: {d:?}");
     }
 
     #[test]

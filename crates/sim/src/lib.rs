@@ -41,9 +41,9 @@ pub mod metrics;
 pub mod reference;
 
 pub use branch::BranchUnit;
-pub use cache::MemoryHierarchy;
+pub use cache::{L2Hook, L2Op, L2Replica, MemoryHierarchy};
 pub use config::{CacheConfig, FuConfig, MachineConfig, PredictorConfig};
-pub use detailed::DetailedSim;
+pub use detailed::{DetailedSim, RegionVisitor};
 pub use functional::FunctionalSim;
 pub use inorder::InOrderSim;
 pub use metrics::{MetricDeviation, MetricEstimate, SimMetrics};

@@ -182,6 +182,11 @@ impl Default for MemoryPattern {
     }
 }
 
+/// Largest factor by which drift scales a working set: a cursor's
+/// addresses stay below `base + MAX_SET_SCALE × working_set` (and never
+/// below `base + 8`).
+pub const MAX_SET_SCALE: u64 = 4;
+
 /// Mutable cursor that walks a [`MemoryPattern`], producing effective
 /// addresses relative to a region base.
 #[derive(Debug, Clone)]
@@ -201,10 +206,11 @@ impl MemoryCursor {
         MemoryCursor { pattern, base, pos: 0, rng, scale: 1.0 }
     }
 
-    /// Set the working-set scale factor (clamped to `[0.25, 4.0]`);
-    /// phase drift uses this to let locality evolve over the run.
+    /// Set the working-set scale factor (clamped to
+    /// `[0.25, MAX_SET_SCALE]`); phase drift uses this to let locality
+    /// evolve over the run.
     pub fn set_scale(&mut self, scale: f64) {
-        self.scale = scale.clamp(0.25, 4.0);
+        self.scale = scale.clamp(0.25, MAX_SET_SCALE as f64);
     }
 
     fn effective_set(&self) -> u64 {

@@ -31,6 +31,14 @@ const DATA_BASE: u64 = 0x1000_0000;
 /// L2-resident footprint would thrash on conflicts.
 const FAMILY_SPACING: u64 = 0x0201_8000;
 
+/// One past the highest data address family `family` (its index within
+/// its phase) can touch with a `working_set`-byte pattern, drift
+/// included. Saturates rather than wrapping.
+pub(crate) fn data_region_end(family: usize, working_set: u64) -> u64 {
+    let scaled = working_set.saturating_mul(crate::behavior::MAX_SET_SCALE).max(8);
+    (family as u64).saturating_mul(FAMILY_SPACING).saturating_add(DATA_BASE).saturating_add(scaled)
+}
+
 /// A static block's instruction template. The terminator (last slot) and
 /// all memory-operand addresses are patched per dynamic instance.
 #[derive(Debug, Clone)]
@@ -114,11 +122,21 @@ impl CompiledBenchmark {
     ///
     /// # Errors
     ///
-    /// Returns the specification's own validation error, if any.
+    /// Returns the specification's own validation error, if any, or an
+    /// error if the laid-out code reaches
+    /// [`ADDRESS_LIMIT`](crate::spec::ADDRESS_LIMIT).
     pub fn compile(spec: &BenchmarkSpec) -> Result<CompiledBenchmark, String> {
         spec.validate()?;
         let mut c = Compiler::new(spec);
-        Ok(c.run())
+        let cb = c.run();
+        let text_end = cb.program.blocks().last().map_or(0, |b| b.end_addr());
+        if text_end > crate::spec::ADDRESS_LIMIT {
+            return Err(format!(
+                "code ends at {text_end:#x}, past the address limit {:#x}",
+                crate::spec::ADDRESS_LIMIT
+            ));
+        }
+        Ok(cb)
     }
 
     /// The originating specification.

@@ -21,6 +21,13 @@
 
 use crate::behavior::{BranchPattern, InstMix, MemoryPattern};
 
+/// Every address a compiled benchmark generates, code and data, lies
+/// below this bound, so a cache tag (the address shifted right by the
+/// line and set bits) always fits the simulator's 32-bit tag field.
+/// Validation rejects a spec whose data regions could reach it;
+/// compilation rejects code laid out past it.
+pub const ADDRESS_LIMIT: u64 = 1 << 32;
+
 /// Index of a phase within a [`BenchmarkSpec`].
 pub type PhaseId = usize;
 
@@ -155,6 +162,16 @@ impl PhaseSpec {
         }
         for (i, b) in self.blocks.iter().enumerate() {
             b.validate().map_err(|e| format!("phase `{}` block {i}: {e}", self.name))?;
+            // The init section touches the same regions with at least
+            // 64-byte patterns, so bound those too.
+            let end = crate::build::data_region_end(i, b.mem.working_set().max(64));
+            if end > ADDRESS_LIMIT {
+                return Err(format!(
+                    "phase `{}` block {i}: data region ends at {end:#x}, past the address \
+                     limit {ADDRESS_LIMIT:#x} (too many blocks or too large a working set)",
+                    self.name
+                ));
+            }
         }
         Ok(())
     }
@@ -340,6 +357,32 @@ mod tests {
     #[test]
     fn default_spec_is_valid() {
         BenchmarkSpec::default().validate().unwrap();
+    }
+
+    /// Cache tags are 32 bits wide, so every generated address must stay
+    /// below [`ADDRESS_LIMIT`]: a phase with too many families, or too
+    /// large a working set, is rejected before anything runs.
+    #[test]
+    fn specs_reaching_the_address_limit_are_rejected() {
+        let block = |ws: u64| BlockSpec {
+            mem: MemoryPattern::RandomInSet { working_set: ws },
+            ..BlockSpec::default()
+        };
+        let spec = |blocks: Vec<BlockSpec>| BenchmarkSpec {
+            phases: vec![PhaseSpec { blocks, ..PhaseSpec::default() }],
+            ..BenchmarkSpec::default()
+        };
+        // Families sit 32 MiB apart from 0x1000_0000: 120 of them fit.
+        spec(vec![block(8 * 1024); 120]).validate().unwrap();
+        let err = spec(vec![block(8 * 1024); 130]).validate().unwrap_err();
+        assert!(err.contains("address limit"), "{err}");
+        let err = spec(vec![block(1 << 30)]).validate().unwrap_err();
+        assert!(err.contains("address limit"), "{err}");
+        let err = spec(vec![block(u64::MAX)]).validate().unwrap_err();
+        assert!(err.contains("address limit"), "{err}");
+        for s in crate::suite::Suite::spec2000().iter() {
+            s.validate().unwrap_or_else(|e| panic!("{}: {e}", s.name));
+        }
     }
 
     #[test]
