@@ -1,6 +1,7 @@
 //! Microbenchmarks of the simulator substrate itself: trace generation,
-//! functional simulation, detailed simulation, cache accesses, k-means,
-//! and the full phase-analysis pipeline (profile → project → cluster).
+//! functional simulation and warming, detailed simulation, cache
+//! accesses, k-means, and the full phase-analysis pipeline (profile →
+//! project → cluster).
 //! These are the quantities the cost model (`CostModel::measure`)
 //! summarises into the detailed/functional ratio, plus the clustering
 //! substrate the perf trajectory (`BENCH.json`) tracks.
@@ -20,6 +21,8 @@
 //! comes from interleaved A/B rounds rather than two separately-timed
 //! bench entries.
 
+use mlpa_core::estimate::{execute_plan, WarmupMode};
+use mlpa_core::plan::{PlanPoint, SimulationPlan};
 use mlpa_isa::rng::SplitMix64;
 use mlpa_isa::stream::drain_count;
 use mlpa_isa::BlockId;
@@ -158,6 +161,26 @@ fn bench_substrate(out: &mut Vec<Measurement>) -> f64 {
     });
     group.bench("detailed_sim", run_current);
     group.bench("detailed_sim_reference", run_reference);
+    // Functional warming: a warmed `execute_plan` of one point at the end
+    // of the trace warms the whole trace first. Like
+    // `phase_sweep/current`, these rows use whatever cores are free: the
+    // walk's cache stage runs on a helper when the process-wide budget
+    // has one, and on the calling thread when it has none.
+    let end = FunctionalSim::new(cb.program()).fast_forward(
+        &mut WorkloadStream::new(&cb),
+        trace_len - 10_000,
+        &mut (),
+        None,
+    );
+    let last =
+        SimulationPlan::new(vec![PlanPoint { start: end, len: 1_000, weight: 1.0 }], trace_len)
+            .expect("a one-point plan at the end of the trace");
+    for (id, config) in [
+        ("warm_walk_a", MachineConfig::table1_base()),
+        ("warm_walk_b", MachineConfig::table1_sensitivity()),
+    ] {
+        group.bench(id, || execute_plan(&cb, &config, &last, WarmupMode::Warmed));
+    }
 
     // The headline detailed-sim speedup, measured interleaved so it is
     // immune to drift between the two bench entries above.

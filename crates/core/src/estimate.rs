@@ -16,11 +16,14 @@
 use crate::cache::{ArtifactCache, CacheKey};
 use crate::plan::SimulationPlan;
 use mlpa_isa::{InstructionStream, Program};
+use mlpa_obs::pool::{Helper, HelperTask};
+use mlpa_sim::functional::{warm_back, Replay, WarmBack, RECORD_BATCH};
 use mlpa_sim::{
     BranchUnit, DetailedSim, FunctionalSim, L2Hook, L2Op, L2Replica, MachineConfig,
     MemoryHierarchy, MetricEstimate, RegionVisitor, SimMetrics,
 };
 use mlpa_workloads::{CompiledBenchmark, WorkloadStream};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 /// Microarchitectural-state policy at each simulation point.
 ///
@@ -102,80 +105,69 @@ pub fn execute_plan(
     plan: &SimulationPlan,
     mode: WarmupMode,
 ) -> ExecutionOutcome {
-    execute_on(cb.program(), WorkloadStream::new(cb), config, plan, mode)
+    execute_on(cb.program(), WorkloadStream::new(cb), config, plan, mode, None)
 }
 
-/// [`execute_plan`] over any stream of `program`.
+/// [`execute_plan`] over any stream of `program`, with the warm walk's
+/// cache stage on a helper as `workers` picks it for
+/// [`mlpa_obs::pool::with_helper`] (`None` in every caller but tests).
+///
+/// Warm mode runs functional warming in two stages (see
+/// [`mlpa_sim::functional`]): the calling thread walks the stream and
+/// trains the branch unit, and the cache stage replays the walk's
+/// records into the memory hierarchy, on a helper thread or, with none,
+/// on the calling thread. At each point the calling thread waits for the
+/// cache stage to catch up, snapshots both halves, and simulates the
+/// point itself; the hierarchy sees the same operations in the same
+/// order either way.
 fn execute_on<S: InstructionStream + Clone>(
     program: &Program,
     mut stream: S,
     config: &MachineConfig,
     plan: &SimulationPlan,
     mode: WarmupMode,
+    workers: Option<usize>,
 ) -> ExecutionOutcome {
     let _span = mlpa_obs::span("core.plan.execute");
     let mut func = FunctionalSim::new(program);
-    let mut per_point = Vec::with_capacity(plan.len());
-    let mut cost = ExecutionCost::default();
-    let mut pos = 0u64;
-    // A single-worker guard so plan execution reports utilization; the
-    // `plan` pool's live count is the number of executions in flight.
-    let mut worker = mlpa_obs::worker("plan", 0);
-
-    // Warm mode keeps one continuously-warmed state for the whole
-    // traversal, and one snapshot of it, allocated here and refilled in
-    // place at every point, which the detailed simulator borrows.
-    let mut warm = matches!(mode, WarmupMode::Warmed).then(|| {
-        let state = (MemoryHierarchy::new(config), BranchUnit::new(&config.predictor));
-        let snapshot = state.clone();
-        (state, Some(snapshot))
-    });
-
-    for (i, p) in plan.points().iter().enumerate() {
-        let _span = mlpa_obs::span_labeled("core.plan.point", &format!("point {i}"));
-        let metrics = worker.busy(|| {
-            let skip = p.start.saturating_sub(pos);
-            let skipped = match &mut warm {
-                Some(((hier, bu), _)) => {
-                    func.fast_forward(&mut stream, skip, &mut (), Some((hier, bu)))
-                }
-                None => func.fast_forward(&mut stream, skip, &mut (), None),
+    let (per_point, cost) = match mode {
+        WarmupMode::Cold => run_points(plan, |skip, len| {
+            let skipped = func.fast_forward(&mut stream, skip, &mut (), None);
+            (skipped, DetailedSim::new(*config, program).simulate(&mut stream, len))
+        }),
+        WarmupMode::Warmed => mlpa_obs::pool::with_helper(workers, |helper| {
+            // One continuously warmed state for the whole traversal, and
+            // one snapshot of it, allocated here and refilled in place at
+            // every point, which the detailed simulator borrows.
+            let mut hier = MemoryHierarchy::new(config);
+            let mut bu = BranchUnit::new(&config.predictor);
+            let mut snapshot = Some((hier.clone(), bu.clone()));
+            let mut caches = match helper {
+                Some(helper) => CacheStage::Helper(HelperStage::start(helper, program, hier)),
+                None => CacheStage::Inline(Replay::new(program, &mut hier)),
             };
-            pos += skipped;
-            cost.functional_insts += skipped;
-
-            let m = match &mut warm {
-                Some(((hier, bu), snapshot)) => {
-                    // The detailed simulator runs on a fork of the stream
-                    // with a snapshot of the warm state, while the primary
-                    // stream warms functionally *through* the point region —
-                    // so the next point's prefix state is a pure functional
-                    // warm of [0, start).
-                    let (mut snap_hier, mut snap_bu) = snapshot.take().expect("snapshot returned");
-                    snap_hier.clone_from(hier);
-                    snap_bu.clone_from(bu);
-                    let mut fork = stream.clone();
-                    let mut sim =
-                        DetailedSim::with_warm_state(*config, program, snap_hier, snap_bu);
-                    let m = sim.simulate(&mut fork, p.len);
-                    *snapshot = Some(sim.into_warm_state());
-                    let advanced =
-                        func.fast_forward(&mut stream, m.instructions, &mut (), Some((hier, bu)));
-                    debug_assert_eq!(advanced, m.instructions, "fork and primary stream diverged");
-                    m
-                }
-                None => {
-                    let mut sim = DetailedSim::new(*config, program);
-                    sim.simulate(&mut stream, p.len)
-                }
-            };
-            pos += m.instructions;
-            m
-        });
-        cost.detailed_insts += metrics.instructions;
-        per_point.push(metrics);
-    }
-
+            let out = run_points(plan, |skip, len| {
+                let skipped = func.warm_walk(&mut stream, skip, &mut (), &mut bu, &mut caches);
+                // The detailed simulator runs on a fork of the stream
+                // with a snapshot of the warm state, while the primary
+                // stream warms functionally *through* the point region —
+                // so the next point's prefix state is a pure functional
+                // warm of [0, start).
+                let (snap_hier, mut snap_bu) = snapshot.take().expect("snapshot returned");
+                let snap_hier = caches.snapshot(snap_hier);
+                snap_bu.clone_from(&bu);
+                let mut sim = DetailedSim::with_warm_state(*config, program, snap_hier, snap_bu);
+                let m = sim.simulate(&mut stream.clone(), len);
+                snapshot = Some(sim.into_warm_state());
+                let advanced =
+                    func.warm_walk(&mut stream, m.instructions, &mut (), &mut bu, &mut caches);
+                debug_assert_eq!(advanced, m.instructions, "fork and primary stream diverged");
+                (skipped, m)
+            });
+            caches.finish();
+            out
+        }),
+    };
     let estimate = SimMetrics::weighted_estimate(
         plan.points().iter().zip(&per_point).map(|(p, m)| (p.weight, *m)),
     );
@@ -185,6 +177,194 @@ fn execute_on<S: InstructionStream + Clone>(
         mlpa_obs::add("core.plan.detailed_insts", cost.detailed_insts);
     }
     ExecutionOutcome { estimate, per_point, cost }
+}
+
+/// Visit `plan`'s points in order. `point(skip, len)` fast-forwards
+/// `skip` instructions, simulates `len` in detail, and returns the
+/// instructions skipped and the point's metrics.
+fn run_points(
+    plan: &SimulationPlan,
+    mut point: impl FnMut(u64, u64) -> (u64, SimMetrics),
+) -> (Vec<SimMetrics>, ExecutionCost) {
+    let mut per_point = Vec::with_capacity(plan.len());
+    let mut cost = ExecutionCost::default();
+    let mut pos = 0u64;
+    // A single-worker guard so plan execution reports utilization; the
+    // `plan` pool's live count is the number of executions in flight.
+    let mut worker = mlpa_obs::worker("plan", 0);
+    for (i, p) in plan.points().iter().enumerate() {
+        let _span = mlpa_obs::span_labeled("core.plan.point", &format!("point {i}"));
+        let (skipped, m) = worker.busy(|| point(p.start.saturating_sub(pos), p.len));
+        pos += skipped + m.instructions;
+        cost.functional_insts += skipped;
+        cost.detailed_insts += m.instructions;
+        per_point.push(m);
+    }
+    (per_point, cost)
+}
+
+/// Record buffers in flight between the two stages of a warmed plan
+/// execution, the one being filled included: 128 KiB.
+const QUEUED_BATCHES: usize = 4;
+
+/// The cache stage of a warmed plan execution: the memory hierarchy,
+/// warmed from the front stage's records on the calling thread or on a
+/// helper.
+enum CacheStage<'a, 'scope> {
+    Inline(Replay<'a>),
+    Helper(HelperStage<'scope>),
+}
+
+impl CacheStage<'_, '_> {
+    /// Refill `dest` with the warm hierarchy, every record walked so far
+    /// replayed, and return it.
+    fn snapshot(&mut self, mut dest: MemoryHierarchy) -> MemoryHierarchy {
+        match self {
+            CacheStage::Inline(replay) => {
+                dest.clone_from(replay.warm_state());
+                dest
+            }
+            CacheStage::Helper(stage) => stage.snapshot(dest),
+        }
+    }
+
+    /// Stop the cache stage.
+    fn finish(self) {
+        if let CacheStage::Helper(stage) = self {
+            stage.finish();
+        }
+    }
+}
+
+impl WarmBack for CacheStage<'_, '_> {
+    #[inline]
+    fn records(&mut self) -> &mut Vec<u64> {
+        match self {
+            CacheStage::Inline(replay) => replay.records(),
+            CacheStage::Helper(stage) => &mut stage.records,
+        }
+    }
+
+    fn submit(&mut self) {
+        match self {
+            CacheStage::Inline(replay) => replay.submit(),
+            CacheStage::Helper(stage) => stage.submit(),
+        }
+    }
+}
+
+/// What the two stages pass each other. Each message goes to the helper
+/// and comes back.
+enum Batch {
+    /// Records to replay; comes back emptied, for the front to refill.
+    Records(Vec<u64>),
+    /// A hierarchy to refill with the warm one; comes back filled.
+    Snapshot(Box<MemoryHierarchy>),
+}
+
+/// The calling thread's end of a cache stage running on a helper. The
+/// queue is bounded by the [`QUEUED_BATCHES`] buffers the calling thread
+/// allocates, which circulate between the stages.
+struct HelperStage<'scope> {
+    /// The buffer the front stage is filling.
+    records: Vec<u64>,
+    /// Emptied buffers the helper has returned.
+    free: Vec<Vec<u64>>,
+    to_helper: SyncSender<Batch>,
+    from_helper: Receiver<Batch>,
+    /// `None` once joined.
+    task: Option<HelperTask<'scope, ()>>,
+}
+
+impl<'scope> HelperStage<'scope> {
+    /// Start warming `hier` on `helper`.
+    fn start(
+        helper: Helper<'scope, '_>,
+        program: &'scope Program,
+        mut hier: MemoryHierarchy,
+    ) -> Self {
+        // Room for every message at once, so no send ever blocks.
+        let (to_helper, batches) = sync_channel(QUEUED_BATCHES + 1);
+        let (replies, from_helper) = sync_channel(QUEUED_BATCHES + 1);
+        let task = helper.spawn(move || {
+            for batch in batches {
+                let reply = match batch {
+                    Batch::Records(mut records) => {
+                        warm_back(program, &mut hier, &records);
+                        records.clear();
+                        Batch::Records(records)
+                    }
+                    Batch::Snapshot(mut dest) => {
+                        dest.as_mut().clone_from(&hier);
+                        Batch::Snapshot(dest)
+                    }
+                };
+                if replies.send(reply).is_err() {
+                    // The calling thread is unwinding.
+                    break;
+                }
+            }
+        });
+        let mut free: Vec<Vec<u64>> =
+            (0..QUEUED_BATCHES).map(|_| Vec::with_capacity(RECORD_BATCH)).collect();
+        let records = free.pop().expect("at least one buffer");
+        HelperStage { records, free, to_helper, from_helper, task: Some(task) }
+    }
+
+    fn send(&mut self, batch: Batch) {
+        if self.to_helper.send(batch).is_err() {
+            self.helper_stopped();
+        }
+    }
+
+    fn recv(&mut self) -> Batch {
+        match self.from_helper.recv() {
+            Ok(batch) => batch,
+            Err(_) => self.helper_stopped(),
+        }
+    }
+
+    /// The helper hung up, which it does only by panicking: re-raise its
+    /// panic, with its own payload, on the calling thread.
+    #[cold]
+    fn helper_stopped(&mut self) -> ! {
+        self.task.take().expect("joined once").join();
+        unreachable!("the cache stage runs until the calling thread hangs up")
+    }
+
+    fn submit(&mut self) {
+        let full = std::mem::take(&mut self.records);
+        self.send(Batch::Records(full));
+        self.records = match self.free.pop() {
+            Some(records) => records,
+            None => match self.recv() {
+                Batch::Records(records) => records,
+                Batch::Snapshot(_) => unreachable!("no snapshot was asked for"),
+            },
+        };
+    }
+
+    fn snapshot(&mut self, dest: MemoryHierarchy) -> MemoryHierarchy {
+        if !self.records.is_empty() {
+            self.submit();
+        }
+        self.send(Batch::Snapshot(Box::new(dest)));
+        // The helper answers in order, so every buffer is back with the
+        // snapshot.
+        loop {
+            match self.recv() {
+                Batch::Records(records) => self.free.push(records),
+                Batch::Snapshot(warm) => return *warm,
+            }
+        }
+    }
+
+    fn finish(mut self) {
+        let task = self.task.take().expect("joined once");
+        // Hang up first: the helper stops when its queue closes.
+        drop(self);
+        task.join();
+    }
 }
 
 /// Render a `catch_unwind` payload (the common `&str`/`String` cases).
@@ -594,23 +774,29 @@ impl<S: InstructionStream + Clone> RegionVisitor<S> for PointStarts<'_> {
 /// A plan file records only its `total=` instruction count, so nothing
 /// stops it from being replayed against a benchmark whose trace length
 /// differs; the weights would then silently misrepresent the program
-/// and produce wrong-but-plausible metrics. This entry point measures
-/// the stream's real length (one metadata walk — control-flow draws
-/// only, no instruction materialisation, see
-/// [`crate::pipeline::trace_insts`]) and refuses to execute on a
-/// mismatch.
+/// and produce wrong-but-plausible metrics. Nor does it stop a point
+/// from starting inside a block: fast-forwarding stops at block
+/// boundaries, so such a point silently starts at the next boundary,
+/// and its metrics depend on the other points' ends instead of its
+/// start alone. This entry point walks the stream's metadata once
+/// (control-flow draws only, no instruction materialisation, as
+/// [`crate::pipeline::trace_insts`]), measuring the trace length and
+/// finding the block boundaries around every point's start, and refuses
+/// to execute on a mismatch.
 ///
 /// # Errors
 ///
 /// Returns an error naming both lengths when `plan.total_insts()` does
-/// not equal the benchmark's trace length.
+/// not equal the benchmark's trace length, or naming the first point
+/// that starts inside a block and the block boundaries on either side
+/// of its start.
 pub fn execute_plan_checked(
     cb: &CompiledBenchmark,
     config: &MachineConfig,
     plan: &SimulationPlan,
     mode: WarmupMode,
 ) -> Result<ExecutionOutcome, String> {
-    let actual = crate::pipeline::trace_insts(cb);
+    let (actual, unaligned) = walk_point_starts(cb, plan);
     if plan.total_insts() != actual {
         return Err(format!(
             "plan/trace mismatch: plan covers total={} instructions but benchmark {} \
@@ -619,13 +805,49 @@ pub fn execute_plan_checked(
             cb.spec().name,
         ));
     }
+    if let Some((i, before, after)) = unaligned {
+        return Err(format!(
+            "plan point {i} starts at instruction {} inside a block of benchmark {}, \
+             between the block boundaries at {before} and {after}; every point must \
+             start at a block boundary",
+            plan.points()[i].start,
+            cb.spec().name,
+        ));
+    }
     Ok(execute_plan(cb, config, plan, mode))
+}
+
+/// One metadata walk of `cb`'s trace: its length, and the first point of
+/// `plan` that starts inside a block, with the block boundaries before
+/// and after its start.
+fn walk_point_starts(
+    cb: &CompiledBenchmark,
+    plan: &SimulationPlan,
+) -> (u64, Option<(usize, u64, u64)>) {
+    let _span = mlpa_obs::span("core.profile.trace_len");
+    let mut walk = crate::pipeline::MetaWalk::new(cb);
+    // Points are sorted by start, so one cursor follows the walk.
+    let mut points = plan.points().iter().enumerate().peekable();
+    let mut unaligned = None;
+    let mut boundary = 0u64;
+    while walk.next_before(u64::MAX).is_some() {
+        let next = walk.pos();
+        while let Some((i, p)) = points.next_if(|(_, p)| p.start < next) {
+            if p.start != boundary && unaligned.is_none() {
+                unaligned = Some((i, boundary, next));
+            }
+        }
+        boundary = next;
+    }
+    (boundary, unaligned)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::PlanPoint;
+    use mlpa_isa::stream::SliceStream;
+    use mlpa_isa::{BlockId, Instruction};
     use mlpa_workloads::spec::{BenchmarkSpec, ScriptEntry};
 
     fn cb() -> CompiledBenchmark {
@@ -683,24 +905,39 @@ mod tests {
         f.run(WorkloadStream::new(cb), &mut ()).instructions
     }
 
+    /// The first block boundary at or past instruction `pos`.
+    fn boundary_at(cb: &CompiledBenchmark, pos: u64) -> u64 {
+        FunctionalSim::new(cb.program()).fast_forward(
+            &mut WorkloadStream::new(cb),
+            pos,
+            &mut (),
+            None,
+        )
+    }
+
     /// Regression (plan/trace mismatch): a plan saved from one
     /// benchmark and loaded via `files::load` carries only `total=` in
     /// its header, so nothing used to stop it from executing against a
     /// benchmark whose trace length differs — silently misweighted,
     /// wrong-but-plausible metrics. The checked entry point must refuse
-    /// the pair and accept the matching one.
+    /// the pair and accept the matching one. Its points start at block
+    /// boundaries; shifted one instruction into a block, the plan is
+    /// refused too.
     #[test]
     fn checked_execution_rejects_plan_from_different_benchmark() {
         let short = cb();
         let long = long_cb();
-        let plan = plan_of(&short, &[(0.1, 0.05, 0.5), (0.6, 0.05, 0.5)]);
+        let total = ground_truth_len(&short);
+        let starts = [boundary_at(&short, total / 10), boundary_at(&short, total / 10 * 6)];
+        let len = total / 20;
+        let aligned = plan(&[(starts[0], len), (starts[1], len)], total);
 
         // Round-trip through the on-disk format, as a real cross-run
         // reuse would.
         let dir = std::env::temp_dir().join("mlpa-checked-exec-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("plan.txt");
-        crate::files::save(&plan, &path).unwrap();
+        crate::files::save(&aligned, &path).unwrap();
         let loaded = crate::files::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
 
@@ -719,6 +956,17 @@ mod tests {
             .expect("matching plan rejected");
         let unchecked = execute_plan(&short, &config, &loaded, WarmupMode::Warmed);
         assert_eq!(checked, unchecked);
+
+        // One instruction later, the second point starts inside the
+        // block that begins at its old start.
+        let after = boundary_at(&short, starts[1] + 1);
+        let shifted = plan(&[(starts[0], len), (starts[1] + 1, len)], total);
+        let err = execute_plan_checked(&short, &config, &shifted, WarmupMode::Warmed)
+            .expect_err("unaligned plan accepted");
+        assert!(err.contains("point 1"), "error must name the point: {err}");
+        assert!(err.contains(&format!("{}", starts[1] + 1)), "error must name the start: {err}");
+        assert!(err.contains(&format!("at {} and ", starts[1])), "boundary before: {err}");
+        assert!(err.contains(&format!("and {after};")), "boundary after: {err}");
     }
 
     /// The cached execution wrappers are exact: a warm lookup returns
@@ -919,7 +1167,7 @@ mod tests {
         assert_eq!(segments, segmented_on(program, stream.clone(), config, lens), "segments");
         assert_eq!(outcomes.len(), plans.len());
         for (i, (got, plan)) in outcomes.iter().zip(plans).enumerate() {
-            let want = execute_on(program, stream.clone(), config, plan, mode);
+            let want = execute_on(program, stream.clone(), config, plan, mode, None);
             assert_eq!(got.per_point.len(), plan.len(), "plan {i} kept every point");
             assert_eq!(got.per_point, want.per_point, "plan {i} per-point metrics");
             assert_eq!(got.cost, want.cost, "plan {i} cost");
@@ -996,15 +1244,11 @@ mod tests {
         }
     }
 
-    /// The suite emits no calls, but the pass takes its warm branch unit
-    /// from the detailed simulator: a trace of calls and returns pins it
-    /// to what functional warming gives (a warmed call pushes its return
-    /// address), with L2 traffic from loads and stores on the way.
-    #[test]
-    fn fused_pass_is_exact_across_calls_and_returns() {
+    /// A program of three blocks that call, return and jump, and 12,000
+    /// rounds of them with loads and stores on the way.
+    fn calls_trace() -> (Program, Vec<(BlockId, Vec<Instruction>)>) {
         use mlpa_isa::rng::SplitMix64;
-        use mlpa_isa::stream::SliceStream;
-        use mlpa_isa::{BranchKind, Instruction, OpClass, ProgramBuilder, Reg};
+        use mlpa_isa::{BranchKind, OpClass, ProgramBuilder, Reg};
 
         let mut b = ProgramBuilder::new("calls");
         let (main, cont, callee) = (b.add_block(9), b.add_block(9), b.add_block(9));
@@ -1035,25 +1279,123 @@ mod tests {
             let jump = block(Instruction::branch(BranchKind::Jump, Reg::int(1), true, main));
             trace.extend([(main, call), (callee, ret), (cont, jump)]);
         }
-        let total = trace.len() as u64 * 9;
+        (program, trace)
+    }
+
+    /// Config A with a small L2, so the loads and stores of
+    /// [`calls_trace`] keep it turning over, and the same with caches so
+    /// small that every block's fetches miss and meet its data accesses
+    /// in the same L2 sets, so the order they reach the L2 in decides
+    /// its state.
+    fn small_and_tiny() -> [MachineConfig; 2] {
         let mut small = MachineConfig::table1_base();
-        // A small L2, so the loads and stores keep it turning over.
         small.l2 = mlpa_sim::CacheConfig { size: 64 * 1024, assoc: 4, line: 32, latency: 20 };
-        // Caches so small that every block's fetches miss and meet its
-        // data accesses in the same L2 sets, so the replica's replay
-        // order decides the L2 state.
         let mut tiny = small;
         tiny.icache = mlpa_sim::CacheConfig { size: 64, assoc: 1, line: 32, latency: 1 };
         tiny.dcache = mlpa_sim::CacheConfig { size: 128, assoc: 2, line: 32, latency: 1 };
         tiny.l2 = mlpa_sim::CacheConfig { size: 512, assoc: 2, line: 32, latency: 10 };
+        [small, tiny]
+    }
+
+    /// The suite emits no calls, but the pass takes its warm branch unit
+    /// from the detailed simulator: a trace of calls and returns pins it
+    /// to what functional warming gives (a warmed call pushes its return
+    /// address), with L2 traffic from loads and stores on the way.
+    #[test]
+    fn fused_pass_is_exact_across_calls_and_returns() {
+        let (program, trace) = calls_trace();
+        let total = trace.len() as u64 * 9;
         let plans = plans(total);
         let plans = plans.each_ref();
         let stream = SliceStream::new(&trace);
-        for config in [small, tiny] {
+        for config in small_and_tiny() {
             for mode in [WarmupMode::Warmed, WarmupMode::Cold] {
                 assert_fused_exact(&program, &stream, &config, &coarse_lens(total), &plans, mode);
             }
         }
+    }
+
+    /// Warmed plan execution with its cache stage forced inline and
+    /// forced onto a helper must give equal outcomes for every plan.
+    fn assert_schedules_agree<S: InstructionStream + Clone>(
+        program: &Program,
+        stream: &S,
+        config: &MachineConfig,
+        plans: &[SimulationPlan],
+    ) {
+        for (i, plan) in plans.iter().enumerate() {
+            let run = |workers| {
+                execute_on(program, stream.clone(), config, plan, WarmupMode::Warmed, Some(workers))
+            };
+            assert_eq!(run(2), run(1), "plan {i}, l2 {:?}", config.l2);
+        }
+    }
+
+    /// The two stages give the same outcomes on a helper and inline:
+    /// under both Table I configs, with next-line prefetch, with caches
+    /// small enough that a block's I-lines and its data meet in the same
+    /// L2 sets, and across calls and returns.
+    #[test]
+    fn warmed_execution_is_exact_on_a_helper_and_inline() {
+        use mlpa_sim::config::PrefetchPolicy;
+        let cb = l2_cb();
+        let [small, tiny] = small_and_tiny();
+        let mut prefetching = MachineConfig::table1_base();
+        prefetching.prefetch = PrefetchPolicy::NextLine;
+        let tiny_prefetching = MachineConfig { prefetch: PrefetchPolicy::NextLine, ..tiny };
+        let configs = [
+            MachineConfig::table1_base(),
+            MachineConfig::table1_sensitivity(),
+            prefetching,
+            tiny_prefetching,
+        ];
+        let cb_plans = plans(ground_truth_len(&cb));
+        for config in &configs {
+            assert_schedules_agree(cb.program(), &WorkloadStream::new(&cb), config, &cb_plans);
+        }
+        let (program, trace) = calls_trace();
+        let trace_plans = plans(trace.len() as u64 * 9);
+        for config in &[small, tiny] {
+            assert_schedules_agree(&program, &SliceStream::new(&trace), config, &trace_plans);
+        }
+    }
+
+    /// A data address at or above 2^62 does not fit a packed record. It
+    /// must reach the cache whole and fail there with the serial walk's
+    /// panic, never decode as a block record or as another address, on
+    /// every schedule: a panic on the helper reaches the caller with its
+    /// own message. Execution works as before afterwards.
+    #[test]
+    fn a_wide_data_address_fails_in_the_cache_on_every_schedule() {
+        use mlpa_isa::Reg;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (program, mut trace) = calls_trace();
+        let config = MachineConfig::table1_base();
+        let total = trace.len() as u64 * 9;
+        let late = plan(&[(total - 9_000, 1_000)], total);
+        let clean = trace.clone();
+        // A load a third of the way in, long before the point.
+        let victim = trace.len() / 3;
+        for wide in [1 << 62, 1 << 63 | 0x40, !7] {
+            trace[victim].1[0] = Instruction::load(Reg::int(8), Reg::int(1), wide);
+            let serial = catch_unwind(|| MemoryHierarchy::new(&config).warm_data(wide, false))
+                .expect_err("the cache refuses a tag wider than 32 bits");
+            let serial = panic_message(&*serial);
+            assert!(serial.contains("wider than 32 bits"), "{serial}");
+            for workers in [Some(1), Some(2), None] {
+                let stream = SliceStream::new(&trace);
+                let run =
+                    || execute_on(&program, stream, &config, &late, WarmupMode::Warmed, workers);
+                let payload =
+                    catch_unwind(AssertUnwindSafe(run)).expect_err("a wide address warmed");
+                assert_eq!(panic_message(&*payload), serial, "{workers:?} workers, {wide:#x}");
+            }
+        }
+        let stream = SliceStream::new(&clean);
+        let run = |workers| {
+            execute_on(&program, stream.clone(), &config, &late, WarmupMode::Warmed, workers)
+        };
+        assert_eq!(run(None), run(Some(1)));
     }
 
     /// The cached twin shares its plan keys with `execute_plan_cached`:

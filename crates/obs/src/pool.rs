@@ -1,25 +1,33 @@
 //! One pool for spare cores.
 //!
-//! [`run`] runs a fixed list of independent tasks on the calling thread
-//! plus helper threads. Helpers come from one process-wide budget of
+//! Helpers come from one process-wide budget of
 //! `available_parallelism() − 1` slots, leased without waiting, so
 //! callers that fan out at the same time (suite workers, `mlpa-serve`
-//! workers, a BIC sweep beside a benchmark's config lanes) share the
-//! spare cores instead of multiplying threads. With no free slot (one
-//! core, or every slot held) the calling thread runs every task itself,
-//! in task order, and no thread is spawned.
+//! workers, a BIC sweep beside a benchmark's config lanes, a plan
+//! execution's cache stage) share the spare cores instead of
+//! multiplying threads. Two primitives draw on it:
 //!
-//! Tasks are claimed in index order; the calling thread always runs
-//! task 0, and helpers claim the rest as they start. A helper adopts
-//! the calling thread's innermost open span as its own parent, so the
-//! spans a task opens have the same parent — and the self-profile tree
-//! the same edges — whichever thread ran it. A helper's panic is
-//! re-raised on the calling thread, with its payload, after every
-//! worker has stopped.
+//! * [`run`] runs a fixed list of independent tasks on the calling
+//!   thread plus helper threads. With no free slot (one core, or every
+//!   slot held) the calling thread runs every task itself, in task
+//!   order, and no thread is spawned. Tasks are claimed in index order;
+//!   the calling thread always runs task 0, and helpers claim the rest
+//!   as they start.
+//! * [`with_helper`] leases at most one slot for a caller that pipelines
+//!   work to one long-lived task beside its own thread (warmed plan
+//!   execution's cache stage). With no free slot the caller gets `None`
+//!   and does that work itself.
+//!
+//! A helper adopts the calling thread's innermost open span as its own
+//! parent, so the spans a task opens have the same parent — and the
+//! self-profile tree the same edges — whichever thread ran it. A
+//! helper's panic is re-raised on the calling thread, with its payload,
+//! and its slot is back in the budget by then.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+use std::thread::{Scope, ScopedJoinHandle};
 
 /// Run tasks `0..tasks` and return their results in task order.
 ///
@@ -93,6 +101,85 @@ pub fn run<S, R: Send>(
         slots[i] = Some(r);
     }
     slots.into_iter().map(|r| r.expect("every task index is claimed exactly once")).collect()
+}
+
+/// Run `lead` on the calling thread with at most one helper thread
+/// beside it, and return what `lead` returns.
+///
+/// `lead` gets a [`Helper`] to start one task on, or `None` when there
+/// is no helper, and must then do the task's work itself. `workers`
+/// picks as [`run`]'s does: `None` leases one slot from the process-wide
+/// budget if one is free; `Some(n)` gives a helper exactly when `n ≥ 2`,
+/// whatever the budget says, for tests that pin the schedule. The slot
+/// returns to the budget when the task ends, unwinding included.
+///
+/// # Example
+///
+/// ```
+/// let sum = mlpa_obs::pool::with_helper(None, |helper| match helper {
+///     Some(h) => h.spawn(|| (1..=10).sum::<u32>()).join(),
+///     None => (1..=10).sum(),
+/// });
+/// assert_eq!(sum, 55);
+/// ```
+pub fn with_helper<'env, T>(
+    workers: Option<usize>,
+    lead: impl for<'scope> FnOnce(Option<Helper<'scope, 'env>>) -> T,
+) -> T {
+    with_helper_from(helper_budget(), workers, lead)
+}
+
+/// [`with_helper`] drawing on `budget`.
+fn with_helper_from<'env, T>(
+    budget: &'env HelperBudget,
+    workers: Option<usize>,
+    lead: impl for<'scope> FnOnce(Option<Helper<'scope, 'env>>) -> T,
+) -> T {
+    let lease = match workers {
+        Some(n) => (n >= 2).then_some(None),
+        None => Some(budget.lease(1)).filter(|l| l.n == 1).map(Some),
+    };
+    let parent = crate::current_span();
+    std::thread::scope(|scope| lead(lease.map(|lease| Helper { scope, lease, parent })))
+}
+
+/// A helper thread granted by [`with_helper`], not yet started.
+pub struct Helper<'scope, 'env> {
+    scope: &'scope Scope<'scope, 'env>,
+    /// The budget slot, or `None` when the schedule was forced.
+    lease: Option<Lease<'env>>,
+    parent: crate::SpanParent,
+}
+
+impl<'scope> Helper<'scope, '_> {
+    /// Start `task` on the helper thread.
+    pub fn spawn<R: Send + 'scope>(
+        self,
+        task: impl FnOnce() -> R + Send + 'scope,
+    ) -> HelperTask<'scope, R> {
+        let Helper { scope, lease, parent } = self;
+        HelperTask(scope.spawn(move || {
+            // Dropped when the task ends, unwinding included, so the
+            // slot is free again before `join` returns.
+            let _lease = lease;
+            let _adopted = crate::adopt_span(parent);
+            task()
+        }))
+    }
+}
+
+/// A task running on a [`Helper`].
+pub struct HelperTask<'scope, R>(ScopedJoinHandle<'scope, R>);
+
+impl<R> HelperTask<'_, R> {
+    /// Wait for the task to end and return its result.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the task's panic with its payload.
+    pub fn join(self) -> R {
+        self.0.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
+    }
 }
 
 /// The process-wide helper budget: one slot per available core beyond
@@ -218,6 +305,39 @@ mod tests {
             }
         });
         assert_eq!(budget.lease(5).n, 3);
+    }
+
+    #[test]
+    fn with_helper_forced_schedules_and_budget_leases() {
+        let me = std::thread::current().id();
+        let on_helper = |workers| {
+            with_helper(workers, |helper| {
+                helper.map(|h| h.spawn(|| std::thread::current().id()).join() != me)
+            })
+        };
+        assert_eq!(on_helper(Some(1)), None);
+        assert_eq!(on_helper(Some(2)), Some(true));
+        let budget = HelperBudget::new(1);
+        let held = budget.lease(1);
+        assert!(with_helper_from(&budget, None, |h| h.is_none()), "every slot is held");
+        drop(held);
+        assert!(with_helper_from(&budget, None, |h| h.is_some()));
+        assert_eq!(budget.lease(1).n, 1, "the slot came back");
+        assert!(with_helper_from(&HelperBudget::new(0), None, |h| h.is_none()), "one core");
+    }
+
+    #[test]
+    fn a_helper_tasks_panic_reaches_the_caller_and_frees_its_slot() {
+        let budget = HelperBudget::new(1);
+        let payload = std::panic::catch_unwind(|| {
+            with_helper_from(&budget, None, |helper| {
+                let task = helper.expect("a free slot").spawn(|| -> u8 { panic!("stage failed") });
+                task.join()
+            })
+        })
+        .expect_err("the task panicked");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"stage failed"));
+        assert_eq!(budget.lease(1).n, 1, "the slot came back");
     }
 
     #[test]
