@@ -21,8 +21,8 @@ COMMANDS (default: all)
 {commands}
 ABLATION TABLES (each is also a command that writes <out>/<name>.txt;
 every table pins its own reduced-size program, so --quick, --select,
---iters, --scale, --cold, --jobs, --shards, --ratio, --measured-ratio
-and --cache do not apply to them)
+--iters, --scale, --cold, --jobs, --ratio, --measured-ratio and
+--cache do not apply to them)
 {tables}
 OPTIONS
   --quick           reduced suite (2x iterations, 0.5x sizes)
@@ -32,11 +32,6 @@ OPTIONS
   --cold            cold fast-forward (no warming) — scale-amplified
   --jobs N          worker threads for the suite run (default 0 = all
                     cores); results are bit-identical for every N
-  --shards N        trace segments per profiling pass (default 1);
-                    each pass is one walk whatever N is, and with
-                    --cache each segment is checkpointed as it ends,
-                    so N is the resume granularity; the merge is
-                    bit-identical to the single segment for every N
   --ratio R         cost-model ratio c_d/c_f (default: paper 32.5)
   --measured-ratio  also report speedups at the measured ratio
   --out DIR         output directory (default: results)
@@ -96,7 +91,6 @@ struct Options {
     scale: f64,
     cold: bool,
     jobs: usize,
-    shards: usize,
     ratio: f64,
     measured_ratio: bool,
     out: PathBuf,
@@ -119,7 +113,6 @@ fn parse_args() -> Result<Options, String> {
         scale: 1.0,
         cold: false,
         jobs: 0,
-        shards: 1,
         ratio: 32.5,
         measured_ratio: false,
         out: PathBuf::from("results"),
@@ -167,13 +160,6 @@ fn parse_args() -> Result<Options, String> {
                     .ok_or("--jobs needs a value")?
                     .parse()
                     .map_err(|e| format!("--jobs: {e}"))?;
-            }
-            "--shards" => {
-                o.shards = args
-                    .next()
-                    .ok_or("--shards needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
             }
             "--iters" => {
                 o.iters = args
@@ -353,7 +339,6 @@ fn run(o: &Options) -> Result<(), String> {
             suite,
             warmup: if o.cold { WarmupMode::Cold } else { WarmupMode::Warmed },
             jobs: o.jobs,
-            shards: o.shards.max(1),
             cache: cache.clone(),
             ..harness::Experiment::default()
         };

@@ -20,7 +20,6 @@
 
 use std::fmt::Write as _;
 
-use mlpa_phase::shard::{RawInterval, ShardLoopProfile, ShardLoopStats};
 use mlpa_phase::{CyclicStructure, Interval, LoopProfile, SimPoint, SimPoints};
 use mlpa_sim::{MetricEstimate, SimMetrics};
 
@@ -460,116 +459,6 @@ impl Artifact for BoundaryArtifact {
     }
 }
 
-fn enc_raw_intervals(e: &mut Enc, pieces: &[RawInterval]) {
-    e.z(pieces.len());
-    for p in pieces {
-        e.u(p.start);
-        e.u(p.len);
-        e.z(p.acc.len());
-        for &v in &p.acc {
-            e.f(v);
-        }
-    }
-}
-
-fn dec_raw_intervals(d: &mut Dec) -> Result<Vec<RawInterval>, String> {
-    let n = d.z()?;
-    let mut out = Vec::with_capacity(cap(n));
-    for _ in 0..n {
-        let start = d.u()?;
-        let len = d.u()?;
-        let na = d.z()?;
-        let mut acc = Vec::with_capacity(cap(na));
-        for _ in 0..na {
-            acc.push(d.f()?);
-        }
-        out.push(RawInterval { start, len, acc });
-    }
-    Ok(out)
-}
-
-/// One segment shard of the combined profiling pass: the shard's
-/// un-normalised fine-interval pieces plus its loop tallies. Cached per
-/// `(spec, projection, interval, shard-count, shard-index)` so a
-/// crashed sharded run resumes at the last completed segment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileShardArtifact {
-    /// Un-normalised fine-interval pieces, in trace order.
-    pub pieces: Vec<RawInterval>,
-    /// The shard's loop-profile contribution.
-    pub loops: ShardLoopProfile,
-}
-
-impl Artifact for ProfileShardArtifact {
-    const KIND: &'static str = "profile-shard";
-    fn encode(&self, enc: &mut Enc) {
-        enc_raw_intervals(enc, &self.pieces);
-        enc.z(self.loops.stats.len());
-        for s in &self.loops.stats {
-            enc.u(s.header.raw() as u64);
-            enc.u(s.coverage_insts);
-            enc.u(s.back_edges);
-            enc.u(s.entries);
-            match s.min_depth {
-                Some(d) => {
-                    enc.b(true);
-                    enc.z(d);
-                }
-                None => enc.b(false),
-            }
-        }
-        enc.u(self.loops.total_insts);
-    }
-    fn decode(dec: &mut Dec) -> Result<Self, String> {
-        let pieces = dec_raw_intervals(dec)?;
-        let n = dec.z()?;
-        let mut stats = Vec::with_capacity(cap(n));
-        for _ in 0..n {
-            let raw = dec.u()?;
-            let header = mlpa_isa::BlockId::new(
-                u32::try_from(raw).map_err(|_| format!("block id {raw} does not fit u32"))?,
-            );
-            let coverage_insts = dec.u()?;
-            let back_edges = dec.u()?;
-            let entries = dec.u()?;
-            let min_depth = if dec.b()? { Some(dec.z()?) } else { None };
-            stats.push(ShardLoopStats { header, coverage_insts, back_edges, entries, min_depth });
-        }
-        let total_insts = dec.u()?;
-        Ok(ProfileShardArtifact { pieces, loops: ShardLoopProfile { stats, total_insts } })
-    }
-}
-
-/// One segment shard of a boundary-profiling pass: the shard's
-/// un-normalised pieces plus the global position of the first header
-/// entry it observed (`u64::MAX` encodes "none").
-#[derive(Debug, Clone, PartialEq)]
-pub struct BoundaryShardArtifact {
-    /// Un-normalised boundary-interval pieces, in trace order.
-    pub pieces: Vec<RawInterval>,
-    /// Global position of the shard's first observed header entry.
-    pub first_header_pos: Option<u64>,
-}
-
-impl Artifact for BoundaryShardArtifact {
-    const KIND: &'static str = "boundary-shard";
-    fn encode(&self, enc: &mut Enc) {
-        enc_raw_intervals(enc, &self.pieces);
-        match self.first_header_pos {
-            Some(p) => {
-                enc.b(true);
-                enc.u(p);
-            }
-            None => enc.b(false),
-        }
-    }
-    fn decode(dec: &mut Dec) -> Result<Self, String> {
-        let pieces = dec_raw_intervals(dec)?;
-        let first_header_pos = if dec.b()? { Some(dec.u()?) } else { None };
-        Ok(BoundaryShardArtifact { pieces, first_header_pos })
-    }
-}
-
 impl Artifact for FineOutcome {
     const KIND: &'static str = "fine-outcome";
     fn encode(&self, enc: &mut Enc) {
@@ -819,36 +708,6 @@ mod tests {
                 fine: sample_simpoints(),
             }],
         });
-        roundtrip(&ProfileShardArtifact {
-            pieces: vec![
-                RawInterval { start: 0, len: 9_500, acc: vec![12.0, -4.0, 9_500.0] },
-                RawInterval { start: 10_000, len: 300, acc: vec![-300.0, 0.0, 300.0] },
-            ],
-            loops: ShardLoopProfile {
-                stats: vec![
-                    ShardLoopStats {
-                        header: mlpa_isa::BlockId::new(3),
-                        coverage_insts: 800,
-                        back_edges: 7,
-                        entries: 1,
-                        min_depth: Some(0),
-                    },
-                    ShardLoopStats {
-                        header: mlpa_isa::BlockId::new(9),
-                        coverage_insts: 120,
-                        back_edges: 4,
-                        entries: 0,
-                        min_depth: None,
-                    },
-                ],
-                total_insts: 9_800,
-            },
-        });
-        roundtrip(&BoundaryShardArtifact {
-            pieces: vec![RawInterval { start: 40, len: 60, acc: vec![60.0, -60.0] }],
-            first_header_pos: Some(40),
-        });
-        roundtrip(&BoundaryShardArtifact { pieces: vec![], first_header_pos: None });
         roundtrip(&ExecutionOutcome {
             estimate: MetricEstimate {
                 cpi: 1.25,

@@ -3,18 +3,14 @@
 
 use std::sync::Arc;
 
-use crate::artifact::{Artifact, BoundaryArtifact, BoundaryShardArtifact, ProfileShardArtifact};
+use crate::artifact::BoundaryArtifact;
 use crate::cache::{ArtifactCache, CacheKey};
 use crate::plan::{PlanPoint, SimulationPlan};
 use mlpa_isa::stream::{BlockMeta, InstructionStream};
-use mlpa_isa::{BlockId, Instruction, Program};
-use mlpa_phase::interval::{FixedLengthProfiler, Interval};
-use mlpa_phase::loops::LoopProfile;
+use mlpa_isa::{BlockId, Instruction};
+use mlpa_phase::interval::{BoundaryProfiler, FixedLengthProfiler, Interval};
+use mlpa_phase::loops::{LoopProfile, LoopProfiler};
 use mlpa_phase::project::RandomProjection;
-use mlpa_phase::shard::{
-    merge_boundary, merge_fine, merge_loops, BoundaryTracker, FineCutTracker, LoopStackTracker,
-    ShardBoundaryProfiler, ShardFineProfiler, ShardLoopMonitor,
-};
 use mlpa_phase::simpoint::{select, SimPointConfig, SimPoints};
 use mlpa_workloads::{CompiledBenchmark, WorkloadStream};
 
@@ -48,28 +44,38 @@ impl ProjectionSettings {
     }
 }
 
-/// How a profiling pass schedules its trace segments. There is one
-/// schedule: the segments are chained along a single metadata walk on
-/// the calling thread (see [`ProfilingContext::set_shards`]).
-///
-/// The type exists only for [`ProfilingContext::set_shard_driver`].
+/// Kept only for [`ProfilingContext::set_shard_driver`]: every
+/// profiling pass is one metadata walk on the calling thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardDriver {
-    /// One walk on the calling thread, segment after segment.
+    /// One walk on the calling thread.
     #[default]
     Chained,
 }
 
 /// A metadata walk over a benchmark's trace: block ids and sizes in
 /// trace order, with no instruction materialised.
+///
+/// The walk publishes its position on the `core.profile.progress_permille`
+/// gauge, in per-mille of the spec's nominal length (capped at 1000),
+/// setting it at most once per per-mille step.
 pub(crate) struct MetaWalk<'b> {
     stream: WorkloadStream<'b>,
     scratch: Vec<Instruction>,
+    /// The spec's nominal trace length (at least 1).
+    nominal: u64,
+    /// The position at which the gauge is next set.
+    next_mark: u64,
 }
 
 impl<'b> MetaWalk<'b> {
     pub(crate) fn new(cb: &'b CompiledBenchmark) -> MetaWalk<'b> {
-        MetaWalk { stream: WorkloadStream::new(cb), scratch: Vec::new() }
+        MetaWalk {
+            stream: WorkloadStream::new(cb),
+            scratch: Vec::new(),
+            nominal: cb.spec().nominal_insts().max(1),
+            next_mark: 0,
+        }
     }
 
     /// Instructions walked so far.
@@ -81,112 +87,20 @@ impl<'b> MetaWalk<'b> {
     /// `end`: walking to `end` stops at the first block boundary at or
     /// past it.
     pub(crate) fn next_before(&mut self, end: u64) -> Option<BlockMeta> {
-        if self.pos() >= end {
+        let pos = self.pos();
+        if pos >= end {
             return None;
         }
+        if pos >= self.next_mark {
+            let permille = (pos.saturating_mul(1000) / self.nominal).min(1000);
+            mlpa_obs::gauge_set("core.profile.progress_permille", permille);
+            // The first position whose per-mille exceeds this one.
+            self.next_mark = match permille {
+                1000 => u64::MAX,
+                p => ((p + 1) * self.nominal).div_ceil(1000),
+            };
+        }
         self.stream.next_block_meta(&mut self.scratch)
-    }
-}
-
-/// One kind of whole-trace profiling pass, as the segment loop sees
-/// it: an O(1)-per-block tracker that carries the pass's state across
-/// segment boundaries, and a shard profiler that turns one segment
-/// into a mergeable artifact.
-trait SegmentPass {
-    /// The pass's state at a block boundary.
-    type Tracker;
-    /// One segment's mergeable product.
-    type Art: Artifact;
-    /// The tracker at the start of the trace.
-    fn tracker(&self) -> Self::Tracker;
-    /// Advance `t` over one block.
-    fn advance(t: &mut Self::Tracker, m: BlockMeta);
-    /// Profile the walk's blocks up to `end`, entering with `t`'s
-    /// state; with `carry`, `t` advances through them too (a segment
-    /// that has a successor).
-    fn segment(
-        &self,
-        t: &mut Self::Tracker,
-        carry: bool,
-        walk: &mut MetaWalk<'_>,
-        end: u64,
-    ) -> Self::Art;
-}
-
-/// The combined pass: loop profile and fine intervals in one walk.
-struct CombinedSegments<'c> {
-    program: &'c Program,
-    projection: &'c RandomProjection,
-    fine_interval: u64,
-}
-
-impl<'c> SegmentPass for CombinedSegments<'c> {
-    type Tracker = (FineCutTracker, LoopStackTracker<'c>);
-    type Art = ProfileShardArtifact;
-
-    fn tracker(&self) -> Self::Tracker {
-        (FineCutTracker::new(self.fine_interval), LoopStackTracker::new(self.program))
-    }
-
-    fn advance((fine, loops): &mut Self::Tracker, m: BlockMeta) {
-        fine.record(m.insts);
-        loops.record(m.id);
-    }
-
-    fn segment(
-        &self,
-        t: &mut Self::Tracker,
-        carry: bool,
-        walk: &mut MetaWalk<'_>,
-        end: u64,
-    ) -> ProfileShardArtifact {
-        let mut prof = ShardFineProfiler::new(self.projection, self.fine_interval, &t.0);
-        let mut mon = ShardLoopMonitor::new(t.1.clone());
-        while let Some(m) = walk.next_before(end) {
-            if carry {
-                Self::advance(t, m);
-            }
-            prof.record(m.id, m.insts);
-            mon.record(m.id, m.insts);
-        }
-        ProfileShardArtifact { pieces: prof.finish(), loops: mon.finish() }
-    }
-}
-
-/// The boundary pass: intervals cut at every entry of `header`.
-struct BoundarySegments<'c> {
-    projection: &'c RandomProjection,
-    header: BlockId,
-}
-
-impl SegmentPass for BoundarySegments<'_> {
-    type Tracker = BoundaryTracker;
-    type Art = BoundaryShardArtifact;
-
-    fn tracker(&self) -> BoundaryTracker {
-        BoundaryTracker::new(self.header)
-    }
-
-    fn advance(t: &mut BoundaryTracker, m: BlockMeta) {
-        t.record(m.id, m.insts);
-    }
-
-    fn segment(
-        &self,
-        t: &mut BoundaryTracker,
-        carry: bool,
-        walk: &mut MetaWalk<'_>,
-        end: u64,
-    ) -> BoundaryShardArtifact {
-        let mut prof = ShardBoundaryProfiler::new(self.projection, t);
-        while let Some(m) = walk.next_before(end) {
-            if carry {
-                Self::advance(t, m);
-            }
-            prof.record(m.id, m.insts);
-        }
-        let (pieces, first_header_pos) = prof.finish();
-        BoundaryShardArtifact { pieces, first_header_pos }
     }
 }
 
@@ -232,8 +146,6 @@ pub struct ProfilingContext<'b> {
     fine_intervals: Option<Vec<Interval>>,
     boundary: Option<BoundaryPass>,
     cache: Option<Arc<ArtifactCache>>,
-    /// Trace segments per profiling pass (1 = one segment).
-    shards: usize,
 }
 
 impl<'b> ProfilingContext<'b> {
@@ -253,25 +165,17 @@ impl<'b> ProfilingContext<'b> {
             fine_intervals: None,
             boundary: None,
             cache: None,
-            shards: 1,
         }
     }
 
-    /// Split the profiling passes into `shards` trace segments (1, the
-    /// default, is one segment). Every count merges bit-identically to
-    /// the single segment — pinned by `sharded_profiling.rs` and the
-    /// `mlpa-phase` property tests — and every count is one metadata
-    /// walk on the calling thread, so `shards` sets only the checkpoint
-    /// granularity: with two or more segments, each is checkpointed in
-    /// the artifact cache as it completes, and a killed run resumes at
-    /// the first missing one.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
-    }
+    /// Does nothing: every profiling pass is one metadata walk, cached
+    /// whole. Kept only because `benchmark/`, which does not change
+    /// with the library, calls it.
+    pub fn set_shards(&mut self, _shards: usize) {}
 
-    /// Does nothing: every pass chains its segments on the calling
-    /// thread. Kept only because `benchmark/src/sample.rs`, which does
-    /// not change with the library, calls it.
+    /// Does nothing: every profiling pass is one metadata walk on the
+    /// calling thread. Kept only because `benchmark/src/sample.rs`,
+    /// which does not change with the library, calls it.
     pub fn set_shard_driver(&mut self, _driver: ShardDriver) {}
 
     /// Attach an artifact cache: every profiling pass first consults it
@@ -322,8 +226,8 @@ impl<'b> ProfilingContext<'b> {
     }
 
     /// Run the combined base pass eagerly: the loop profile and the
-    /// fine intervals come from one metadata walk, segment by segment,
-    /// merged bit-identically. The lazy getters call this on first use.
+    /// fine intervals come from one metadata walk. The lazy getters
+    /// call this on first use.
     pub fn prepare(&mut self) {
         if self.loop_profile.is_some() && self.fine_intervals.is_some() {
             return;
@@ -339,89 +243,22 @@ impl<'b> ProfilingContext<'b> {
                 return;
             }
         }
-        let _span = mlpa_obs::span("core.profile.shard_pass");
-        mlpa_obs::add("core.profile.shard_passes", 1);
-        let pass = CombinedSegments {
-            program: self.cb.program(),
-            projection: &self.projection,
-            fine_interval: self.fine_interval,
-        };
-        let fine_key = self.fine_key();
-        let (pieces, loops): (Vec<_>, Vec<_>) =
-            self.run_segments(&pass, &fine_key).into_iter().map(|a| (a.pieces, a.loops)).unzip();
-        let intervals = merge_fine(pieces);
-        let profile = merge_loops(loops);
+        let _span = mlpa_obs::span("core.profile.combined_pass");
+        mlpa_obs::add("core.profile.passes", 1);
+        let mut fine = FixedLengthProfiler::new(&self.projection, self.fine_interval);
+        let mut loops = LoopProfiler::new(self.cb.program());
+        let mut walk = MetaWalk::new(self.cb);
+        while let Some(m) = walk.next_before(u64::MAX) {
+            fine.record(m.id, m.insts);
+            loops.record(m.id, m.insts);
+        }
+        let (intervals, profile) = (fine.finish(), loops.finish());
         if let Some(cache) = &self.cache {
             cache.put(&self.loop_key(), &profile);
-            cache.put(&fine_key, &intervals);
+            cache.put(&self.fine_key(), &intervals);
         }
         self.loop_profile = Some(profile);
         self.fine_intervals = Some(intervals);
-    }
-
-    /// Segment targets for an `N`-way partition of the trace: shard `k`
-    /// owns blocks whose first instruction lands in
-    /// `[targets[k], targets[k+1])`. Targets derive from the spec's
-    /// nominal length (O(1) — no trace-length pre-pass); the last shard
-    /// absorbs the generator's stochastic drift by running to the end
-    /// of the stream. Both sides of every boundary apply the same rule,
-    /// so the partition is exact, gap-free, and overlap-free for any
-    /// actual trace length.
-    fn shard_targets(&self) -> Vec<u64> {
-        let shards = self.shards;
-        let nominal = self.cb.spec().nominal_insts().max(1);
-        let mut t: Vec<u64> = (0..shards as u64).map(|k| k * nominal / shards as u64).collect();
-        t.push(u64::MAX);
-        t
-    }
-
-    /// Run `pass` over the context's trace segments and return the
-    /// per-segment artifacts in trace order.
-    ///
-    /// All segments share one metadata walk on the calling thread, with
-    /// the pass's tracker carried across their boundaries. With more
-    /// than one segment, each segment's artifact goes through the
-    /// artifact cache under the pass's `key` plus the shard count and
-    /// index, so a killed run resumes at the first missing segment; a
-    /// checkpointed segment still advances the walk and tracker (to keep
-    /// alignment) but skips the profiler work. The count is part of the
-    /// key because segment boundaries derive from it: shards of
-    /// different partitions are not interchangeable (their *merge* is
-    /// identical, their pieces are not). One segment is the whole pass:
-    /// it reads and writes no checkpoint (the caller caches the merge).
-    fn run_segments<P: SegmentPass>(&self, pass: &P, key: &CacheKey) -> Vec<P::Art> {
-        let shards = self.shards;
-        let targets = self.shard_targets();
-        let store = self.cache.as_deref().filter(|_| shards > 1);
-        let mut walk = MetaWalk::new(self.cb);
-        let mut t = pass.tracker();
-        (0..shards)
-            .map(|k| {
-                let end = targets[k + 1];
-                let ckpt =
-                    store.map(|c| (c, key.clone().field("shards", &shards).field("shard", &k)));
-                if let Some(art) = ckpt.as_ref().and_then(|(c, key)| c.get(key)) {
-                    mlpa_obs::add("core.profile.shard_resumes", 1);
-                    while let Some(m) = walk.next_before(end) {
-                        P::advance(&mut t, m);
-                    }
-                    return art;
-                }
-                let _span = mlpa_obs::span("core.profile.shard");
-                mlpa_obs::add("core.profile.shards_run", 1);
-                // The gauges name the segment in progress; one segment
-                // has no progress to show.
-                if shards > 1 {
-                    mlpa_obs::gauge_set("core.shard.total", shards as u64);
-                    mlpa_obs::gauge_set("core.shard.segment", k as u64);
-                }
-                let art = pass.segment(&mut t, k + 1 < shards, &mut walk, end);
-                if let Some((c, key)) = &ckpt {
-                    c.put(key, &art);
-                }
-                art
-            })
-            .collect()
     }
 
     /// The loop (cyclic-structure) profile of the trace.
@@ -454,15 +291,18 @@ impl<'b> ProfilingContext<'b> {
         }
         let stale = self.boundary.as_ref().is_none_or(|b| b.header != header);
         if stale {
-            let _span = mlpa_obs::span("core.profile.shard_boundary_pass");
-            let pass = BoundarySegments { projection: &self.projection, header };
-            let key = self.boundary_key(header);
-            let arts = self.run_segments(&pass, &key);
-            let (intervals, has_prologue) =
-                merge_boundary(arts.into_iter().map(|a| (a.pieces, a.first_header_pos)));
+            let _span = mlpa_obs::span("core.profile.boundary_pass");
+            mlpa_obs::add("core.profile.passes", 1);
+            let mut prof = BoundaryProfiler::new(&self.projection, header);
+            let mut walk = MetaWalk::new(self.cb);
+            while let Some(m) = walk.next_before(u64::MAX) {
+                prof.record(m.id, m.insts);
+            }
+            let has_prologue = prof.has_prologue();
+            let intervals = prof.finish();
             if let Some(cache) = &self.cache {
                 cache.put(
-                    &key,
+                    &self.boundary_key(header),
                     &BoundaryArtifact {
                         header: header.raw(),
                         has_prologue,
@@ -481,8 +321,9 @@ impl<'b> ProfilingContext<'b> {
 /// with one metadata drain of the stream: all control-flow draws run,
 /// but no instruction words are materialised, so this costs a fraction
 /// of a functional pass. `CompiledBenchmark` does not record the length
-/// statically, so plan/trace compatibility checks (see
-/// [`crate::estimate::execute_plan_checked`]) measure it here.
+/// statically. [`crate::estimate::execute_plan_checked`] does not call
+/// this: its own metadata walk measures the length while it finds the
+/// block boundaries around every plan point's start.
 pub fn trace_insts(cb: &CompiledBenchmark) -> u64 {
     let _span = mlpa_obs::span("core.profile.trace_len");
     mlpa_isa::stream::drain_meta_count(WorkloadStream::new(cb)).instructions
@@ -617,9 +458,8 @@ mod tests {
 
     /// Every profiling entry point walks block metadata: a fresh
     /// context's lazy getters, its boundary pass and multi-level's
-    /// window re-profile materialise no instruction; a sharded context
-    /// runs its segmented pass without an explicit `prepare()`; and a
-    /// single-segment pass leaves no per-segment checkpoint behind.
+    /// window re-profile materialise no instruction; and a cached
+    /// context stores each pass's product whole.
     #[test]
     fn profiling_passes_walk_metadata_only() {
         use crate::multilevel::{multilevel_with, MultilevelConfig};
@@ -644,28 +484,40 @@ mod tests {
         assert!(clean, "a profiling pass materialised instructions");
 
         let root =
-            std::env::temp_dir().join(format!("mlpa-pipeline-checkpoints-{}", std::process::id()));
+            std::env::temp_dir().join(format!("mlpa-pipeline-cached-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
-        let passes = mlpa_obs::counter_value("core.profile.shard_passes");
         let mut ctx = fresh();
-        ctx.set_shards(4);
-        ctx.set_cache(Arc::new(ArtifactCache::open(root.join("four")).unwrap()));
-        ctx.loop_profile();
-        assert!(mlpa_obs::counter_value("core.profile.shard_passes") > passes);
-        let checkpoints = std::fs::read_dir(root.join("four/profile-shard")).unwrap().count();
-        assert_eq!(checkpoints, 4, "one checkpoint per segment");
-
-        let mut ctx = fresh();
-        ctx.set_cache(Arc::new(ArtifactCache::open(root.join("one")).unwrap()));
+        ctx.set_cache(Arc::new(ArtifactCache::open(&root).unwrap()));
         ctx.fine_intervals();
         ctx.boundary_intervals(header);
-        for kind in ["profile-shard", "boundary-shard"] {
-            assert!(!root.join("one").join(kind).exists(), "single segment wrote {kind}");
-        }
         for kind in ["loop-profile", "intervals", "boundary"] {
-            assert!(root.join("one").join(kind).exists(), "merged {kind} not cached");
+            assert!(root.join(kind).exists(), "{kind} not cached");
         }
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The walk sets the progress gauge at most once per per-mille step.
+    #[test]
+    fn meta_walk_sets_progress_once_per_mille() {
+        // A nominal length that is no multiple of 1000, so per-mille
+        // steps do not fall on whole instructions.
+        let spec = BenchmarkSpec { init_insts: 1_777, ..two_phase_cb().spec().clone() };
+        let cb = CompiledBenchmark::compile(&spec).unwrap();
+        let nominal = spec.nominal_insts();
+        assert_ne!(nominal % 1000, 0);
+        let mut walk = MetaWalk::new(&cb);
+        // The per-mille of every position at which the walk sets the gauge.
+        let mut sets = Vec::new();
+        loop {
+            if walk.pos() >= walk.next_mark {
+                sets.push((walk.pos() * 1000 / nominal).min(1000));
+            }
+            if walk.next_before(u64::MAX).is_none() {
+                break;
+            }
+        }
+        assert!(sets.windows(2).all(|w| w[0] < w[1]), "a per-mille step was set twice");
+        assert!(sets.len() > 100, "{} gauge sets", sets.len());
     }
 
     #[test]

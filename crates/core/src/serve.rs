@@ -16,7 +16,7 @@
 //!   refused, memory never grows without bound), or `400` on an
 //!   invalid request.
 //! * `GET /jobs/N` → job state (schema [`SERVE_JOB_SCHEMA`]) plus the
-//!   run phase / segment / progress gauges the status server exposes.
+//!   run phase and progress gauges the status server exposes.
 //! * `GET /jobs/N/result` → exactly the result body (schema
 //!   [`SERVE_RESULT_SCHEMA`]); byte-identical for identical requests,
 //!   whether computed, deduplicated, or served from the warm cache.
@@ -59,7 +59,7 @@ use crate::multilevel::{multilevel_with, MultilevelConfig};
 use crate::pipeline::{simpoint_baseline_with, ProfilingContext, FINE_INTERVAL};
 
 /// Schema tag on `GET /jobs/N` bodies.
-pub const SERVE_JOB_SCHEMA: &str = "mlpa-serve-job-v1";
+pub const SERVE_JOB_SCHEMA: &str = "mlpa-serve-job-v2";
 /// Schema tag on analysis result bodies.
 pub const SERVE_RESULT_SCHEMA: &str = "mlpa-serve-result-v1";
 
@@ -598,7 +598,7 @@ fn get_job(inner: &Arc<Inner>, path: &str) -> Response {
             ),
         };
     }
-    // mlpa-status-style body: job state plus the live phase / segment /
+    // mlpa-status-style body: job state plus the live phase and
     // progress gauges, so a poller sees pipeline progress, not just
     // "running".
     let gauges = mlpa_obs::gauges_snapshot();
@@ -614,14 +614,14 @@ fn get_job(inner: &Arc<Inner>, path: &str) -> Response {
     };
     Response::json(format!(
         "{{\"schema\":\"{SERVE_JOB_SCHEMA}\",\"job\":{id},\"state\":\"{}\",\
-         \"benchmark\":\"{}\",\"method\":\"{}\",\"phase\":\"{}\",\"segment\":{},\
+         \"benchmark\":\"{}\",\"method\":\"{}\",\"phase\":\"{}\",\"progress_permille\":{},\
          \"benchmarks_done\":{},\"benchmarks_total\":{},\"queued\":{}{error},\
          \"gauges\":{{{gauge_body}}}}}",
         rec.state.name(),
         json::escape(&rec.request.benchmark),
         rec.request.method.name(),
         json::escape(&mlpa_obs::telemetry::run_phase()),
-        gauge("core.shard.segment"),
+        gauge("core.profile.progress_permille"),
         gauge("bench.done"),
         gauge("bench.total"),
         jobs.queue.len(),
@@ -659,6 +659,9 @@ mod tests {
             let (code, body) = http::get(addr, &format!("/jobs/{id}")).expect("GET /jobs");
             assert_eq!(code, 200, "job poll failed: {body}");
             let v = json::parse(&body).expect("job JSON");
+            assert_eq!(v.get("schema").and_then(Value::as_str), Some(SERVE_JOB_SCHEMA), "{body}");
+            assert!(v.get("progress_permille").and_then(Value::as_f64).is_some(), "{body}");
+            assert!(v.get("segment").is_none(), "{body}");
             let state = v.get("state").and_then(Value::as_str).unwrap_or("").to_string();
             if state == want {
                 return v;

@@ -43,10 +43,10 @@ pub trait InstructionStream {
     /// call would have left it in: interleaving meta and full steps in
     /// any order yields the same trace as full emission throughout
     /// (generative streams realise this by advancing their cursors with
-    /// O(1) skips instead of materialising addresses). BBV profilers
-    /// and trace-length measurement consume only `(id, len)`, so a
-    /// meta walk lets them run without paying for instruction
-    /// materialisation — the lever behind segment-sharded profiling.
+    /// O(1) skips instead of materialising addresses). The profilers
+    /// (BBV intervals, loop detection) and trace-length measurement
+    /// consume only `(id, len)`, so a meta walk lets every profiling
+    /// pass run without paying for instruction materialisation.
     ///
     /// The default implementation materialises into `scratch` and
     /// discards it; implementors with cheap skips should override.

@@ -24,7 +24,7 @@
 //!   dotted counter name, e.g. `serve.inflight_dedup` — the CI
 //!   serve-smoke job uses this to prove concurrent identical requests
 //!   actually deduplicated);
-//! * a `/status` body matches the `mlpa-status-v1` schema (`--status`).
+//! * a `/status` body matches the `mlpa-status-v2` schema (`--status`).
 //!
 //! Usage: `obs-check --events <events.jsonl> --report <RUN_REPORT.json>`
 //! (any argument may be given alone). Exits non-zero with a
@@ -580,7 +580,7 @@ fn check_metrics(
     Ok(cur.samples.len())
 }
 
-/// Validate a `GET /status` body against the `mlpa-status-v1` schema.
+/// Validate a `GET /status` body against the `mlpa-status-v2` schema.
 fn check_status(text: &str) -> Result<(), String> {
     let v = json::parse(text)?;
     let schema = str_field(&v, "schema")?;
@@ -588,7 +588,9 @@ fn check_status(text: &str) -> Result<(), String> {
         return Err(format!("schema is `{schema}`, expected `{}`", mlpa_obs::STATUS_SCHEMA));
     }
     str_field(&v, "phase")?;
-    for k in ["benchmarks_done", "benchmarks_total", "segment", "uptime_ticks", "rss_bytes"] {
+    for k in
+        ["benchmarks_done", "benchmarks_total", "progress_permille", "uptime_ticks", "rss_bytes"]
+    {
         num_field(&v, k)?;
     }
     let gauges = field(&v, "gauges")?.as_obj().ok_or("field `gauges` is not an object")?;
@@ -826,7 +828,7 @@ mod tests {
     fn require_zero_accepts_absent_or_zero_and_rejects_nonzero() {
         let mut report = sample_report();
         let checks = ReportChecks {
-            require_zero: vec!["core.truth.passes".into(), "core.profile.shards_run".into()],
+            require_zero: vec!["core.truth.passes".into(), "core.profile.passes".into()],
             ..ReportChecks::default()
         };
         // Absent counters pass.
@@ -835,9 +837,9 @@ mod tests {
         report.counters.push(("core.truth.passes".into(), 0));
         assert!(check_report(&report.to_json(), &checks).is_ok());
         // Nonzero fails with the counter named.
-        report.counters.push(("core.profile.shards_run".into(), 3));
+        report.counters.push(("core.profile.passes".into(), 3));
         let err = check_report(&report.to_json(), &checks).unwrap_err();
-        assert!(err.contains("core.profile.shards_run") && err.contains("expected 0"), "{err}");
+        assert!(err.contains("core.profile.passes") && err.contains("expected 0"), "{err}");
     }
 
     #[test]
@@ -907,13 +909,15 @@ mod tests {
 
     #[test]
     fn status_body_is_validated() {
-        let good = "{\"schema\":\"mlpa-status-v1\",\"phase\":\"benchmarks\",\
-                    \"benchmarks_done\":1,\"benchmarks_total\":3,\"segment\":7,\
+        let good = "{\"schema\":\"mlpa-status-v2\",\"phase\":\"benchmarks\",\
+                    \"benchmarks_done\":1,\"benchmarks_total\":3,\"progress_permille\":420,\
                     \"uptime_ticks\":12,\"rss_bytes\":1048576,\
                     \"gauges\":{\"bench.done\":1}}";
         assert!(check_status(good).is_ok(), "{:?}", check_status(good));
-        let err = check_status(&good.replace("mlpa-status-v1", "mlpa-status-v9")).unwrap_err();
-        assert!(err.contains("mlpa-status-v9"), "{err}");
+        let err = check_status(&good.replace("mlpa-status-v2", "mlpa-status-v1")).unwrap_err();
+        assert!(err.contains("mlpa-status-v1"), "{err}");
+        let err = check_status(&good.replace("\"progress_permille\":420,", "")).unwrap_err();
+        assert!(err.contains("progress_permille"), "{err}");
         let err = check_status(&good.replace(",\"uptime_ticks\":12", "")).unwrap_err();
         assert!(err.contains("uptime_ticks"), "{err}");
     }

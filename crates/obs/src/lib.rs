@@ -10,8 +10,8 @@
 //!   `AtomicU64`s; hot loops should accumulate locally and flush once
 //!   per call.
 //! * **Gauges** — named last-write-wins instantaneous values
-//!   ([`gauge_set`]): ROB/LSQ occupancy, cache hit rate, current
-//!   profiling segment. Unlike counters they move in both
+//!   ([`gauge_set`]): ROB/LSQ occupancy, cache hit rate, profiling
+//!   progress. Unlike counters they move in both
 //!   directions, so they are never regression-gated — they exist for
 //!   the live telemetry sampler and the `/metrics` endpoint.
 //! * **Histograms** — lock-free log2-bucketed distributions
@@ -195,7 +195,7 @@ pub const EVENTS_SCHEMA: &str = "mlpa-events-v3";
 pub const SAMPLE_SCHEMA: &str = "mlpa-sample-v1";
 
 /// Schema identifier of the status server's `GET /status` JSON body.
-pub const STATUS_SCHEMA: &str = "mlpa-status-v1";
+pub const STATUS_SCHEMA: &str = "mlpa-status-v2";
 
 /// Number of log2 buckets in a histogram: bucket 0 holds the value 0,
 /// bucket `b` (1..=64) holds values whose bit length is `b`, i.e.

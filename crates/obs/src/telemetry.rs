@@ -17,8 +17,8 @@
 //! blocks a scrape) on two paths: `GET /metrics` with the Prometheus
 //! text exposition of the current registries (see [`crate::promtext`])
 //! and `GET /status` with a small JSON summary (schema
-//! [`crate::STATUS_SCHEMA`]: run phase, benchmark progress, current
-//! segment, uptime ticks, RSS). Port 0 requests an ephemeral port; the
+//! [`crate::STATUS_SCHEMA`]: run phase, benchmark progress, profiling
+//! progress, uptime ticks, RSS). Port 0 requests an ephemeral port; the
 //! bound address is returned so callers can print it.
 
 use crate::http::{self, Response};
@@ -166,9 +166,10 @@ pub(crate) fn stop_sampler() {
     }
 }
 
-/// The `GET /status` body: run phase, benchmark progress, current
-/// segment, uptime ticks, RSS — plus the full gauge map, since the
-/// named fields are just conventional gauges.
+/// The `GET /status` body: run phase, benchmark progress, profiling
+/// progress (the `core.profile.progress_permille` gauge), uptime ticks,
+/// RSS — plus the full gauge map, since the named fields are just
+/// conventional gauges.
 fn status_json() -> String {
     let gauges = crate::gauges_snapshot();
     let gauge = |name: &str| gauges.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v);
@@ -179,13 +180,13 @@ fn status_json() -> String {
         .join(",");
     format!(
         "{{\"schema\":\"{}\",\"phase\":\"{}\",\"benchmarks_done\":{},\
-         \"benchmarks_total\":{},\"segment\":{},\"uptime_ticks\":{},\
+         \"benchmarks_total\":{},\"progress_permille\":{},\"uptime_ticks\":{},\
          \"rss_bytes\":{},\"gauges\":{{{body}}}}}",
         crate::STATUS_SCHEMA,
         json::escape(&run_phase()),
         gauge("bench.done"),
         gauge("bench.total"),
-        gauge("core.shard.segment"),
+        gauge("core.profile.progress_permille"),
         uptime_ticks(),
         crate::peak_rss_bytes().unwrap_or(0),
     )

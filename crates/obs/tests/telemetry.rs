@@ -163,6 +163,7 @@ fn status_server_round_trips_metrics_and_status() {
     mlpa_obs::add("test.server.ops", 10);
     mlpa_obs::gauge_set("bench.done", 1);
     mlpa_obs::gauge_set("bench.total", 3);
+    mlpa_obs::gauge_set("core.profile.progress_permille", 420);
     mlpa_obs::hist_record("test.server.size", "n", 12);
 
     // Port 0: the OS picks an ephemeral port, the bound address comes
@@ -199,10 +200,12 @@ fn status_server_round_trips_metrics_and_status() {
     let (code, status) = mlpa_obs::http::get(addr, "/status").expect("GET /status");
     assert_eq!(code, 200);
     let v = json::parse(&status).expect("status JSON");
-    assert_eq!(v.get("schema").and_then(Value::as_str), Some("mlpa-status-v1"));
+    assert_eq!(v.get("schema").and_then(Value::as_str), Some("mlpa-status-v2"));
     assert_eq!(v.get("phase").and_then(Value::as_str), Some("benchmarks"));
     assert_eq!(v.get("benchmarks_done").and_then(Value::as_f64), Some(1.0));
     assert_eq!(v.get("benchmarks_total").and_then(Value::as_f64), Some(3.0));
+    assert_eq!(v.get("progress_permille").and_then(Value::as_f64), Some(420.0));
+    assert!(v.get("segment").is_none(), "the v1 field is gone: {status}");
     assert!(v.get("uptime_ticks").and_then(Value::as_f64).is_some());
     assert!(v.get("rss_bytes").and_then(Value::as_f64).is_some());
 

@@ -9,8 +9,9 @@
 //! * [`BoundaryProfiler`] — variable-length intervals cut at every entry
 //!   of a chosen loop-header block (COASTS's outer-loop iterations).
 //!
-//! Both are [`Observer`]s for the functional simulator, so profiling is
-//! a single functional pass.
+//! Both take `(block, length)` records through `record`, which
+//! `mlpa-core` feeds from a metadata walk of the trace; both are also
+//! [`Observer`]s for the functional simulator.
 
 use crate::project::RandomProjection;
 use mlpa_isa::{BlockId, Instruction};

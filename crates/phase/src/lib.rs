@@ -12,10 +12,12 @@
 //!   collecting one signature vector per interval;
 //! * [`loops`] — dynamic detection of cyclic program structures from
 //!   backward branches, with coverage statistics (COASTS's boundary
-//!   collection step);
-//! * [`shard`] — segment-sharded variants of the profilers whose
-//!   merged output is bit-identical to the monolithic passes, plus the
-//!   cheap prefix trackers that align a shard mid-trace;
+//!   collection step): the pipeline's [`LoopProfiler`] and the
+//!   [`LoopMonitor`] observer it is tested against;
+//! * [`lfv`] / [`wss`] — the alternative phase metrics the paper cites
+//!   (loop-frequency vectors and working-set signatures);
+//! * [`sequence`] — phase-sequence analysis (run lengths, transitions,
+//!   next-phase prediction);
 //! * [`matrix`] — flat row-major storage the clustering kernels run on;
 //! * [`kmeans`] / [`bic`] — the phase classifier (Hamerly-pruned
 //!   Lloyd's over contiguous storage) and SimPoint's BIC-based choice
@@ -26,6 +28,12 @@
 //!   (the paper's Fig. 1);
 //! * [`simpoint`] — representative selection (classic SimPoint,
 //!   earliest-instance for COASTS, and the EarlySP variant).
+//!
+//! The two interval profilers and [`LoopProfiler`] take `(block,
+//! length)` records through `record`, so `mlpa-core` drives them from a
+//! metadata walk of the trace that materialises no instruction; the
+//! interval profilers (and [`LoopMonitor`]) are also functional-simulator
+//! observers, as in this example.
 //!
 //! # Example: fine-grained SimPoint on a workload
 //!
@@ -57,12 +65,11 @@ pub mod pca;
 pub mod project;
 pub mod reference;
 pub mod sequence;
-pub mod shard;
 pub mod simpoint;
 pub mod wss;
 
 pub use interval::{BoundaryProfiler, FixedLengthProfiler, Interval};
-pub use loops::{CyclicStructure, LoopMonitor, LoopProfile};
+pub use loops::{CyclicStructure, LoopMonitor, LoopProfile, LoopProfiler};
 pub use matrix::Matrix;
 pub use project::RandomProjection;
 pub use simpoint::{select, Selection, SimPoint, SimPointConfig, SimPoints};

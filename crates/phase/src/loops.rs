@@ -19,6 +19,13 @@
 //! among those with coverage ≥ 1 %, then slices the program at every
 //! entry of that structure's header
 //! ([`BoundaryProfiler`](crate::interval::BoundaryProfiler)).
+//!
+//! Two detectors apply these rules. [`LoopProfiler`] is the one the
+//! pipeline runs: it takes `(block, length)` records from a metadata
+//! walk and settles coverage per loop episode, O(1) amortised per
+//! block. [`LoopMonitor`] is the functional-simulator observer that
+//! attributes every block to every live loop, O(depth) per block; it
+//! stays as the reference the profiler is tested against.
 
 use mlpa_isa::{BlockId, Instruction, Program};
 use mlpa_sim::functional::Observer;
@@ -59,7 +66,9 @@ struct Frame {
     header_addr: u64,
 }
 
-/// The loop-profiling observer (pass 1 of COASTS).
+/// The loop-profiling functional-simulator observer: it attributes
+/// every block to every live loop, O(depth) per block. The pipeline
+/// runs [`LoopProfiler`]; this is the reference it is tested against.
 #[derive(Debug)]
 pub struct LoopMonitor<'p> {
     program: &'p Program,
@@ -89,14 +98,7 @@ impl<'p> LoopMonitor<'p> {
     /// Finish profiling and return all detected structures, outermost
     /// (then most-covering) first.
     pub fn finish(self) -> LoopProfile {
-        let mut structures: Vec<CyclicStructure> = self.stats.into_values().collect();
-        structures.sort_by(|a, b| {
-            a.min_depth
-                .cmp(&b.min_depth)
-                .then(b.coverage_insts.cmp(&a.coverage_insts))
-                .then(a.header.cmp(&b.header))
-        });
-        LoopProfile { structures, total_insts: self.total_insts }
+        LoopProfile::sorted(self.stats, self.total_insts)
     }
 }
 
@@ -153,6 +155,115 @@ impl Observer for LoopMonitor<'_> {
     }
 }
 
+/// A live loop of [`LoopProfiler`]: its header and the instruction
+/// count at which the current episode began.
+#[derive(Debug)]
+struct Episode {
+    header: BlockId,
+    header_addr: u64,
+    start: u64,
+}
+
+/// The pipeline's loop profiler (pass 1 of COASTS): [`LoopMonitor`]'s
+/// stack transitions, fed `(block, length)` records, so it runs on a
+/// metadata walk that materialises no instruction.
+///
+/// Coverage uses snapshot accounting. A loop is live over one
+/// contiguous instruction range per episode, from its push to its pop,
+/// so each stack frame records the instruction count at its push and
+/// adds `count_at_pop − count_at_push` to the loop's coverage when it
+/// is popped (or at [`LoopProfiler::finish`] if still live). The sums
+/// equal [`LoopMonitor`]'s per-block attribution term for term, in
+/// exact integer arithmetic, at O(1) amortised work per block instead
+/// of O(depth) hash lookups.
+///
+/// # Example
+///
+/// ```
+/// use mlpa_isa::stream::InstructionStream;
+/// use mlpa_phase::loops::LoopProfiler;
+/// use mlpa_workloads::{spec::BenchmarkSpec, CompiledBenchmark, WorkloadStream};
+///
+/// let cb = CompiledBenchmark::compile(&BenchmarkSpec::default())?;
+/// let mut prof = LoopProfiler::new(cb.program());
+/// let (mut stream, mut scratch) = (WorkloadStream::new(&cb), Vec::new());
+/// while let Some(m) = stream.next_block_meta(&mut scratch) {
+///     prof.record(m.id, m.insts);
+/// }
+/// let outer = prof.finish().select_outermost(0.01).map(|s| s.header);
+/// assert_eq!(outer, Some(cb.outer_header()));
+/// # Ok::<(), String>(())
+/// ```
+#[derive(Debug)]
+pub struct LoopProfiler<'p> {
+    program: &'p Program,
+    stack: Vec<Episode>,
+    stats: HashMap<BlockId, CyclicStructure>,
+    prev: Option<BlockId>,
+    total_insts: u64,
+}
+
+impl<'p> LoopProfiler<'p> {
+    /// Create a profiler for `program`.
+    pub fn new(program: &'p Program) -> LoopProfiler<'p> {
+        LoopProfiler {
+            program,
+            stack: Vec::new(),
+            stats: HashMap::new(),
+            prev: None,
+            total_insts: 0,
+        }
+    }
+
+    /// Observe one executed block of `insts` instructions.
+    #[inline]
+    pub fn record(&mut self, id: BlockId, insts: u64) {
+        // The monitor pops before it attributes a block, so a popped
+        // episode ends at the count before this block, and a pushed one
+        // starts there (it receives this block's instructions).
+        let before = self.total_insts;
+        self.total_insts += insts;
+        let Some(prev) = self.prev.replace(id) else { return };
+        if !self.program.is_backward(prev, id) {
+            return;
+        }
+        let target_addr = self.program.block(id).addr;
+        while let Some(top) = self.stack.pop_if(|top| top.header_addr > target_addr) {
+            self.stats.get_mut(&top.header).expect("a live loop has stats").coverage_insts +=
+                before - top.start;
+        }
+        match self.stack.last() {
+            Some(top) if top.header == id => {
+                self.stats.get_mut(&id).expect("a live loop has stats").back_edges += 1;
+            }
+            _ => {
+                let depth = self.stack.len();
+                let s = self.stats.entry(id).or_insert(CyclicStructure {
+                    header: id,
+                    coverage_insts: 0,
+                    back_edges: 0,
+                    entries: 0,
+                    min_depth: depth,
+                });
+                s.entries += 1;
+                s.back_edges += 1;
+                s.min_depth = s.min_depth.min(depth);
+                self.stack.push(Episode { header: id, header_addr: target_addr, start: before });
+            }
+        }
+    }
+
+    /// Settle the episodes still live and return every detected
+    /// structure, outermost (then most-covering) first.
+    pub fn finish(mut self) -> LoopProfile {
+        for e in &self.stack {
+            self.stats.get_mut(&e.header).expect("a live loop has stats").coverage_insts +=
+                self.total_insts - e.start;
+        }
+        LoopProfile::sorted(self.stats, self.total_insts)
+    }
+}
+
 /// The result of loop profiling.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoopProfile {
@@ -163,6 +274,19 @@ pub struct LoopProfile {
 }
 
 impl LoopProfile {
+    /// The profile of `stats`, sorted outermost (minimum depth) first,
+    /// then by coverage descending, then by header.
+    fn sorted(stats: HashMap<BlockId, CyclicStructure>, total_insts: u64) -> LoopProfile {
+        let mut structures: Vec<CyclicStructure> = stats.into_values().collect();
+        structures.sort_by(|a, b| {
+            a.min_depth
+                .cmp(&b.min_depth)
+                .then(b.coverage_insts.cmp(&a.coverage_insts))
+                .then(a.header.cmp(&b.header))
+        });
+        LoopProfile { structures, total_insts }
+    }
+
     /// Structures with coverage at least `min_coverage` (the paper
     /// discards those under 1 %).
     pub fn significant(&self, min_coverage: f64) -> Vec<&CyclicStructure> {
