@@ -262,8 +262,9 @@ fn main() {
     }
     if let Some(port) = o.status_port {
         match mlpa_obs::telemetry::serve_status(port) {
-            // elog! so the bound address survives --quiet: CI parses
-            // this line to find the ephemeral port.
+            // elog! so the bound address survives --quiet:
+            // `tests/suite_run.rs` parses this line to find the
+            // ephemeral port.
             Ok(addr) => elog!("obs", "status server listening on {addr}"),
             Err(e) => {
                 elog!("error", "--status-port {port}: {e}");

@@ -89,8 +89,9 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // elog! so the bound address survives quiet stderr filtering: CI
-    // parses this line to find the ephemeral port.
+    // elog! so the bound address survives quiet stderr filtering:
+    // `tests/serve_daemon.rs` parses this line to find the ephemeral
+    // port.
     elog!("serve", "mlpa-serve listening on {}", daemon.addr());
     // Serve until killed; jobs and HTTP run on their own threads.
     loop {

@@ -145,6 +145,9 @@ mod tests {
         // Structural violations surface from SimulationPlan::new.
         let e = from_str("# mlpa-plan v1 total=100\n0 10 0.4\n").unwrap_err();
         assert!(e.contains("weights sum"), "{e}");
+        // A point whose end overflows u64 is rejected, not wrapped.
+        let e = from_str("# mlpa-plan v1 total=100\n18446744073709551615 2 1.0\n").unwrap_err();
+        assert!(e.contains("point 0") && e.contains("18446744073709551615"), "{e}");
     }
 
     #[test]

@@ -76,17 +76,20 @@ impl SimulationPlan {
                     p.start
                 ));
             }
-            if p.end() > total_insts {
+            let Some(end) = p.start.checked_add(p.len) else {
                 return Err(format!(
-                    "point {i} ends at {} beyond the trace ({total_insts})",
-                    p.end()
+                    "point {i} (start {}, length {}) ends past the largest instruction count",
+                    p.start, p.len
                 ));
+            };
+            if end > total_insts {
+                return Err(format!("point {i} ends at {end} beyond the trace ({total_insts})"));
             }
             if !(p.weight > 0.0 && p.weight.is_finite()) {
                 return Err(format!("point {i} has non-positive weight {}", p.weight));
             }
             wsum += p.weight;
-            prev_end = p.end();
+            prev_end = end;
         }
         if (wsum - 1.0).abs() > 1e-6 {
             return Err(format!("weights sum to {wsum}, expected 1"));

@@ -58,12 +58,6 @@ impl SplitMix64 {
         mix(self.state)
     }
 
-    /// Next `u32`.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f64` in `[0, 1)`.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {

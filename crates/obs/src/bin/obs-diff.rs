@@ -22,34 +22,14 @@
 //!
 //! Usage:
 //!   `obs-diff <baseline.json> <current.json> [--tol-time R]
-//!    [--tol-counter R] [--tol-hist R] [--only SECTION[,SECTION]...]`
-//!
-//! `--only` restricts a run-report diff to the named sections (`phases`,
-//! `counters`, `workers`, `histograms`, `gauges`, `self_profile`,
-//! `attribution`, `wall`). The CI
-//! cache-smoke job uses `--only attribution` to compare a cold run
-//! against a warm `--resume` run: the accuracy outputs must be
-//! identical, while phase/counter/worker traffic legitimately collapses
-//! to almost nothing when every artifact is served from the cache.
+//!    [--tol-counter R] [--tol-hist R]`
 //!
 //! Exits 0 when the runs match, 1 on any regression, 2 on usage or I/O
 //! errors.
 
 use mlpa_obs::json::{self, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::process::ExitCode;
-
-/// Run-report sections `--only` can select.
-const SECTIONS: &[&str] = &[
-    "phases",
-    "counters",
-    "workers",
-    "histograms",
-    "gauges",
-    "self_profile",
-    "attribution",
-    "wall",
-];
 
 /// Relative tolerances; `None` means "skip the timing check" for the
 /// timing knob, and 0 means "exact" for the deterministic knobs.
@@ -58,15 +38,6 @@ struct Tolerances {
     time: Option<f64>,
     counter: f64,
     hist: f64,
-    /// Restrict the diff to these sections (`None` = all).
-    only: Option<BTreeSet<String>>,
-}
-
-impl Tolerances {
-    /// Should this run-report section be compared?
-    fn wants(&self, section: &str) -> bool {
-        self.only.as_ref().is_none_or(|s| s.contains(section))
-    }
 }
 
 /// Accumulates mismatches (fail the gate) and notes (informational).
@@ -124,24 +95,6 @@ fn main() -> ExitCode {
                 Some(v) => tol.hist = v,
                 None => return usage("--tol-hist needs a non-negative number"),
             },
-            "--only" => {
-                let Some(list) = args.next() else {
-                    return usage("--only needs a comma-separated section list");
-                };
-                let set = tol.only.get_or_insert_with(BTreeSet::new);
-                for section in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                    if !SECTIONS.contains(&section) {
-                        return usage(&format!(
-                            "unknown section `{section}` (expected one of: {})",
-                            SECTIONS.join(", ")
-                        ));
-                    }
-                    set.insert(section.to_string());
-                }
-                if set.is_empty() {
-                    return usage("--only needs at least one section");
-                }
-            }
             other if other.starts_with("--") => {
                 return usage(&format!("unknown argument `{other}`"));
             }
@@ -201,7 +154,7 @@ fn usage(msg: &str) -> ExitCode {
     eprintln!("obs-diff: {msg}");
     eprintln!(
         "usage: obs-diff <baseline.json> <current.json> [--tol-time R] [--tol-counter R] \
-         [--tol-hist R] [--only SECTION[,SECTION]...]"
+         [--tol-hist R]"
     );
     ExitCode::from(2)
 }
@@ -279,161 +232,145 @@ fn diff_run_report(base: &Value, cur: &Value, tol: &Tolerances) -> Result<Diff, 
 
     // Spans: the set of phases and how often each ran is deterministic;
     // total_s is timing.
-    if tol.wants("phases") {
-        let (b, c) = (by_key(base, "phases", "name")?, by_key(cur, "phases", "name")?);
-        matched(&mut diff, "phase", &b, &c, |diff, name, b, c| {
-            diff.check_rel(
-                &format!("phase `{name}` count"),
-                num_field(b, "count")?,
-                num_field(c, "count")?,
-                0.0,
+    let (b, c) = (by_key(base, "phases", "name")?, by_key(cur, "phases", "name")?);
+    matched(&mut diff, "phase", &b, &c, |diff, name, b, c| {
+        diff.check_rel(
+            &format!("phase `{name}` count"),
+            num_field(b, "count")?,
+            num_field(c, "count")?,
+            0.0,
+        );
+        if let Some(t) = tol.time {
+            diff.check_slower(
+                &format!("phase `{name}` total_s"),
+                num_field(b, "total_s")?,
+                num_field(c, "total_s")?,
+                t,
             );
-            if let Some(t) = tol.time {
-                diff.check_slower(
-                    &format!("phase `{name}` total_s"),
-                    num_field(b, "total_s")?,
-                    num_field(c, "total_s")?,
-                    t,
-                );
-            }
-            Ok(())
-        })?;
-    }
+        }
+        Ok(())
+    })?;
 
     // Counters are exact totals.
-    if tol.wants("counters") {
-        let (b, c) = (by_key(base, "counters", "name")?, by_key(cur, "counters", "name")?);
-        matched(&mut diff, "counter", &b, &c, |diff, name, b, c| {
-            diff.check_rel(
-                &format!("counter `{name}`"),
-                num_field(b, "value")?,
-                num_field(c, "value")?,
-                tol.counter,
-            );
-            Ok(())
-        })?;
-    }
+    let (b, c) = (by_key(base, "counters", "name")?, by_key(cur, "counters", "name")?);
+    matched(&mut diff, "counter", &b, &c, |diff, name, b, c| {
+        diff.check_rel(
+            &format!("counter `{name}`"),
+            num_field(b, "value")?,
+            num_field(c, "value")?,
+            tol.counter,
+        );
+        Ok(())
+    })?;
 
     // Workers: per-pool row counts and job totals are deterministic
     // (which worker got which job is not — dynamic claiming).
-    if tol.wants("workers") {
-        for (label, v) in [("baseline", base), ("current", cur)] {
-            if v.get("workers").and_then(Value::as_arr).is_none() {
-                return Err(format!("{label}: missing array field `workers`"));
-            }
+    for (label, v) in [("baseline", base), ("current", cur)] {
+        if v.get("workers").and_then(Value::as_arr).is_none() {
+            return Err(format!("{label}: missing array field `workers`"));
         }
-        let pool_totals = |v: &Value| -> Result<BTreeMap<String, (u64, u64)>, String> {
-            let mut map: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-            for w in v.get("workers").and_then(Value::as_arr).expect("checked") {
-                let pool = str_field(w, "pool")?;
-                let jobs = num_field(w, "jobs")? as u64;
-                let entry = map.entry(pool).or_insert((0, 0));
-                entry.0 += 1;
-                entry.1 += jobs;
-            }
-            Ok(map)
-        };
-        let (b, c) = (pool_totals(base)?, pool_totals(cur)?);
-        for (pool, (rows, jobs)) in &b {
-            match c.get(pool) {
-                None => diff.fail(format!("worker pool `{pool}` missing from current run")),
-                Some((crows, cjobs)) => {
-                    if crows != rows {
-                        diff.fail(format!(
-                            "worker pool `{pool}`: baseline {rows} workers, current {crows}"
-                        ));
-                    }
-                    if cjobs != jobs {
-                        diff.fail(format!(
-                            "worker pool `{pool}`: baseline {jobs} jobs, current {cjobs}"
-                        ));
-                    }
+    }
+    let pool_totals = |v: &Value| -> Result<BTreeMap<String, (u64, u64)>, String> {
+        let mut map: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+        for w in v.get("workers").and_then(Value::as_arr).expect("checked") {
+            let pool = str_field(w, "pool")?;
+            let jobs = num_field(w, "jobs")? as u64;
+            let entry = map.entry(pool).or_insert((0, 0));
+            entry.0 += 1;
+            entry.1 += jobs;
+        }
+        Ok(map)
+    };
+    let (b, c) = (pool_totals(base)?, pool_totals(cur)?);
+    for (pool, (rows, jobs)) in &b {
+        match c.get(pool) {
+            None => diff.fail(format!("worker pool `{pool}` missing from current run")),
+            Some((crows, cjobs)) => {
+                if crows != rows {
+                    diff.fail(format!(
+                        "worker pool `{pool}`: baseline {rows} workers, current {crows}"
+                    ));
+                }
+                if cjobs != jobs {
+                    diff.fail(format!(
+                        "worker pool `{pool}`: baseline {jobs} jobs, current {cjobs}"
+                    ));
                 }
             }
         }
-        for pool in c.keys() {
-            if !b.contains_key(pool) {
-                diff.note(format!("worker pool `{pool}` is new in current run"));
-            }
+    }
+    for pool in c.keys() {
+        if !b.contains_key(pool) {
+            diff.note(format!("worker pool `{pool}` is new in current run"));
         }
     }
 
     // Value histograms are deterministic; time histograms are gated
     // one-sided like other timings.
-    if tol.wants("histograms") {
-        let (b, c) = (by_key(base, "histograms", "name")?, by_key(cur, "histograms", "name")?);
-        matched(&mut diff, "histogram", &b, &c, |diff, name, b, c| {
-            let unit = str_field(b, "unit")?;
-            diff.check_rel(
-                &format!("histogram `{name}` count"),
-                num_field(b, "count")?,
-                num_field(c, "count")?,
-                tol.hist,
-            );
-            if unit == "us" {
-                if let Some(t) = tol.time {
-                    for k in ["p50", "p90", "p99"] {
-                        diff.check_slower(
-                            &format!("histogram `{name}` {k}"),
-                            num_field(b, k)?,
-                            num_field(c, k)?,
-                            t,
-                        );
-                    }
-                }
-            } else {
-                for k in ["sum", "min", "max", "p50", "p90", "p99"] {
-                    diff.check_rel(
+    let (b, c) = (by_key(base, "histograms", "name")?, by_key(cur, "histograms", "name")?);
+    matched(&mut diff, "histogram", &b, &c, |diff, name, b, c| {
+        let unit = str_field(b, "unit")?;
+        diff.check_rel(
+            &format!("histogram `{name}` count"),
+            num_field(b, "count")?,
+            num_field(c, "count")?,
+            tol.hist,
+        );
+        if unit == "us" {
+            if let Some(t) = tol.time {
+                for k in ["p50", "p90", "p99"] {
+                    diff.check_slower(
                         &format!("histogram `{name}` {k}"),
                         num_field(b, k)?,
                         num_field(c, k)?,
-                        tol.hist,
+                        t,
                     );
                 }
             }
-            Ok(())
-        })?;
-    }
+        } else {
+            for k in ["sum", "min", "max", "p50", "p90", "p99"] {
+                diff.check_rel(
+                    &format!("histogram `{name}` {k}"),
+                    num_field(b, k)?,
+                    num_field(c, k)?,
+                    tol.hist,
+                );
+            }
+        }
+        Ok(())
+    })?;
 
     // Which gauges exist is deterministic for a fixed configuration;
     // their last-written values depend on scheduling and are never
     // compared.
-    if tol.wants("gauges") {
-        let (b, c) = (by_key(base, "gauges", "name")?, by_key(cur, "gauges", "name")?);
-        matched(&mut diff, "gauge", &b, &c, |_diff, _name, _b, _c| Ok(()))?;
-    }
+    let (b, c) = (by_key(base, "gauges", "name")?, by_key(cur, "gauges", "name")?);
+    matched(&mut diff, "gauge", &b, &c, |_diff, _name, _b, _c| Ok(()))?;
 
     // Self-profile: span names, call counts, and call-tree edges are
     // deterministic; all wall times, pool utilization, and the
     // critical-path summary are timing and never compared.
-    if tol.wants("self_profile") {
-        let non_null = |v: &Value| match v.get("self_profile") {
-            None | Some(Value::Null) => None,
-            Some(sp) => Some(sp.clone()),
-        };
-        match (non_null(base), non_null(cur)) {
-            (Some(b), Some(c)) => diff_self_profile(&mut diff, &b, &c)?,
-            (Some(_), None) => diff.fail("self_profile section missing from current run".into()),
-            (None, Some(_)) => diff.note("self_profile section is new in current run".into()),
-            (None, None) => {}
-        }
+    let non_null = |v: &Value| match v.get("self_profile") {
+        None | Some(Value::Null) => None,
+        Some(sp) => Some(sp.clone()),
+    };
+    match (non_null(base), non_null(cur)) {
+        (Some(b), Some(c)) => diff_self_profile(&mut diff, &b, &c)?,
+        (Some(_), None) => diff.fail("self_profile section missing from current run".into()),
+        (None, Some(_)) => diff.note("self_profile section is new in current run".into()),
+        (None, None) => {}
     }
 
     // Accuracy attribution: per-phase weights and error shares are
     // deterministic model outputs, so any drift is a real change.
-    if tol.wants("attribution") {
-        if let Some(b_attr) = base.get("attribution") {
-            match cur.get("attribution") {
-                None => diff.fail("attribution section missing from current run".into()),
-                Some(c_attr) => diff_attribution(&mut diff, b_attr, c_attr, tol)?,
-            }
+    if let Some(b_attr) = base.get("attribution") {
+        match cur.get("attribution") {
+            None => diff.fail("attribution section missing from current run".into()),
+            Some(c_attr) => diff_attribution(&mut diff, b_attr, c_attr, tol)?,
         }
     }
 
-    if tol.wants("wall") {
-        if let Some(t) = tol.time {
-            diff.check_slower("wall_s", num_field(base, "wall_s")?, num_field(cur, "wall_s")?, t);
-        }
+    if let Some(t) = tol.time {
+        diff.check_slower("wall_s", num_field(base, "wall_s")?, num_field(cur, "wall_s")?, t);
     }
     Ok(diff)
 }
@@ -682,49 +619,27 @@ mod tests {
         assert!(err(&v2, &v2).contains("unsupported schema `mlpa-run-report-v2`"));
     }
 
-    fn only(sections: &[&str]) -> Tolerances {
-        Tolerances {
-            only: Some(sections.iter().map(|s| s.to_string()).collect()),
-            ..Tolerances::default()
-        }
-    }
-
     #[test]
-    fn only_filter_skips_unselected_sections() {
-        // A counter drift fails a full diff but passes one restricted to
-        // the attribution section...
-        let d = run(&report(100, 40), &report(101, 40), &Tolerances::default());
-        assert!(!d.failures.is_empty());
-        let d = run(&report(100, 40), &report(101, 40), &only(&["attribution"]));
-        assert!(d.failures.is_empty(), "{:?}", d.failures);
-        // ...and still fails one that selects counters.
-        let d = run(&report(100, 40), &report(101, 40), &only(&["counters", "attribution"]));
-        assert!(d.failures.iter().any(|f| f.contains("sim.instructions")), "{:?}", d.failures);
-    }
-
-    #[test]
-    fn only_attribution_still_gates_attribution_drift() {
+    fn attribution_drift_is_gated() {
         let attr = |share: f64| {
             format!(
                 "[{{\"benchmark\": \"eon\", \"phases\": [{{\"cluster\": 0, \"weight\": 1.0, \
                  \"cpi_err_share\": {share}}}]}}]"
             )
         };
-        let with_attr = |counter: u64, share: f64| {
-            report(counter, 40).replacen(
+        let with_attr = |share: f64| {
+            report(100, 40).replacen(
                 "\"histograms\":",
                 &format!("\"attribution\": {}, \"histograms\":", attr(share)),
                 1,
             )
         };
-        // Counter noise between a cold and a warm run is ignored; an
-        // attribution change is not.
-        let d = run(&with_attr(100, 0.5), &with_attr(3, 0.5), &only(&["attribution"]));
+        let d = run(&with_attr(0.5), &with_attr(0.5), &Tolerances::default());
         assert!(d.failures.is_empty(), "{:?}", d.failures);
-        let d = run(&with_attr(100, 0.5), &with_attr(3, 0.6), &only(&["attribution"]));
+        let d = run(&with_attr(0.5), &with_attr(0.6), &Tolerances::default());
         assert!(d.failures.iter().any(|f| f.contains("cpi_err_share")), "{:?}", d.failures);
-        // Attribution missing from current is a failure even filtered.
-        let d = run(&with_attr(100, 0.5), &report(3, 40), &only(&["attribution"]));
+        // Attribution missing from the current run is a failure.
+        let d = run(&with_attr(0.5), &report(100, 40), &Tolerances::default());
         assert!(d.failures.iter().any(|f| f.contains("attribution")), "{:?}", d.failures);
     }
 

@@ -27,7 +27,8 @@
 //! the JSONL sink and a std-only HTTP status server exposing
 //! Prometheus-format `/metrics` (see [`promtext`]) and JSON `/status`.
 //! [`selfprofile`] turns the span stream into a per-span-name
-//! self/total-time tree embedded in the run report.
+//! self/total-time tree embedded in the run report, and [`check`]
+//! validates every one of these outputs against its contract.
 //!
 //! Everything above is inert until [`init`] or [`set_enabled`] flips
 //! the runtime switch: while it is off an instrument call costs one
@@ -47,6 +48,7 @@
 #![forbid(unsafe_code)]
 
 pub mod calibrate;
+pub mod check;
 pub mod http;
 pub mod json;
 pub mod pool;

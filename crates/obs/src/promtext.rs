@@ -1,6 +1,7 @@
 //! Prometheus text exposition (version 0.0.4) for the `/metrics`
-//! endpoint, plus a strict parser used by `obs-check` and CI to
-//! validate scrapes and check counter monotonicity between them.
+//! endpoint, plus a strict parser that [`crate::check::check_metrics`]
+//! uses to validate scrapes and check counter monotonicity between
+//! them.
 //!
 //! Mapping of obs instruments onto Prometheus families:
 //!
@@ -88,7 +89,8 @@ pub struct Exposition {
 
 impl Exposition {
     /// The values of all `counter`-typed samples, keyed by family
-    /// name — the series CI compares across scrapes for monotonicity.
+    /// name — the series [`crate::check::check_metrics`] compares
+    /// across scrapes for monotonicity.
     pub fn counter_values(&self) -> BTreeMap<&str, f64> {
         self.samples
             .iter()

@@ -562,14 +562,6 @@ impl MemoryHierarchy {
         self.prefetches
     }
 
-    /// Host-prefetch the L1D and L2 set metadata for a data access at
-    /// `addr` (see [`Cache::prefetch_meta`]); no simulated state moves.
-    #[inline]
-    pub fn prefetch_data_meta(&self, addr: u64) {
-        self.l1d.prefetch_meta(addr);
-        self.l2.prefetch_meta(addr);
-    }
-
     #[inline]
     fn mem_latency(&mut self, addr: u64) -> u32 {
         // SimpleScalar-style first/next latency: sequential-block bursts

@@ -278,23 +278,6 @@ impl<'p> DetailedSim<'p> {
         &self.branch
     }
 
-    /// Mutable access to the memory hierarchy (e.g. to warm it before a
-    /// measured region).
-    pub fn hierarchy_mut(&mut self) -> &mut MemoryHierarchy {
-        &mut self.hier
-    }
-
-    /// Mutable access to the branch unit.
-    pub fn branch_unit_mut(&mut self) -> &mut BranchUnit {
-        &mut self.branch
-    }
-
-    /// Simultaneous mutable access to the hierarchy and branch unit —
-    /// the pair functional warming updates during fast-forward.
-    pub fn warm_state_mut(&mut self) -> (&mut MemoryHierarchy, &mut BranchUnit) {
-        (&mut self.hier, &mut self.branch)
-    }
-
     /// Simulate up to `limit` instructions from `stream` (to the block
     /// boundary at or past `limit`), returning the metrics of exactly
     /// this region. Microarchitectural state persists across calls;

@@ -120,8 +120,8 @@ fn warm_state_carries_contents_but_not_timing_or_stats() {
     let mut warm_stream = WorkloadStream::new(&cb);
     let prefix = warmer.simulate(&mut warm_stream, 100_000);
     assert!(prefix.instructions >= 100_000);
-    let warm_hier = warmer.hierarchy_mut().clone();
-    let warm_branch = warmer.branch_unit_mut().clone();
+    let warm_hier = warmer.hierarchy().clone();
+    let warm_branch = warmer.branch_unit().clone();
 
     // Continue the warmer over the measurement region, and run a
     // warm-installed sibling over the same region. Cache and branch
