@@ -170,7 +170,6 @@ fn bench_substrate(out: &mut Vec<Measurement>) -> f64 {
         &mut WorkloadStream::new(&cb),
         trace_len - 10_000,
         &mut (),
-        None,
     );
     let last =
         SimulationPlan::new(vec![PlanPoint { start: end, len: 1_000, weight: 1.0 }], trace_len)

@@ -546,7 +546,7 @@ fn execute_inorder(
     for p in plan.points() {
         let skip = p.start.saturating_sub(pos);
         let (hier, bu) = sim.warm_state_mut();
-        pos += func.fast_forward(&mut stream, skip, &mut (), Some((hier, bu)));
+        pos += func.warm_forward(&mut stream, skip, hier, bu);
         let m = sim.simulate(&mut stream, p.len);
         pos += m.instructions;
         parts.push((p.weight, m));

@@ -17,6 +17,7 @@ use crate::cache::{ArtifactCache, CacheKey};
 use crate::plan::SimulationPlan;
 use mlpa_isa::{InstructionStream, Program};
 use mlpa_obs::pool::{Helper, HelperTask};
+use mlpa_sim::cache::Cache;
 use mlpa_sim::functional::{warm_back, Replay, WarmBack, RECORD_BATCH};
 use mlpa_sim::{
     BranchUnit, DetailedSim, FunctionalSim, L2Hook, L2Op, L2Replica, MachineConfig,
@@ -113,13 +114,13 @@ pub fn execute_plan(
 /// [`mlpa_obs::pool::with_helper`] (`None` in every caller but tests).
 ///
 /// Warm mode runs functional warming in two stages (see
-/// [`mlpa_sim::functional`]): the calling thread walks the stream and
-/// trains the branch unit, and the cache stage replays the walk's
-/// records into the memory hierarchy, on a helper thread or, with none,
-/// on the calling thread. At each point the calling thread waits for the
-/// cache stage to catch up, snapshots both halves, and simulates the
-/// point itself; the hierarchy sees the same operations in the same
-/// order either way.
+/// [`mlpa_sim::functional`]): the calling thread walks the stream,
+/// trains the branch unit and fetches into the L1I, and the cache stage
+/// replays the walk's records into the rest of the memory hierarchy, on
+/// a helper thread or, with none, on the calling thread. At each point
+/// the calling thread waits for the cache stage to catch up, snapshots
+/// both halves, and simulates the point itself; every cache sees the
+/// same operations in the same order either way.
 fn execute_on<S: InstructionStream + Clone>(
     program: &Program,
     mut stream: S,
@@ -132,7 +133,7 @@ fn execute_on<S: InstructionStream + Clone>(
     let mut func = FunctionalSim::new(program);
     let (per_point, cost) = match mode {
         WarmupMode::Cold => run_points(plan, |skip, len| {
-            let skipped = func.fast_forward(&mut stream, skip, &mut (), None);
+            let skipped = func.fast_forward(&mut stream, skip, &mut ());
             (skipped, DetailedSim::new(*config, program).simulate(&mut stream, len))
         }),
         WarmupMode::Warmed => mlpa_obs::pool::with_helper(workers, |helper| {
@@ -143,11 +144,11 @@ fn execute_on<S: InstructionStream + Clone>(
             let mut bu = BranchUnit::new(&config.predictor);
             let mut snapshot = Some((hier.clone(), bu.clone()));
             let mut caches = match helper {
-                Some(helper) => CacheStage::Helper(HelperStage::start(helper, program, hier)),
-                None => CacheStage::Inline(Replay::new(program, &mut hier)),
+                Some(helper) => CacheStage::Helper(HelperStage::start(helper, hier)),
+                None => CacheStage::Inline(Replay::new(&mut hier)),
             };
             let out = run_points(plan, |skip, len| {
-                let skipped = func.warm_walk(&mut stream, skip, &mut (), &mut bu, &mut caches);
+                let skipped = func.warm_walk(&mut stream, skip, &mut bu, &mut caches);
                 // The detailed simulator runs on a fork of the stream
                 // with a snapshot of the warm state, while the primary
                 // stream warms functionally *through* the point region —
@@ -159,8 +160,7 @@ fn execute_on<S: InstructionStream + Clone>(
                 let mut sim = DetailedSim::with_warm_state(*config, program, snap_hier, snap_bu);
                 let m = sim.simulate(&mut stream.clone(), len);
                 snapshot = Some(sim.into_warm_state());
-                let advanced =
-                    func.warm_walk(&mut stream, m.instructions, &mut (), &mut bu, &mut caches);
+                let advanced = func.warm_walk(&mut stream, m.instructions, &mut bu, &mut caches);
                 debug_assert_eq!(advanced, m.instructions, "fork and primary stream diverged");
                 (skipped, m)
             });
@@ -207,9 +207,9 @@ fn run_points(
 /// execution, the one being filled included: 128 KiB.
 const QUEUED_BATCHES: usize = 4;
 
-/// The cache stage of a warmed plan execution: the memory hierarchy,
-/// warmed from the front stage's records on the calling thread or on a
-/// helper.
+/// The cache side of a warmed plan execution: the memory hierarchy,
+/// its L1D and L2 warmed from the front stage's records on the calling
+/// thread or on a helper.
 enum CacheStage<'a, 'scope> {
     Inline(Replay<'a>),
     Helper(HelperStage<'scope>),
@@ -238,10 +238,10 @@ impl CacheStage<'_, '_> {
 
 impl WarmBack for CacheStage<'_, '_> {
     #[inline]
-    fn records(&mut self) -> &mut Vec<u64> {
+    fn front(&mut self) -> (&mut Cache, &mut Vec<u64>) {
         match self {
-            CacheStage::Inline(replay) => replay.records(),
-            CacheStage::Helper(stage) => &mut stage.records,
+            CacheStage::Inline(replay) => replay.front(),
+            CacheStage::Helper(stage) => (&mut stage.l1i, &mut stage.records),
         }
     }
 
@@ -262,10 +262,13 @@ enum Batch {
     Snapshot(Box<MemoryHierarchy>),
 }
 
-/// The calling thread's end of a cache stage running on a helper. The
-/// queue is bounded by the [`QUEUED_BATCHES`] buffers the calling thread
-/// allocates, which circulate between the stages.
+/// The calling thread's end of a cache stage running on a helper, and
+/// the front stage's L1I. The queue is bounded by the [`QUEUED_BATCHES`]
+/// buffers the calling thread allocates, which circulate between the
+/// stages.
 struct HelperStage<'scope> {
+    /// The L1I, which the front stage owns: the helper's copy stays cold.
+    l1i: Cache,
     /// The buffer the front stage is filling.
     records: Vec<u64>,
     /// Emptied buffers the helper has returned.
@@ -277,12 +280,9 @@ struct HelperStage<'scope> {
 }
 
 impl<'scope> HelperStage<'scope> {
-    /// Start warming `hier` on `helper`.
-    fn start(
-        helper: Helper<'scope, '_>,
-        program: &'scope Program,
-        mut hier: MemoryHierarchy,
-    ) -> Self {
+    /// Start warming `hier` on `helper`, all but its L1I.
+    fn start(helper: Helper<'scope, '_>, mut hier: MemoryHierarchy) -> Self {
+        let l1i = hier.l1i().clone();
         // Room for every message at once, so no send ever blocks.
         let (to_helper, batches) = sync_channel(QUEUED_BATCHES + 1);
         let (replies, from_helper) = sync_channel(QUEUED_BATCHES + 1);
@@ -290,7 +290,7 @@ impl<'scope> HelperStage<'scope> {
             for batch in batches {
                 let reply = match batch {
                     Batch::Records(mut records) => {
-                        warm_back(program, &mut hier, &records);
+                        warm_back(&mut hier, &records);
                         records.clear();
                         Batch::Records(records)
                     }
@@ -308,7 +308,7 @@ impl<'scope> HelperStage<'scope> {
         let mut free: Vec<Vec<u64>> =
             (0..QUEUED_BATCHES).map(|_| Vec::with_capacity(RECORD_BATCH)).collect();
         let records = free.pop().expect("at least one buffer");
-        HelperStage { records, free, to_helper, from_helper, task: Some(task) }
+        HelperStage { l1i, records, free, to_helper, from_helper, task: Some(task) }
     }
 
     fn send(&mut self, batch: Batch) {
@@ -354,7 +354,10 @@ impl<'scope> HelperStage<'scope> {
         loop {
             match self.recv() {
                 Batch::Records(records) => self.free.push(records),
-                Batch::Snapshot(warm) => return *warm,
+                Batch::Snapshot(mut warm) => {
+                    warm.l1i_mut().clone_from(&self.l1i);
+                    return *warm;
+                }
             }
         }
     }
@@ -907,12 +910,7 @@ mod tests {
 
     /// The first block boundary at or past instruction `pos`.
     fn boundary_at(cb: &CompiledBenchmark, pos: u64) -> u64 {
-        FunctionalSim::new(cb.program()).fast_forward(
-            &mut WorkloadStream::new(cb),
-            pos,
-            &mut (),
-            None,
-        )
+        FunctionalSim::new(cb.program()).fast_forward(&mut WorkloadStream::new(cb), pos, &mut ())
     }
 
     /// Regression (plan/trace mismatch): a plan saved from one
@@ -934,12 +932,10 @@ mod tests {
 
         // Round-trip through the on-disk format, as a real cross-run
         // reuse would.
-        let dir = std::env::temp_dir().join("mlpa-checked-exec-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("plan.txt");
+        let dir = crate::testdir::TempDir::new("checked-exec-test");
+        let path = dir.path().join("plan.txt");
         crate::files::save(&aligned, &path).unwrap();
         let loaded = crate::files::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
 
         let config = MachineConfig::table1_base();
         let err = execute_plan_checked(&long, &config, &loaded, WarmupMode::Warmed)

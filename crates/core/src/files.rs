@@ -106,6 +106,7 @@ pub fn load(path: impl AsRef<Path>) -> Result<SimulationPlan, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdir::TempDir;
 
     fn plan() -> SimulationPlan {
         SimulationPlan::new(
@@ -152,20 +153,17 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("mlpa-plan-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("plan.txt");
+        let dir = TempDir::new("plan-test");
+        let path = dir.path().join("plan.txt");
         let p = plan();
         save(&p, &path).unwrap();
         assert_eq!(load(&path).unwrap(), p);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn truncated_file_is_rejected_with_clear_error() {
-        let dir = std::env::temp_dir().join("mlpa-plan-truncated-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("plan.txt");
+        let dir = TempDir::new("plan-truncated-test");
+        let path = dir.path().join("plan.txt");
         let text = to_string(&plan());
         // Simulate the torn write the atomic save prevents: every
         // prefix that loses data (anything shorter than the full file
@@ -185,26 +183,23 @@ mod tests {
                 "unclear error for cut at {cut}: {err}"
             );
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn save_replaces_existing_file_atomically() {
-        let dir = std::env::temp_dir().join("mlpa-plan-atomic-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("plan.txt");
+        let dir = TempDir::new("plan-atomic-test");
+        let path = dir.path().join("plan.txt");
         std::fs::write(&path, "garbage from a previous run").unwrap();
         let p = plan();
         save(&p, &path).unwrap();
         assert_eq!(load(&path).unwrap(), p);
         // No temp droppings next to the plan.
-        let stray: Vec<_> = std::fs::read_dir(&dir)
+        let stray: Vec<_> = std::fs::read_dir(dir.path())
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .filter(|n| n != "plan.txt")
             .collect();
         assert!(stray.is_empty(), "leftover temp files: {stray:?}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -92,6 +92,35 @@ pub(crate) mod testobs {
     }
 }
 
+#[cfg(test)]
+pub(crate) mod testdir {
+    //! A scratch directory per test and process, removed on drop, panics
+    //! included: concurrent test runs never share one, and none is left
+    //! behind.
+    use std::path::{Path, PathBuf};
+
+    pub(crate) struct TempDir(PathBuf);
+
+    impl TempDir {
+        pub(crate) fn new(tag: &str) -> TempDir {
+            let dir = std::env::temp_dir().join(format!("mlpa-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("scratch dir");
+            TempDir(dir)
+        }
+
+        pub(crate) fn path(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}
+
 /// Convenience re-exports for the common workflow.
 pub mod prelude {
     pub use crate::coasts::{coasts, coasts_with, CoastsConfig};

@@ -1,8 +1,9 @@
 //! The `mlpa-serve` binary run as a daemon, as a user runs it:
 //! identical requests compute once and return the same bytes, a daemon
 //! killed with SIGKILL and restarted over its store answers from the
-//! store, a byte budget bounds the store, and bad arguments exit 2 with
-//! a message naming the problem.
+//! store, a byte budget bounds the store, a body nested past the JSON
+//! parser's bound gets a 400, and bad arguments exit 2 with a message
+//! naming the problem.
 //!
 //! Every daemon is killed and reaped when its guard drops, panics
 //! included, and prints its stderr if the test is failing; every
@@ -225,6 +226,23 @@ fn a_byte_budget_bounds_the_store() {
         }
     }
     assert!(used <= BUDGET, "the store holds {used} bytes of a {BUDGET} byte budget");
+}
+
+/// The deepest body `http::Limits` admits, 1 MiB of `[`, is a bad
+/// request and not a stack overflow: the daemon answers 400 naming the
+/// byte where the nesting bound was crossed, and stays healthy.
+#[test]
+fn a_deeply_nested_body_is_rejected_and_the_daemon_lives() {
+    let dir = Scratch::new("nested");
+    let (mut serve, addr) = Serve::start(&["--workers", "1"], dir.path("serve.log"));
+    let body = "[".repeat(1 << 20);
+    let (code, reply) = http::post(addr, "/analyze", "application/json", &body)
+        .unwrap_or_else(|e| panic!("POST /analyze: {e}"));
+    assert_eq!(code, 400, "{reply}");
+    let at = format!("deeper than {} levels at byte {}", json::MAX_DEPTH, json::MAX_DEPTH);
+    assert!(reply.contains(&at), "{reply}");
+    assert_eq!(get(addr, "/healthz"), "ok\n");
+    assert!(serve.exited().is_none(), "mlpa-serve exited");
 }
 
 #[test]

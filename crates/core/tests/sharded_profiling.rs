@@ -87,9 +87,9 @@ fn multilevel_windows_match_the_reference_observers() {
     let mut want = Vec::new();
     for cp in out.coasts.plan.points() {
         let skip = cp.start.saturating_sub(pos);
-        pos += func.fast_forward(&mut stream, skip, &mut (), None);
+        pos += func.fast_forward(&mut stream, skip, &mut ());
         let mut prof = FixedLengthProfiler::new(&proj, cfg.fine_interval);
-        pos += func.fast_forward(&mut stream, cp.len, &mut prof, None);
+        pos += func.fast_forward(&mut stream, cp.len, &mut prof);
         let intervals = prof.finish();
         let body = if intervals.len() >= 2 { &intervals[1..] } else { &intervals[..] };
         want.push(select(body, &cfg.fine));

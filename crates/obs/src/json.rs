@@ -117,14 +117,21 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level, so the bound keeps a hostile document
+/// (a request body of a million `[`) from overflowing the stack; every
+/// document the workspace writes nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document.
 ///
 /// # Errors
 ///
 /// Returns a message with the byte offset of the first syntax error,
-/// including trailing garbage after the top-level value.
+/// including trailing garbage after the top-level value and nesting
+/// deeper than [`MAX_DEPTH`].
 pub fn parse(s: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -137,6 +144,8 @@ pub fn parse(s: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -165,8 +174,18 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -342,6 +361,44 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn arrays(depth: usize) -> String {
+        format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    fn objects(depth: usize) -> String {
+        format!("{}1{}", r#"{"a":"#.repeat(depth), "}".repeat(depth))
+    }
+
+    /// Arrays and objects nested exactly to the bound parse whole.
+    #[test]
+    fn nesting_at_the_bound_parses() {
+        let mut v = parse(&arrays(MAX_DEPTH)).unwrap();
+        for _ in 1..MAX_DEPTH {
+            v = match v {
+                Value::Arr(mut items) if items.len() == 1 => items.pop().unwrap(),
+                other => panic!("not one nested array: {other:?}"),
+            };
+        }
+        assert_eq!(v, Value::Arr(Vec::new()));
+        let mut v = parse(&objects(MAX_DEPTH)).unwrap();
+        for _ in 0..MAX_DEPTH {
+            v = v.get("a").cloned().expect("one nested object");
+        }
+        assert_eq!(v, Value::Num(1.0));
+    }
+
+    /// One level past the bound is an error naming the byte where the
+    /// bound was crossed, for arrays and objects alike, and a megabyte
+    /// of `[` is the same error instead of a stack overflow.
+    #[test]
+    fn nesting_past_the_bound_is_an_error_naming_the_byte() {
+        let past = |at: usize| format!("nesting deeper than {MAX_DEPTH} levels at byte {at}");
+        assert_eq!(parse(&arrays(MAX_DEPTH + 1)).unwrap_err(), past(MAX_DEPTH));
+        let err = parse(&format!(" {}", objects(MAX_DEPTH + 1))).unwrap_err();
+        assert_eq!(err, past(1 + 5 * MAX_DEPTH));
+        assert_eq!(parse(&"[".repeat(1 << 20)).unwrap_err(), past(MAX_DEPTH));
+    }
 
     #[test]
     fn parses_scalars() {

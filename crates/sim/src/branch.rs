@@ -402,13 +402,29 @@ impl BranchUnit {
         correct
     }
 
-    /// Update predictor state without counting statistics (functional
-    /// warming during fast-forward).
+    /// Train the unit on the branch at `pc` as [`BranchUnit::resolve`]
+    /// does, without predicting it or counting statistics (functional
+    /// warming). Only the updates run: the direction tables, the BTB
+    /// entry of a taken non-return and the return stack. The BTB lookups
+    /// `resolve` makes change no state, so the unit ends up exactly as
+    /// `resolve` would leave it.
+    #[inline]
     pub fn warm(&mut self, pc: u64, info: &BranchInfo, fallthrough: BlockId) {
-        let (p, m) = (self.predictions, self.mispredictions);
-        let _ = self.resolve(pc, info, fallthrough);
-        self.predictions = p;
-        self.mispredictions = m;
+        match info.kind {
+            BranchKind::Conditional => {
+                let _ = self.dir.predict_and_update(pc, info.taken);
+            }
+            BranchKind::Return => {
+                self.ras.pop();
+            }
+            BranchKind::Jump | BranchKind::Call | BranchKind::Indirect => {}
+        }
+        if info.taken && info.kind != BranchKind::Return {
+            self.btb.update(pc, info.target);
+        }
+        if info.kind == BranchKind::Call {
+            self.ras.push(fallthrough);
+        }
     }
 
     /// Branches predicted so far.
@@ -558,6 +574,90 @@ mod tests {
         assert!(bu.resolve(0x80, &info, BlockId::new(1)));
         assert!(bu.predictions() > 0);
         assert!(bu.mispredictions() < bu.predictions());
+    }
+
+    /// Update-only training leaves the unit exactly as predicting and
+    /// resolving the same branches does. Random streams of all five
+    /// kinds, taken and not, with calls nested past the return stack's
+    /// depth and returns past its bottom, train one unit with `warm` and
+    /// another with `resolve`; both must then hold the same tables and
+    /// resolve a common probe stream identically, and the warmed one
+    /// must count nothing. Returns go back to their call's fallthrough,
+    /// so the return stack decides their predictions.
+    #[test]
+    fn warming_trains_exactly_like_resolving() {
+        use mlpa_isa::rng::SplitMix64;
+        let cfg = PredictorConfig {
+            bht_entries: 256,
+            history_bits: 6,
+            btb_sets: 8,
+            ras_depth: 4,
+            mispredict_penalty: 6,
+        };
+        let kinds = [
+            BranchKind::Conditional,
+            BranchKind::Jump,
+            BranchKind::Call,
+            BranchKind::Return,
+            BranchKind::Indirect,
+        ];
+        // Everything but the statistics.
+        let state = |bu: &BranchUnit| {
+            let c = |t: &[Counter2]| t.iter().map(|c| c.0).collect::<Vec<_>>();
+            let (dir, btb) = (&bu.dir, &bu.btb);
+            (
+                [c(&dir.bimodal.table), c(&dir.gshare.table), c(&dir.chooser)],
+                dir.gshare.history,
+                (btb.tags.clone(), btb.targets.clone(), btb.stamps.clone(), btb.tick),
+                bu.ras.stack.clone(),
+            )
+        };
+        for seed in 0..8 {
+            let mut rng = SplitMix64::new(0xB4A7).fork(seed);
+            // The fallthroughs of the calls not yet returned from.
+            let mut calls: Vec<BlockId> = Vec::new();
+            // 64 branch sites, so the BTB's 32 entries keep evicting.
+            let mut branch = || {
+                // Runs of calls then runs of returns: nesting goes past
+                // the stack's depth and returns past its bottom.
+                let kind = match rng.range_u64(8) {
+                    0..=1 if calls.len() < 9 => BranchKind::Call,
+                    2..=3 => BranchKind::Return,
+                    _ => kinds[rng.range_usize(5)],
+                };
+                let taken = kind != BranchKind::Conditional || rng.chance(0.6);
+                let pc = 0x40_0000 + rng.range_u64(64) * 4;
+                let mut target = BlockId::new(rng.range_u64(16) as u32);
+                let fallthrough = BlockId::new(rng.range_u64(16) as u32);
+                match kind {
+                    BranchKind::Call => calls.push(fallthrough),
+                    BranchKind::Return => target = calls.pop().unwrap_or(target),
+                    _ => {}
+                }
+                (pc, BranchInfo { kind, taken, target }, fallthrough)
+            };
+            let (mut warmed, mut resolved) = (BranchUnit::new(&cfg), BranchUnit::new(&cfg));
+            for _ in 0..4_000 {
+                let (pc, info, fallthrough) = branch();
+                warmed.warm(pc, &info, fallthrough);
+                resolved.resolve(pc, &info, fallthrough);
+            }
+            assert_eq!((warmed.predictions(), warmed.mispredictions()), (0, 0));
+            assert!(resolved.mispredictions() > 0);
+            resolved.reset_stats();
+            assert!(state(&warmed) == state(&resolved), "seed {seed}: trained tables differ");
+            for i in 0..4_000 {
+                let (pc, info, fallthrough) = branch();
+                let w = warmed.resolve(pc, &info, fallthrough);
+                let r = resolved.resolve(pc, &info, fallthrough);
+                assert_eq!(w, r, "seed {seed}, probe {i}: {info:?} at {pc:#x}");
+            }
+            assert_eq!(
+                (warmed.predictions(), warmed.mispredictions()),
+                (resolved.predictions(), resolved.mispredictions())
+            );
+            assert!(resolved.mispredictions() < resolved.predictions());
+        }
     }
 
     #[test]

@@ -656,6 +656,15 @@ impl MemoryHierarchy {
             return 0;
         }
         hook.fetch_miss(addr);
+        self.l1i_miss(addr)
+    }
+
+    /// The L2 side of an instruction fetch at `addr` that missed the
+    /// L1I: returns the fetch's added stall cycles. Functional warming's
+    /// cache stage replays the L1I misses of its front stage, which owns
+    /// the L1I, through this.
+    #[inline]
+    pub fn l1i_miss(&mut self, addr: u64) -> u32 {
         if self.l2.access(addr, false).is_hit() {
             return self.l2_latency;
         }
@@ -675,6 +684,13 @@ impl MemoryHierarchy {
     /// The L1 instruction cache.
     pub fn l1i(&self) -> &Cache {
         &self.l1i
+    }
+
+    /// The L1 instruction cache, to fetch into directly: functional
+    /// warming's front stage does, and hands the misses to
+    /// [`MemoryHierarchy::l1i_miss`].
+    pub fn l1i_mut(&mut self) -> &mut Cache {
+        &mut self.l1i
     }
 
     /// The unified L2.
@@ -731,7 +747,7 @@ impl L2Hook for () {}
 ///
 /// The detailed simulator interleaves a block's instruction fetches with
 /// its data accesses; functional warming
-/// ([`FunctionalSim::fast_forward`](crate::FunctionalSim::fast_forward))
+/// ([`FunctionalSim::warm_walk`](crate::FunctionalSim::warm_walk))
 /// fetches the block's lines first and then makes its data accesses in
 /// program order. The L1s end up in the same state either way, but the
 /// shared L2 and the burst state see the two streams in a different

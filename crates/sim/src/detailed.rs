@@ -858,13 +858,13 @@ mod tests {
             let (mut hier, mut bu) = (MemoryHierarchy::new(&cfg), BranchUnit::new(&cfg.predictor));
             // The destination: state warmed over a short prefix, then run
             // through a detailed region of its own.
-            func.fast_forward(&mut stream, 5_000, &mut (), Some((&mut hier, &mut bu)));
+            func.warm_forward(&mut stream, 5_000, &mut hier, &mut bu);
             let mut early =
                 DetailedSim::with_warm_state(cfg, cb.program(), hier.clone(), bu.clone());
             early.simulate(&mut stream.clone(), 5_000);
             let (mut dest_hier, mut dest_bu) = early.into_warm_state();
 
-            func.fast_forward(&mut stream, 145_000, &mut (), Some((&mut hier, &mut bu)));
+            func.warm_forward(&mut stream, 145_000, &mut hier, &mut bu);
             dest_hier.clone_from(&hier);
             dest_bu.clone_from(&bu);
             let mut refilled = DetailedSim::with_warm_state(cfg, cb.program(), dest_hier, dest_bu);
@@ -921,12 +921,7 @@ mod tests {
             let mut replica = L2Replica::new(&cfg);
             let mut snapshot = MemoryHierarchy::new(&cfg);
             for stop in 1..=4 {
-                let ff = func.fast_forward(
-                    &mut warm_stream,
-                    37_000,
-                    &mut (),
-                    Some((&mut hier, &mut bu)),
-                );
+                let ff = func.warm_forward(&mut warm_stream, 37_000, &mut hier, &mut bu);
                 let m = truth.simulate_with(&mut truth_stream, 37_000, &mut replica);
                 assert_eq!(ff, m.instructions, "both stop at the same boundary");
                 replica.snapshot_into(truth.hierarchy(), &mut snapshot);

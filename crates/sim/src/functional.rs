@@ -6,124 +6,102 @@
 //! of its wall clock here — fast-forwarding to simulation points — so
 //! the hot loop does nothing but pull blocks and notify observers.
 //!
-//! Functional warming is split in two halves that touch disjoint state.
-//! The front half (`warm_front`) trains the branch unit on a block and
-//! records what the block does to the memory hierarchy: one block
-//! record, then one record per data access in program order. The back
-//! half ([`warm_back`]) replays those records into the hierarchy: the
-//! block's I-cache lines, then its data accesses — the order functional
-//! warming has always used. [`FunctionalSim::warm_walk`] runs the front
-//! half on every block it walks and hands the records to a [`WarmBack`]
-//! whole blocks at a time, so the back half may run on another thread;
-//! [`FunctionalSim::fast_forward`] replays them on the walking thread
+//! Functional warming ([`FunctionalSim::warm_walk`]) runs in two stages
+//! that touch disjoint state. The front stage reads each block through
+//! [`InstructionStream::next_block_warm`], so a generative stream builds
+//! no instructions: it gets the block's data accesses as warm records
+//! and its branches. It trains the branch unit on the branches
+//! ([`BranchUnit::warm`]), fetches the block's lines into the L1I, which
+//! it owns, and queues a record per L1I miss ahead of the block's data
+//! records. The cache stage ([`warm_back`]) replays the queue into the
+//! L1D, the L2 and the memory-burst state: each L1I miss's L2 access,
+//! then the block's data accesses in program order — the order
+//! functional warming has always used. The front hands its records to
+//! a [`WarmBack`], whose cache stage may run on another thread;
+//! [`FunctionalSim::warm_forward`] replays them on the walking thread
 //! ([`Replay`]).
 
 use crate::branch::BranchUnit;
-use crate::cache::MemoryHierarchy;
-use mlpa_isa::stream::InstructionStream;
-use mlpa_isa::{BlockId, Instruction, OpClass, Program};
+use crate::cache::{Cache, MemoryHierarchy};
+use mlpa_isa::stream::{InstructionStream, WARM_ESCAPE};
+use mlpa_isa::{BasicBlock, BlockId, Instruction, Program};
 
-/// Marks a block record, whose low 32 bits hold the block id. A data
-/// record has it clear and holds `addr << 1 | store`.
-const BLOCK: u64 = 1 << 63;
-
-/// Marks, beside [`BLOCK`], the data record of an address at or above
-/// 2^62, which `addr << 1` cannot hold: its low bit is the store flag and
-/// the raw address is the next record.
-const WIDE: u64 = 1 << 62;
+/// The escape record of an L1I miss: the raw line address follows. A
+/// data access's escape is `WARM_ESCAPE | store`.
+const L1I_MISS: u64 = WARM_ESCAPE | 2;
 
 /// Records per buffer of a warmed walk: 32 KiB, which fits a host L1D.
 pub const RECORD_BATCH: usize = 4096;
 
-/// The most records `warm_front` appends for a block of `insts`
-/// instructions.
-#[inline]
-fn block_records(insts: usize) -> usize {
-    1 + 2 * insts
+/// The most records the front stage queues for one of `program`'s
+/// blocks under an L1I of `line`-byte lines: every instruction a data
+/// access at a wide address, and every line the block spans a miss.
+fn max_block_records(program: &Program, line: u64) -> usize {
+    let block =
+        |b: &BasicBlock| 2 * u64::from(b.len) + 2 * (b.end_addr().div_ceil(line) - b.addr / line);
+    program.blocks().iter().map(block).max().unwrap_or(0) as usize
 }
 
-/// The front half of functional warming over block `id`: trains `bu` on
-/// the block's branches and appends the block's memory-hierarchy work to
-/// `records` — a block record, then one record per data access in
-/// program order — for [`warm_back`].
+/// Fetch `block`'s lines into `l1i` in address order, and insert the
+/// record of each miss into `records` at `at`, ahead of the block's data
+/// records.
 #[inline]
-fn warm_front(
-    program: &Program,
-    id: BlockId,
-    insts: &[Instruction],
-    bu: &mut BranchUnit,
-    records: &mut Vec<u64>,
-) {
-    records.push(BLOCK | u64::from(id.raw()));
-    let block = program.block(id);
-    for (i, inst) in insts.iter().enumerate() {
-        if inst.is_mem() {
-            let store = u64::from(inst.op == OpClass::Store);
-            if inst.addr < WIDE {
-                records.push(inst.addr << 1 | store);
-            } else {
-                records.extend_from_slice(&[BLOCK | WIDE | store, inst.addr]);
-            }
+fn fetch_block(l1i: &mut Cache, records: &mut Vec<u64>, mut at: usize, block: &BasicBlock) {
+    let line = l1i.config().line;
+    let mut addr = block.addr & !(line - 1);
+    while addr < block.end_addr() {
+        if !l1i.access(addr, false).is_hit() {
+            records.splice(at..at, [L1I_MISS, addr]);
+            at += 2;
         }
-        if let Some(info) = &inst.branch {
-            let pc = block.inst_addr(i as u32);
-            // The next block in layout, exactly as the detailed
-            // simulator resolves it: a call pushes it as the return
-            // address.
-            let fallthrough = BlockId::new(id.raw().saturating_add(1));
-            bu.warm(pc, info, fallthrough);
-        }
+        addr += line;
     }
 }
 
-/// The back half of functional warming: replays the front half's
-/// `records` (whole blocks, as [`FunctionalSim::warm_walk`] hands them
-/// over) into `hier`, each block's I-cache lines and then its data
-/// accesses.
-pub fn warm_back(program: &Program, hier: &mut MemoryHierarchy, records: &[u64]) {
-    let line = hier.l1i().config().line;
+/// The cache stage of functional warming: replays the front stage's
+/// `records` into `hier`'s L1D, L2 and memory-burst state, in order —
+/// data accesses, and the L2 side of the front stage's L1I misses. The
+/// L1I itself is the front stage's.
+pub fn warm_back(hier: &mut MemoryHierarchy, records: &[u64]) {
     let mut records = records.iter();
     while let Some(&r) = records.next() {
-        if r & BLOCK == 0 {
+        if r & WARM_ESCAPE == 0 {
             hier.warm_data(r >> 1, r & 1 != 0);
-        } else if r & WIDE == 0 {
-            // Touch the I-cache line(s) of the block.
-            let block = program.block(BlockId::new(r as u32));
-            let mut addr = block.addr & !(line - 1);
-            while addr < block.end_addr() {
-                let _ = hier.fetch(addr);
-                addr += line;
-            }
+            continue;
+        }
+        let addr = *records.next().expect("an escape record is followed by its address");
+        if r == L1I_MISS {
+            hier.l1i_miss(addr);
         } else {
-            let addr = *records.next().expect("a wide data record is followed by its address");
             hier.warm_data(addr, r & 1 != 0);
         }
     }
 }
 
-/// Where [`FunctionalSim::warm_walk`] hands the front half's records.
+/// Where [`FunctionalSim::warm_walk`] does its cache work: the L1I its
+/// front stage fetches into, and the cache stage its records go to.
 pub trait WarmBack {
-    /// The buffer the walk appends records to.
-    fn records(&mut self) -> &mut Vec<u64>;
+    /// The L1I, and the buffer the walk appends records to.
+    fn front(&mut self) -> (&mut Cache, &mut Vec<u64>);
 
-    /// Take the buffered records, which hold whole blocks, and leave an
-    /// empty buffer in their place.
+    /// Take the buffered records and leave an empty buffer in their
+    /// place.
     fn submit(&mut self);
 }
 
-/// The back half on the walking thread: every submitted buffer is
-/// replayed into the hierarchy at once.
+/// Both stages on the walking thread: the front fetches into the
+/// hierarchy's own L1I, and every submitted buffer is replayed into the
+/// rest of it at once.
 #[derive(Debug)]
 pub struct Replay<'a> {
-    program: &'a Program,
     hier: &'a mut MemoryHierarchy,
     records: Vec<u64>,
 }
 
 impl<'a> Replay<'a> {
-    /// Replay `program`'s records into `hier`.
-    pub fn new(program: &'a Program, hier: &'a mut MemoryHierarchy) -> Replay<'a> {
-        Replay { program, hier, records: Vec::with_capacity(RECORD_BATCH) }
+    /// Warm `hier`.
+    pub fn new(hier: &'a mut MemoryHierarchy) -> Replay<'a> {
+        Replay { hier, records: Vec::with_capacity(RECORD_BATCH) }
     }
 
     /// The hierarchy, with every record walked so far replayed.
@@ -135,12 +113,12 @@ impl<'a> Replay<'a> {
 
 impl WarmBack for Replay<'_> {
     #[inline]
-    fn records(&mut self) -> &mut Vec<u64> {
-        &mut self.records
+    fn front(&mut self) -> (&mut Cache, &mut Vec<u64>) {
+        (self.hier.l1i_mut(), &mut self.records)
     }
 
     fn submit(&mut self) {
-        warm_back(self.program, self.hier, &self.records);
+        warm_back(self.hier, &self.records);
         self.records.clear();
     }
 }
@@ -245,73 +223,14 @@ impl<'p> FunctionalSim<'p> {
     /// (block granularity — stops at the first block boundary at or
     /// past the target), notifying `obs`.
     ///
-    /// With `warm_state`, the caches and branch predictor are updated
-    /// functionally while skipping (checkpoint-style warming, an
-    /// extension): [`FunctionalSim::warm_walk`] into a [`Replay`].
-    /// Without it, microarchitectural state is untouched: the paper's
-    /// SimPoint baseline fast-forwards *cold* (SimpleScalar's
-    /// `-fastfwd`), which is precisely why short simulation points show
-    /// large L2 deviations in its Table II.
+    /// Microarchitectural state is untouched: the paper's SimPoint
+    /// baseline fast-forwards *cold* (SimpleScalar's `-fastfwd`), which
+    /// is precisely why short simulation points show large L2 deviations
+    /// in its Table II. [`FunctionalSim::warm_forward`] warms instead.
     ///
     /// Returns the instructions actually skipped; fewer than `count`
     /// only if the stream ended.
-    pub fn fast_forward<S, O>(
-        &mut self,
-        stream: &mut S,
-        count: u64,
-        obs: &mut O,
-        warm_state: Option<(&mut MemoryHierarchy, &mut BranchUnit)>,
-    ) -> u64
-    where
-        S: InstructionStream,
-        O: Observer,
-    {
-        let Some((hier, bu)) = warm_state else {
-            return self.walk(stream, count, obs, |_, _| {});
-        };
-        let mut back = Replay::new(self.program, hier);
-        let skipped = self.warm_walk(stream, count, obs, bu, &mut back);
-        back.submit();
-        skipped
-    }
-
-    /// [`FunctionalSim::fast_forward`] running the front half of
-    /// functional warming: trains `bu` and hands the memory-hierarchy
-    /// records of every block to `back`, whole blocks at a time. Records
-    /// of the last blocks may stay in `back`'s buffer.
-    pub fn warm_walk<S, O, K>(
-        &mut self,
-        stream: &mut S,
-        count: u64,
-        obs: &mut O,
-        bu: &mut BranchUnit,
-        back: &mut K,
-    ) -> u64
-    where
-        S: InstructionStream,
-        O: Observer,
-        K: WarmBack,
-    {
-        let program = self.program;
-        self.walk(stream, count, obs, |id, insts| {
-            let records = back.records();
-            if records.capacity() - records.len() < block_records(insts.len()) {
-                back.submit();
-            }
-            warm_front(program, id, insts, bu, back.records());
-        })
-    }
-
-    /// Execute until at least `count` further instructions have run,
-    /// notifying `obs` and then `visit` of every block.
-    #[inline(always)]
-    fn walk<S, O>(
-        &mut self,
-        stream: &mut S,
-        count: u64,
-        obs: &mut O,
-        mut visit: impl FnMut(BlockId, &[Instruction]),
-    ) -> u64
+    pub fn fast_forward<S, O>(&mut self, stream: &mut S, count: u64, obs: &mut O) -> u64
     where
         S: InstructionStream,
         O: Observer,
@@ -321,10 +240,74 @@ impl<'p> FunctionalSim<'p> {
         while skipped < count {
             let Some(id) = stream.next_block(&mut buf) else { break };
             obs.on_block(id, &buf, self.executed);
-            visit(id, &buf);
             self.executed += buf.len() as u64;
             self.blocks += 1;
             skipped += buf.len() as u64;
+        }
+        if mlpa_obs::is_enabled() {
+            mlpa_obs::add("sim.functional.instructions", skipped);
+        }
+        skipped
+    }
+
+    /// [`FunctionalSim::fast_forward`] that updates the caches and the
+    /// branch predictor functionally while skipping (checkpoint-style
+    /// warming, an extension): [`FunctionalSim::warm_walk`] into a
+    /// [`Replay`].
+    pub fn warm_forward<S: InstructionStream>(
+        &mut self,
+        stream: &mut S,
+        count: u64,
+        hier: &mut MemoryHierarchy,
+        bu: &mut BranchUnit,
+    ) -> u64 {
+        let mut back = Replay::new(hier);
+        let skipped = self.warm_walk(stream, count, bu, &mut back);
+        back.submit();
+        skipped
+    }
+
+    /// Execute until at least `count` further instructions have run,
+    /// running the front stage of functional warming on every block:
+    /// train `bu`, fetch the block's lines into `back`'s L1I, and append
+    /// the block's L1I misses and then its data accesses to `back`'s
+    /// records. Records of the last blocks may stay in `back`'s buffer.
+    pub fn warm_walk<S, K>(
+        &mut self,
+        stream: &mut S,
+        count: u64,
+        bu: &mut BranchUnit,
+        back: &mut K,
+    ) -> u64
+    where
+        S: InstructionStream,
+        K: WarmBack,
+    {
+        let program = self.program;
+        let bound = max_block_records(program, back.front().0.config().line);
+        let (mut branches, mut scratch) = (Vec::new(), Vec::new());
+        let mut skipped = 0u64;
+        while skipped < count {
+            let records = back.front().1;
+            if !records.is_empty() && records.capacity() - records.len() < bound {
+                back.submit();
+            }
+            let (l1i, records) = back.front();
+            let start = records.len();
+            let Some(meta) = stream.next_block_warm(records, &mut branches, &mut scratch) else {
+                break;
+            };
+            let block = program.block(meta.id);
+            fetch_block(l1i, records, start, block);
+            // The next block in layout, exactly as the detailed simulator
+            // resolves it: a call pushes it as the return address.
+            let fallthrough = BlockId::new(meta.id.raw().saturating_add(1));
+            for (i, info) in &branches {
+                bu.warm(block.inst_addr(*i), info, fallthrough);
+            }
+            self.executed += meta.insts;
+            self.blocks += 1;
+            skipped += meta.insts;
         }
         if mlpa_obs::is_enabled() {
             mlpa_obs::add("sim.functional.instructions", skipped);
@@ -338,6 +321,7 @@ mod tests {
     use super::*;
     use crate::config::MachineConfig;
     use crate::DetailedSim;
+    use mlpa_isa::OpClass;
     use mlpa_workloads::{spec::BenchmarkSpec, CompiledBenchmark, WorkloadStream};
 
     struct CountingObserver {
@@ -378,7 +362,7 @@ mod tests {
         let cb = compiled();
         let mut sim = FunctionalSim::new(cb.program());
         let mut stream = WorkloadStream::new(&cb);
-        let skipped = sim.fast_forward(&mut stream, 5_000, &mut (), None);
+        let skipped = sim.fast_forward(&mut stream, 5_000, &mut ());
         assert!(skipped >= 5_000);
         assert!(skipped < 5_000 + 64, "overshoot bounded by one block");
     }
@@ -392,7 +376,7 @@ mod tests {
         };
         let mut sim = FunctionalSim::new(cb.program());
         let mut stream = WorkloadStream::new(&cb);
-        let skipped = sim.fast_forward(&mut stream, total + 1_000_000, &mut (), None);
+        let skipped = sim.fast_forward(&mut stream, total + 1_000_000, &mut ());
         assert_eq!(skipped, total);
     }
 
@@ -404,7 +388,7 @@ mod tests {
         let mut bu = BranchUnit::new(&cfg.predictor);
         let mut sim = FunctionalSim::new(cb.program());
         let mut stream = WorkloadStream::new(&cb);
-        sim.fast_forward(&mut stream, 50_000, &mut (), Some((&mut hier, &mut bu)));
+        sim.warm_forward(&mut stream, 50_000, &mut hier, &mut bu);
         assert!(hier.l1d().hits() + hier.l1d().misses() > 0, "dcache touched");
         assert!(hier.l1i().hits() + hier.l1i().misses() > 0, "icache touched");
         assert_eq!(bu.predictions(), 0, "warming must not count stats");
@@ -418,7 +402,7 @@ mod tests {
     #[test]
     fn warmed_branch_unit_matches_a_detailed_run_across_calls() {
         use mlpa_isa::stream::SliceStream;
-        use mlpa_isa::{BranchKind, OpClass, ProgramBuilder, Reg};
+        use mlpa_isa::{BranchKind, ProgramBuilder, Reg};
 
         let mut b = ProgramBuilder::new("calls");
         let (main, cont, callee) = (b.add_block(5), b.add_block(5), b.add_block(5));
@@ -450,12 +434,7 @@ mod tests {
         let mut warmed = BranchUnit::new(&cfg.predictor);
         let mut hier = MemoryHierarchy::new(&cfg);
         let mut stream = SliceStream::new(&trace);
-        FunctionalSim::new(&prog).fast_forward(
-            &mut stream,
-            prefix_insts,
-            &mut (),
-            Some((&mut hier, &mut warmed)),
-        );
+        FunctionalSim::new(&prog).warm_forward(&mut stream, prefix_insts, &mut hier, &mut warmed);
         let mut detailed = DetailedSim::new(cfg, &prog);
         detailed.simulate(&mut SliceStream::new(&trace), prefix_insts);
         let (_, detailed_bu) = detailed.into_warm_state();
@@ -521,7 +500,7 @@ mod tests {
         for step in 1..=4 {
             let n = warm_by_hand(program, &mut hand_stream, 37_000, &mut by_hand.0, &mut by_hand.1);
             let (h, bu) = (&mut halves.0, &mut halves.1);
-            assert_eq!(func.fast_forward(&mut stream, 37_000, &mut (), Some((h, bu))), n);
+            assert_eq!(func.warm_forward(&mut stream, 37_000, h, bu), n);
             let state = |(hier, bu): &(MemoryHierarchy, BranchUnit)| {
                 let mut sim = DetailedSim::with_warm_state(cfg, program, hier.clone(), bu.clone());
                 let region = sim.simulate(&mut stream.clone(), 20_000);
@@ -628,7 +607,7 @@ mod tests {
         let bu = BranchUnit::new(&cfg.predictor);
         let mut sim = FunctionalSim::new(cb.program());
         let mut stream = WorkloadStream::new(&cb);
-        sim.fast_forward(&mut stream, 10_000, &mut (), None);
+        sim.fast_forward(&mut stream, 10_000, &mut ());
         assert_eq!(hier.l1d().hits() + hier.l1d().misses(), 0);
         assert_eq!(bu.predictions(), 0);
     }

@@ -239,6 +239,21 @@ impl MemoryCursor {
     /// Next effective address (8-byte aligned).
     pub fn next_addr(&mut self) -> u64 {
         let set = self.effective_set();
+        self.draw(set)
+    }
+
+    /// The addresses [`MemoryCursor::next_addr`] would give, one per
+    /// item, with the working set computed once: the scale only changes
+    /// between items through [`MemoryCursor::set_scale`], which the
+    /// borrow rules out.
+    #[inline]
+    pub fn addrs(&mut self) -> impl Iterator<Item = u64> + '_ {
+        let set = self.effective_set();
+        std::iter::repeat_with(move || self.draw(set))
+    }
+
+    #[inline(always)]
+    fn draw(&mut self, set: u64) -> u64 {
         let off = match self.pattern {
             MemoryPattern::Strided { stride, .. } => {
                 let o = self.pos % set;
@@ -404,6 +419,28 @@ mod tests {
                 for _ in 0..8 {
                     assert_eq!(seq.next_addr(), jump.next_addr(), "{p:?} skip({n}) diverged");
                 }
+            }
+        }
+    }
+
+    /// Batches of `addrs` under changing scales give exactly the
+    /// addresses of single `next_addr` calls.
+    #[test]
+    fn address_batches_match_single_draws() {
+        let patterns = [
+            MemoryPattern::Strided { stride: 24, working_set: 1000 },
+            MemoryPattern::RandomInSet { working_set: 4096 },
+            MemoryPattern::PointerChase { working_set: 512 },
+        ];
+        for p in patterns {
+            let mut single = MemoryCursor::new(p, 0x2000, SplitMix64::new(17));
+            let mut batched = single.clone();
+            for (batch, scale) in [(0usize, 1.0), (3, 0.6), (11, 2.5), (1, 0.25), (40, 1.7)] {
+                single.set_scale(scale);
+                batched.set_scale(scale);
+                let want: Vec<u64> = (0..batch).map(|_| single.next_addr()).collect();
+                let got: Vec<u64> = batched.addrs().take(batch).collect();
+                assert_eq!(got, want, "{p:?} at scale {scale}");
             }
         }
     }

@@ -551,11 +551,14 @@ mod tests {
         for b in cb.program().blocks() {
             let t = cb.template(b.id);
             assert_eq!(t.insts.len() as u32, b.len, "template/block len mismatch at {}", b.id);
-            // Terminator is a branch.
-            assert!(t.insts.last().unwrap().is_branch());
-            for &slot in &t.mem_slots {
-                assert!(t.insts[slot as usize].is_mem());
-            }
+            // The terminator is the only branch, and `mem_slots` lists
+            // every load and store in program order: the generator's warm
+            // step reads a block from these two alone.
+            let (term, body) = t.insts.split_last().unwrap();
+            assert!(term.is_branch());
+            assert!(body.iter().all(|i| !i.is_branch()), "a branch before the terminator");
+            let mem: Vec<u32> = (0..b.len).filter(|&i| t.insts[i as usize].is_mem()).collect();
+            assert_eq!(t.mem_slots, mem, "memory slots of {}", b.id);
         }
     }
 

@@ -11,8 +11,8 @@
 use crate::behavior::{BranchCursor, MemoryCursor};
 use crate::build::{CompiledBenchmark, PhaseRt};
 use mlpa_isa::rng::SplitMix64;
-use mlpa_isa::stream::{BlockMeta, InstructionStream};
-use mlpa_isa::{BlockId, BranchInfo, BranchKind, Instruction};
+use mlpa_isa::stream::{push_warm_access, BlockMeta, InstructionStream};
+use mlpa_isa::{BlockId, BranchInfo, BranchKind, Instruction, OpClass};
 
 /// Hard cap on a family's repetitions in one inner iteration, as a
 /// multiple of its nominal count — keeps pathological jitter draws from
@@ -332,23 +332,43 @@ impl<'a> WorkloadStream<'a> {
         out.clear();
         out.extend_from_slice(&t.insts);
         if let Some(fi) = slot.fam {
-            let cursor = &mut self.fams[fi].mem;
-            for &s in &t.mem_slots {
-                out[s as usize].addr = cursor.next_addr();
+            for (&s, addr) in t.mem_slots.iter().zip(self.fams[fi].mem.addrs()) {
+                out[s as usize].addr = addr;
             }
         }
         let last = out.len() - 1;
-        let (kind, taken, target) = match next {
-            Some(n) => {
-                let fallthrough = slot.block.index() + 1 == n.block.index();
-                (BranchKind::Conditional, !fallthrough, n.block)
-            }
-            // Program end: model as a final return.
-            None => (BranchKind::Return, true, slot.block),
-        };
-        out[last].branch = Some(BranchInfo { kind, taken, target });
+        out[last].branch = Some(terminator(slot, next));
         self.emitted += out.len() as u64;
         slot.block
+    }
+
+    /// [`WorkloadStream::emit`] as functional warming reads it: append
+    /// the warm record of every memory slot, drawing the cursor exactly
+    /// as `emit` does, and report the terminator, the template's only
+    /// branch, without building an instruction.
+    fn emit_warm(
+        &mut self,
+        slot: Slot,
+        next: Option<Slot>,
+        records: &mut Vec<u64>,
+        branches: &mut Vec<(u32, BranchInfo)>,
+    ) -> BlockMeta {
+        let t = self.cb.template(slot.block);
+        let slots = t.mem_slots.iter().map(|&s| &t.insts[s as usize]);
+        match slot.fam {
+            Some(fi) => {
+                for (inst, addr) in slots.zip(self.fams[fi].mem.addrs()) {
+                    push_warm_access(records, addr, inst.op == OpClass::Store);
+                }
+            }
+            // A header has no cursor and keeps its template's addresses.
+            None => slots.for_each(|i| push_warm_access(records, i.addr, i.op == OpClass::Store)),
+        }
+        let insts = t.insts.len() as u64;
+        branches.clear();
+        branches.push((insts as u32 - 1, terminator(slot, next)));
+        self.emitted += insts;
+        BlockMeta { id: slot.block, insts }
     }
 
     /// [`WorkloadStream::emit`] minus materialisation: replicate every
@@ -365,6 +385,21 @@ impl<'a> WorkloadStream<'a> {
         self.emitted += insts;
         BlockMeta { id: slot.block, insts }
     }
+}
+
+/// The terminator of `slot` when `next` follows it: a conditional branch
+/// taken unless `next` is the fall-through block, or a final return at
+/// the end of the program.
+fn terminator(slot: Slot, next: Option<Slot>) -> BranchInfo {
+    let (kind, taken, target) = match next {
+        Some(n) => {
+            let fallthrough = slot.block.index() + 1 == n.block.index();
+            (BranchKind::Conditional, !fallthrough, n.block)
+        }
+        // Program end: model as a final return.
+        None => (BranchKind::Return, true, slot.block),
+    };
+    BranchInfo { kind, taken, target }
 }
 
 impl InstructionStream for WorkloadStream<'_> {
@@ -393,6 +428,25 @@ impl InstructionStream for WorkloadStream<'_> {
         let cur = self.lookahead?;
         self.lookahead = self.advance();
         Some(self.emit_meta(cur))
+    }
+
+    /// Functional warming's step: the control state machine as in
+    /// [`next_block`](InstructionStream::next_block), and the block's
+    /// warm records written straight from its template's memory slots
+    /// and the family's address cursor, so no instruction is built.
+    fn next_block_warm(
+        &mut self,
+        records: &mut Vec<u64>,
+        branches: &mut Vec<(u32, BranchInfo)>,
+        _scratch: &mut Vec<Instruction>,
+    ) -> Option<BlockMeta> {
+        if !self.started {
+            self.started = true;
+            self.lookahead = self.advance();
+        }
+        let cur = self.lookahead?;
+        self.lookahead = self.advance();
+        Some(self.emit_warm(cur, self.lookahead, records, branches))
     }
 }
 
@@ -600,6 +654,67 @@ mod tests {
                 }
                 assert_eq!(rbuf, mbuf);
             }
+        }
+    }
+
+    /// One stream driven by a SplitMix64-chosen mix of full, meta and
+    /// warm steps, against an all-full reference, over several suite
+    /// programs and trace seeds. A warm step must advance to the same
+    /// block and append exactly a scan of the reference's block: every
+    /// data access in program order with its store flag, and every
+    /// branch with its index. Later full steps stay bit-identical.
+    #[test]
+    fn warm_steps_match_a_scan_of_the_full_block() {
+        use mlpa_isa::OpClass;
+        let programs = [("eon", 1), ("mcf", 2), ("gcc", 3), ("lucas", 4), ("twolf", 5)];
+        for (name, seed) in programs {
+            let mut spec = crate::suite::benchmark_with_iters(name, 1).unwrap().scaled(0.02);
+            spec.seed ^= seed;
+            let cb = CompiledBenchmark::compile(&spec).unwrap();
+            let mut reference = WorkloadStream::new(&cb);
+            let mut mixed = WorkloadStream::new(&cb);
+            let (mut rbuf, mut mbuf, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut records, mut branches) = (Vec::new(), Vec::new());
+            let mut rng = SplitMix64::new(0x3A7B ^ seed);
+            let mut warm_steps = 0u32;
+            loop {
+                let r = reference.next_block(&mut rbuf);
+                let m = match rng.range_u64(3) {
+                    0 => {
+                        let m = mixed.next_block(&mut mbuf);
+                        if m.is_some() {
+                            assert_eq!(rbuf, mbuf, "{name}: full step");
+                        }
+                        m
+                    }
+                    1 => mixed.next_block_meta(&mut scratch).map(|m| m.id),
+                    _ => {
+                        records.clear();
+                        let m = mixed.next_block_warm(&mut records, &mut branches, &mut scratch);
+                        if let Some(meta) = m {
+                            warm_steps += 1;
+                            assert_eq!(meta.insts, rbuf.len() as u64, "{name}: length");
+                            let want: Vec<u64> = rbuf
+                                .iter()
+                                .filter(|i| i.is_mem())
+                                .map(|i| i.addr << 1 | u64::from(i.op == OpClass::Store))
+                                .collect();
+                            assert_eq!(records, want, "{name}: data records of {}", meta.id);
+                            let want: Vec<(u32, BranchInfo)> = (0..rbuf.len())
+                                .filter_map(|i| rbuf[i].branch.map(|b| (i as u32, b)))
+                                .collect();
+                            assert_eq!(branches, want, "{name}: branches of {}", meta.id);
+                        }
+                        m.map(|m| m.id)
+                    }
+                };
+                assert_eq!(r, m, "{name}: block id");
+                assert_eq!(reference.emitted(), mixed.emitted(), "{name}: emitted");
+                if r.is_none() {
+                    break;
+                }
+            }
+            assert!(warm_steps > 1_000, "{name}: {warm_steps} warm steps");
         }
     }
 

@@ -9,7 +9,7 @@
 //! test.
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use mlpa::core::ArtifactCache;
@@ -31,13 +31,23 @@ fn assert_same(got: &[BenchResult], want: &[BenchResult], run: &str) {
     }
 }
 
+/// The test's stores, removed on drop, panics included.
+struct Scratch(PathBuf);
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
 #[test]
 fn cached_runs_match_uncached_and_resume_from_profiles() {
     let spec = suite::benchmark_with_iters("eon", 1).expect("eon is in the suite").scaled(0.15);
     let exp = Experiment { suite: [spec].into_iter().collect(), ..Experiment::default() };
-    let root = std::env::temp_dir().join(format!("mlpa-cached-run-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&root);
-    let (cold, profiled) = (root.join("cold"), root.join("profiled"));
+    let root =
+        Scratch(std::env::temp_dir().join(format!("mlpa-cached-run-{}", std::process::id())));
+    let _ = fs::remove_dir_all(&root.0);
+    let (cold, profiled) = (root.0.join("cold"), root.0.join("profiled"));
     // `shards` is ignored: a pass is one walk, cached whole.
     let cached = |store: &Path| Experiment {
         shards: 8,
@@ -87,5 +97,4 @@ fn cached_runs_match_uncached_and_resume_from_profiles() {
     let roots: Vec<&str> =
         profile.tree.iter().filter(|e| e.parent.is_none()).map(|e| e.name.as_str()).collect();
     assert!(roots.iter().all(|&r| r == "bench.benchmark"), "root spans: {roots:?}");
-    let _ = fs::remove_dir_all(&root);
 }

@@ -180,12 +180,11 @@ fn chained_execution_matches_per_point_replay() {
                 let mut bu = BranchUnit::new(&config.predictor);
                 let mut sim = match mode {
                     WarmupMode::Cold => {
-                        func.fast_forward(&mut stream, p.start, &mut (), None);
+                        func.fast_forward(&mut stream, p.start, &mut ());
                         DetailedSim::new(config, cb.program())
                     }
                     WarmupMode::Warmed => {
-                        let warm = Some((&mut hier, &mut bu));
-                        func.fast_forward(&mut stream, p.start, &mut (), warm);
+                        func.warm_forward(&mut stream, p.start, &mut hier, &mut bu);
                         DetailedSim::with_warm_state(config, cb.program(), hier, bu)
                     }
                 };
