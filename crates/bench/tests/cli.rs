@@ -60,15 +60,23 @@ fn every_table_has_a_committed_result() {
     }
 }
 
+/// An output directory, removed on drop, panics included.
+struct OutDir(PathBuf);
+
+impl Drop for OutDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[test]
 fn table_reproduces_its_committed_result() {
-    let dir = std::env::temp_dir().join(format!("mlpa-cli-test-{}", std::process::id()));
-    let out_dir = dir.to_str().expect("temp dir is UTF-8");
+    let dir = OutDir(std::env::temp_dir().join(format!("mlpa-cli-test-{}", std::process::id())));
+    let out_dir = dir.0.to_str().expect("temp dir is UTF-8");
     let out = experiments(&["extension_core_models", "--quiet", "--out", out_dir]);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let fresh = std::fs::read_to_string(dir.join("extension_core_models.txt")).expect("written");
+    let fresh = std::fs::read_to_string(dir.0.join("extension_core_models.txt")).expect("written");
     let committed = std::fs::read_to_string(results_dir().join("extension_core_models.txt"))
         .expect("committed");
-    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(fresh, committed, "results/extension_core_models.txt is stale");
 }

@@ -3,7 +3,7 @@
 //! SIGKILLed mid-flight then resumed all write the same bytes, and the
 //! warm run does no real work. A run watched through `--status-port`
 //! serves valid `/metrics` and `/status` while it works and finishes
-//! with a complete run report.
+//! with a complete run report that matches `results/RUN_REPORT.json`.
 //!
 //! Every child is killed and reaped when its guard drops, panics
 //! included, and prints its stderr if the test is failing; every
@@ -17,6 +17,7 @@ use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 use mlpa_obs::check::{check_complete, check_events, check_metrics, check_report, check_status};
+use mlpa_obs::diff::diff;
 use mlpa_obs::json::{self, Value};
 use mlpa_obs::{http, promtext};
 
@@ -285,4 +286,18 @@ fn a_live_run_serves_valid_metrics_and_status() {
     let report = read(&out.join("RUN_REPORT.json"));
     check_report(&report).unwrap_or_else(|e| panic!("report: {e}"));
     check_complete(&report).unwrap_or_else(|e| panic!("report: {e}"));
+
+    // The tracked report is this run at the default sampling interval
+    // and without a status server. Every deterministic section must
+    // match it, diffed both ways so neither report has a metric the
+    // other lacks.
+    let tracked = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/RUN_REPORT.json");
+    let tracked = json::parse(&read(&tracked)).expect("the tracked report parses");
+    let live = json::parse(&report).expect("the report parses");
+    for (base, cur, what) in
+        [(&tracked, &live, "tracked → live"), (&live, &tracked, "live → tracked")]
+    {
+        let d = diff(base, cur).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert!(d.failures.is_empty(), "{what}: {:#?}", d.failures);
+    }
 }

@@ -9,7 +9,7 @@
 //!   selected representative point, and
 //! * the **measured** behaviour — the ground-truth metrics of *all* the
 //!   phase's iteration intervals, obtained from one segmented detailed
-//!   pass ([`ground_truth_segmented`]) whose statistics telescope
+//!   pass ([`crate::ground_truth_segmented`]) whose statistics telescope
 //!   exactly to the whole-run truth,
 //!
 //! and weighting the difference by the phase's instruction-mass share.
@@ -27,10 +27,9 @@
 //! deviation.
 
 use crate::coasts::CoastsOutcome;
-use crate::estimate::{ground_truth_segmented, ExecutionOutcome};
+use crate::estimate::ExecutionOutcome;
 use mlpa_obs::json::Value;
-use mlpa_sim::{MachineConfig, MetricEstimate, SimMetrics};
-use mlpa_workloads::CompiledBenchmark;
+use mlpa_sim::{MetricEstimate, SimMetrics};
 use std::collections::BTreeMap;
 
 /// One coarse phase's contribution to the benchmark's estimation error.
@@ -130,32 +129,18 @@ impl AccuracyAttribution {
     }
 }
 
-/// Attribute a COASTS estimate's error to its coarse phases.
+/// Attribute a COASTS estimate's error to its coarse phases, from a
+/// segmented ground-truth pass with one segment per entry of
+/// `co.intervals` ([`crate::ground_truth_segmented`], or the truth of a
+/// [`crate::truth_and_plans`] lane). The telescoped segment totals are
+/// the whole-run truth, so a harness that already pays that pass
+/// attributes without a second detailed simulation; the per-interval
+/// measurements fold into per-cluster aggregates via
+/// `co.simpoints.assignments`.
 ///
-/// Runs the segmented ground-truth pass over `co.intervals` (one full
-/// detailed simulation — the same cost as a [`crate::ground_truth`]
-/// call, which this subsumes: the telescoped segment totals *are* the
-/// whole-run truth) and folds the per-interval measurements into
-/// per-cluster aggregates via `co.simpoints.assignments`.
-///
-/// `out` must be the execution outcome of `co.plan` under `config` —
-/// its `per_point` metrics are matched positionally to
+/// `out` must be the execution outcome of `co.plan` under the truth's
+/// config — its `per_point` metrics are matched positionally to
 /// `co.simpoints.points`.
-pub fn attribute(
-    cb: &CompiledBenchmark,
-    config: &MachineConfig,
-    co: &CoastsOutcome,
-    out: &ExecutionOutcome,
-) -> AccuracyAttribution {
-    let lens: Vec<u64> = co.intervals.iter().map(|iv| iv.len).collect();
-    let segments = ground_truth_segmented(cb, config, &lens);
-    attribute_segments(&cb.spec().name, co, out, &segments)
-}
-
-/// [`attribute`] on a precomputed segmented-truth pass, one segment per
-/// entry of `co.intervals`. A harness that already pays the segmented
-/// pass (its telescoped totals double as the whole-run ground truth)
-/// uses this to attribute without a second detailed simulation.
 pub fn attribute_segments(
     benchmark: &str,
     co: &CoastsOutcome,
@@ -287,8 +272,10 @@ pub fn render_report(attrs: &[AccuracyAttribution]) -> String {
 mod tests {
     use super::*;
     use crate::coasts::{coasts, CoastsConfig};
-    use crate::estimate::{execute_plan, ground_truth, WarmupMode};
+    use crate::estimate::{execute_plan, ground_truth, ground_truth_segmented, WarmupMode};
+    use mlpa_sim::MachineConfig;
     use mlpa_workloads::spec::{BenchmarkSpec, PhaseSpec, ScriptEntry};
+    use mlpa_workloads::CompiledBenchmark;
 
     fn multi_phase_cb() -> CompiledBenchmark {
         use mlpa_workloads::behavior::{InstMix, MemoryPattern};
@@ -316,7 +303,9 @@ mod tests {
         let config = MachineConfig::table1_base();
         let co = coasts(&cb, &CoastsConfig::default()).unwrap();
         let out = execute_plan(&cb, &config, &co.plan, WarmupMode::Warmed);
-        let attr = attribute(&cb, &config, &co, &out);
+        let lens: Vec<u64> = co.intervals.iter().map(|iv| iv.len).collect();
+        let segments = ground_truth_segmented(&cb, &config, &lens);
+        let attr = attribute_segments(&cb.spec().name, &co, &out, &segments);
         (cb, attr)
     }
 

@@ -685,13 +685,11 @@ mod tests {
     use super::*;
     use crate::plan::{PlanPoint, SimulationPlan};
 
+    use crate::testdir::TempDir;
     use crate::testobs::counter_lock;
 
-    fn tmp_root(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("mlpa-cache-test-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
+    fn tmp_root(tag: &str) -> TempDir {
+        TempDir::new(&format!("cache-test-{tag}"))
     }
 
     fn sample_plan() -> SimulationPlan {
@@ -711,8 +709,9 @@ mod tests {
 
     #[test]
     fn store_and_reload() {
-        let root = tmp_root("roundtrip");
-        let cache = ArtifactCache::open(&root).unwrap();
+        let tmp = tmp_root("roundtrip");
+        let root = tmp.path();
+        let cache = ArtifactCache::open(root).unwrap();
         let key = CacheKey::new().field("spec", "bench-a").field("n", &7u64);
         assert_eq!(cache.get::<SimulationPlan>(&key), None);
         let plan = sample_plan();
@@ -721,13 +720,13 @@ mod tests {
         // A different key misses even with entries present.
         let other = CacheKey::new().field("spec", "bench-b").field("n", &7u64);
         assert_eq!(cache.get::<SimulationPlan>(&other), None);
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn reuse_off_is_record_only() {
-        let root = tmp_root("record");
-        let mut cache = ArtifactCache::open(&root).unwrap();
+        let tmp = tmp_root("record");
+        let root = tmp.path();
+        let mut cache = ArtifactCache::open(root).unwrap();
         cache.set_reuse(false);
         let key = CacheKey::new().field("spec", "bench-a");
         let plan = sample_plan();
@@ -735,13 +734,13 @@ mod tests {
         assert_eq!(cache.get::<SimulationPlan>(&key), None, "record-only must not reuse");
         cache.set_reuse(true);
         assert_eq!(cache.get::<SimulationPlan>(&key), Some(plan));
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn corrupt_entries_are_discarded_and_regenerated() {
-        let root = tmp_root("corrupt");
-        let cache = ArtifactCache::open(&root).unwrap();
+        let tmp = tmp_root("corrupt");
+        let root = tmp.path();
+        let cache = ArtifactCache::open(root).unwrap();
         let key = CacheKey::new().field("spec", "bench-a");
         let plan = sample_plan();
 
@@ -778,15 +777,14 @@ mod tests {
         let text = fs::read_to_string(&path).unwrap();
         fs::write(&path, text.replacen("spec=\"bench-a\"", "spec=\"bench-x\"", 1)).unwrap();
         assert_eq!(cache.get::<SimulationPlan>(&key), None, "foreign key must be rejected");
-
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn read_errors_are_distinguished_from_plain_misses() {
         let _g = counter_lock();
-        let root = tmp_root("read-error");
-        let cache = ArtifactCache::open(&root).unwrap();
+        let tmp = tmp_root("read-error");
+        let root = tmp.path();
+        let cache = ArtifactCache::open(root).unwrap();
         let key = CacheKey::new().field("spec", "bench-a");
         let errors_before = mlpa_obs::counter_value("core.cache.read_errors");
 
@@ -806,7 +804,6 @@ mod tests {
             errors_before + 1,
             "a failed read must be counted apart from a cold miss"
         );
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[cfg(unix)]
@@ -814,8 +811,9 @@ mod tests {
     fn unreadable_permissions_entry_counts_as_read_error() {
         use std::os::unix::fs::PermissionsExt;
         let _g = counter_lock();
-        let root = tmp_root("perm");
-        let cache = ArtifactCache::open(&root).unwrap();
+        let tmp = tmp_root("perm");
+        let root = tmp.path();
+        let cache = ArtifactCache::open(root).unwrap();
         let key = CacheKey::new().field("spec", "bench-a");
         cache.put(&key, &sample_plan());
         let path = entry_path(&cache, &key);
@@ -834,14 +832,14 @@ mod tests {
         // mode 000 and legitimately hits; the EISDIR-based test above
         // covers the counter in that environment.
         fs::set_permissions(&path, fs::Permissions::from_mode(0o644)).unwrap();
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn corruption_deletions_count_verify_evictions_not_capacity_evictions() {
         let _g = counter_lock();
-        let root = tmp_root("verify-evict");
-        let cache = ArtifactCache::open(&root).unwrap();
+        let tmp = tmp_root("verify-evict");
+        let root = tmp.path();
+        let cache = ArtifactCache::open(root).unwrap();
         let key = CacheKey::new().field("spec", "bench-a");
         cache.put(&key, &sample_plan());
         let path = entry_path(&cache, &key);
@@ -860,20 +858,17 @@ mod tests {
             capacity_before,
             "corruption deletions must not inflate the capacity-eviction counter"
         );
-        let _ = fs::remove_dir_all(&root);
     }
 
     /// One entry's on-disk size, measured with a throwaway cache (all
     /// budget tests below store the same plan under same-length keys,
     /// so every entry has this size).
     fn entry_size() -> u64 {
-        let root = tmp_root("size-probe");
-        let cache = ArtifactCache::open(&root).unwrap();
+        let tmp = tmp_root("size-probe");
+        let cache = ArtifactCache::open(tmp.path()).unwrap();
         let key = CacheKey::new().field("n", &0u32);
         cache.put(&key, &sample_plan());
-        let size = fs::metadata(entry_path(&cache, &key)).unwrap().len();
-        let _ = fs::remove_dir_all(&root);
-        size
+        fs::metadata(entry_path(&cache, &key)).unwrap().len()
     }
 
     fn art_bytes_on_disk(root: &Path) -> u64 {
@@ -898,8 +893,9 @@ mod tests {
         let _g = counter_lock();
         let size = entry_size();
         let budget = size * 2 + size / 2; // room for two entries, not three
-        let root = tmp_root("budget");
-        let mut cache = ArtifactCache::open(&root).unwrap();
+        let tmp = tmp_root("budget");
+        let root = tmp.path();
+        let mut cache = ArtifactCache::open(root).unwrap();
         cache.set_budget(Some(budget)).unwrap();
         let keys: Vec<CacheKey> = (1..=3u32).map(|i| CacheKey::new().field("n", &i)).collect();
 
@@ -923,61 +919,60 @@ mod tests {
         assert_eq!(mlpa_obs::counter_value("core.cache.evictions"), evictions_before + 1);
         assert!(cache.tracked_bytes() <= budget);
         assert!(
-            art_bytes_on_disk(&root) <= budget,
+            art_bytes_on_disk(root) <= budget,
             "store exceeds budget: {} > {budget}",
-            art_bytes_on_disk(&root)
+            art_bytes_on_disk(root)
         );
         assert_eq!(mlpa_obs::gauge_value("core.cache.bytes"), cache.tracked_bytes());
-        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn budget_recency_survives_restart_via_the_index_file() {
         let _g = counter_lock();
         let size = entry_size();
-        let root = tmp_root("budget-restart");
+        let tmp = tmp_root("budget-restart");
+        let root = tmp.path();
         let key_a = CacheKey::new().field("n", &1u32);
         let key_b = CacheKey::new().field("n", &2u32);
         {
-            let mut cache = ArtifactCache::open(&root).unwrap();
+            let mut cache = ArtifactCache::open(root).unwrap();
             cache.set_budget(Some(size * 10)).unwrap();
             cache.put(&key_a, &sample_plan());
             cache.put(&key_b, &sample_plan());
         }
         // Restart with a budget that fits only one entry: the index
         // remembers A is older, so A is the one evicted.
-        let mut cache = ArtifactCache::open(&root).unwrap();
+        let mut cache = ArtifactCache::open(root).unwrap();
         cache.set_budget(Some(size + size / 2)).unwrap();
         assert_eq!(cache.get::<SimulationPlan>(&key_a), None, "older entry evicted on reopen");
         assert!(cache.get::<SimulationPlan>(&key_b).is_some(), "newer entry kept");
-        assert!(art_bytes_on_disk(&root) <= size + size / 2);
-        let _ = fs::remove_dir_all(&root);
+        assert!(art_bytes_on_disk(root) <= size + size / 2);
     }
 
     #[test]
     fn budget_reconciles_entries_unknown_to_the_index() {
         let _g = counter_lock();
         let size = entry_size();
-        let root = tmp_root("budget-crash");
+        let tmp = tmp_root("budget-crash");
+        let root = tmp.path();
         let key_a = CacheKey::new().field("n", &1u32);
         let key_b = CacheKey::new().field("n", &2u32);
         {
             // Entries written with no budget configured: the index
             // file never existed — the kill -9 shape.
-            let cache = ArtifactCache::open(&root).unwrap();
+            let cache = ArtifactCache::open(root).unwrap();
             cache.put(&key_a, &sample_plan());
             cache.put(&key_b, &sample_plan());
         }
         assert!(!root.join(LRU_INDEX_FILE).exists());
-        let mut cache = ArtifactCache::open(&root).unwrap();
+        let mut cache = ArtifactCache::open(root).unwrap();
         cache.set_budget(Some(size * 10)).unwrap();
         assert_eq!(cache.tracked_bytes(), size * 2, "untracked entries adopted on reopen");
         assert!(root.join(LRU_INDEX_FILE).exists(), "reconciled index persisted");
         // Adopted entries are evictable like any other.
-        let mut cache = ArtifactCache::open(&root).unwrap();
+        let mut cache = ArtifactCache::open(root).unwrap();
         cache.set_budget(Some(size / 2)).unwrap();
-        assert_eq!(art_bytes_on_disk(&root), 0, "budget below one entry clears the store");
-        let _ = fs::remove_dir_all(&root);
+        assert_eq!(art_bytes_on_disk(root), 0, "budget below one entry clears the store");
     }
 
     #[test]
@@ -1051,18 +1046,18 @@ mod tests {
 
     #[test]
     fn atomic_write_replaces_and_leaves_no_temp_files() {
-        let root = tmp_root("atomic");
-        fs::create_dir_all(&root).unwrap();
+        let tmp = tmp_root("atomic");
+        let root = tmp.path();
+        fs::create_dir_all(root).unwrap();
         let path = root.join("f.txt");
         atomic_write(&path, b"first").unwrap();
         atomic_write(&path, b"second").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"second");
-        let leftovers: Vec<_> = fs::read_dir(&root)
+        let leftovers: Vec<_> = fs::read_dir(root)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .filter(|n| n != "f.txt")
             .collect();
         assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
-        let _ = fs::remove_dir_all(&root);
     }
 }

@@ -2,16 +2,16 @@
 //! in detail, and combine the weighted per-point metrics into a
 //! whole-program estimate.
 //!
-//! [`execute_plan`] is the plan executor for runs without ground truth:
-//! a single chained traversal of the trace. Warm microarchitectural
-//! state at a point is defined as *functional warming of the whole
-//! prefix* `[0, start)`, so a point's metrics are a pure function of its
-//! start offset and never depend on which other points the plan holds.
-//!
-//! [`truth_and_plans`] serves runs that also want ground truth: the one
-//! detailed pass that measures the truth simulates every plan point on
-//! the way, from the same functionally warmed state, so the warming
-//! traversals disappear and the results stay bit-identical.
+//! Warm state at a point is *functional warming of the whole prefix*
+//! `[0, start)`, so a point's metrics are a pure function of its start
+//! offset. One point scheduler serves every traversal: it decides where
+//! each plan's next point starts, what it costs, and how each
+//! [`ExecutionOutcome`] and its `core.plan.*` counters are assembled,
+//! and it simulates each due point on a fork of the stream from the
+//! warm state its driver supplies. The drivers are the functional walk
+//! ([`execute_plan`], [`truth_and_plans`] without truth) and the
+//! detailed pass that measures ground truth ([`truth_and_plans`] with
+//! truth, [`ground_truth_segmented`]).
 
 use crate::cache::{ArtifactCache, CacheKey};
 use crate::plan::SimulationPlan;
@@ -74,7 +74,8 @@ pub struct ExecutionOutcome {
     pub cost: ExecutionCost,
 }
 
-/// Execute `plan` on `config`, producing the sampled estimate.
+/// Execute `plan` on `config`, producing the sampled estimate: the
+/// one-plan case of the functional walk (see [`truth_and_plans`]).
 ///
 /// One traversal of the trace visits the points in order. With
 /// [`WarmupMode::Cold`] every point starts from a cold simulator
@@ -106,110 +107,99 @@ pub fn execute_plan(
     plan: &SimulationPlan,
     mode: WarmupMode,
 ) -> ExecutionOutcome {
-    execute_on(cb.program(), WorkloadStream::new(cb), config, plan, mode, None)
+    let mut outcomes = walk_on(cb.program(), WorkloadStream::new(cb), config, &[plan], mode, None);
+    outcomes.pop().expect("one outcome per plan")
 }
 
-/// [`execute_plan`] over any stream of `program`, with the warm walk's
-/// cache stage on a helper as `workers` picks it for
+/// The functional walk over any stream of `program`: every point of
+/// `plans` from one traversal, stopping once the last has started, with
+/// warm mode's cache stage on a helper as `workers` picks it for
 /// [`mlpa_obs::pool::with_helper`] (`None` in every caller but tests).
 ///
-/// Warm mode runs functional warming in two stages (see
+/// Cold mode fast-forwards. Warm mode warms in two stages (see
 /// [`mlpa_sim::functional`]): the calling thread walks the stream,
 /// trains the branch unit and fetches into the L1I, and the cache stage
-/// replays the walk's records into the rest of the memory hierarchy, on
-/// a helper thread or, with none, on the calling thread. At each point
-/// the calling thread waits for the cache stage to catch up, snapshots
-/// both halves, and simulates the point itself; every cache sees the
-/// same operations in the same order either way.
-fn execute_on<S: InstructionStream + Clone>(
+/// replays its records into the rest of the hierarchy, on a helper or
+/// inline. Every cache sees the same operations in the same order
+/// either way.
+fn walk_on<S: InstructionStream + Clone>(
     program: &Program,
     mut stream: S,
     config: &MachineConfig,
-    plan: &SimulationPlan,
+    plans: &[&SimulationPlan],
     mode: WarmupMode,
     workers: Option<usize>,
-) -> ExecutionOutcome {
+) -> Vec<ExecutionOutcome> {
     let _span = mlpa_obs::span("core.plan.execute");
-    let mut func = FunctionalSim::new(program);
-    let (per_point, cost) = match mode {
-        WarmupMode::Cold => run_points(plan, |skip, len| {
-            let skipped = func.fast_forward(&mut stream, skip, &mut ());
-            (skipped, DetailedSim::new(*config, program).simulate(&mut stream, len))
-        }),
-        WarmupMode::Warmed => mlpa_obs::pool::with_helper(workers, |helper| {
-            // One continuously warmed state for the whole traversal, and
-            // one snapshot of it, allocated here and refilled in place at
-            // every point, which the detailed simulator borrows.
+    let mut points = Points::new(program, config, plans, mode);
+    let func = FunctionalSim::new(program);
+    if points.warmed() {
+        mlpa_obs::pool::with_helper(workers, |helper| {
             let mut hier = MemoryHierarchy::new(config);
-            let mut bu = BranchUnit::new(&config.predictor);
-            let mut snapshot = Some((hier.clone(), bu.clone()));
-            let mut caches = match helper {
+            let caches = match helper {
                 Some(helper) => CacheStage::Helper(HelperStage::start(helper, hier)),
                 None => CacheStage::Inline(Replay::new(&mut hier)),
             };
-            let out = run_points(plan, |skip, len| {
-                let skipped = func.warm_walk(&mut stream, skip, &mut bu, &mut caches);
-                // The detailed simulator runs on a fork of the stream
-                // with a snapshot of the warm state, while the primary
-                // stream warms functionally *through* the point region —
-                // so the next point's prefix state is a pure functional
-                // warm of [0, start).
-                let (snap_hier, mut snap_bu) = snapshot.take().expect("snapshot returned");
-                let snap_hier = caches.snapshot(snap_hier);
-                snap_bu.clone_from(&bu);
-                let mut sim = DetailedSim::with_warm_state(*config, program, snap_hier, snap_bu);
-                let m = sim.simulate(&mut stream.clone(), len);
-                snapshot = Some(sim.into_warm_state());
-                let advanced = func.warm_walk(&mut stream, m.instructions, &mut bu, &mut caches);
-                debug_assert_eq!(advanced, m.instructions, "fork and primary stream diverged");
-                (skipped, m)
-            });
-            caches.finish();
-            out
-        }),
-    };
-    let estimate = SimMetrics::weighted_estimate(
-        plan.points().iter().zip(&per_point).map(|(p, m)| (p.weight, *m)),
-    );
-    if mlpa_obs::is_enabled() {
-        mlpa_obs::add("core.plan.points", plan.len() as u64);
-        mlpa_obs::add("core.plan.functional_insts", cost.functional_insts);
-        mlpa_obs::add("core.plan.detailed_insts", cost.detailed_insts);
+            let mut walk = WarmWalk { func, bu: BranchUnit::new(&config.predictor), caches };
+            points.walk(&mut stream, &mut walk);
+            walk.caches.finish();
+        });
+    } else {
+        points.walk(&mut stream, &mut ColdWalk(func));
     }
-    ExecutionOutcome { estimate, per_point, cost }
+    points.finish()
 }
 
-/// Visit `plan`'s points in order. `point(skip, len)` fast-forwards
-/// `skip` instructions, simulates `len` in detail, and returns the
-/// instructions skipped and the point's metrics.
-fn run_points(
-    plan: &SimulationPlan,
-    mut point: impl FnMut(u64, u64) -> (u64, SimMetrics),
-) -> (Vec<SimMetrics>, ExecutionCost) {
-    let mut per_point = Vec::with_capacity(plan.len());
-    let mut cost = ExecutionCost::default();
-    let mut pos = 0u64;
-    // A single-worker guard so plan execution reports utilization; the
-    // `plan` pool's live count is the number of executions in flight.
-    let mut worker = mlpa_obs::worker("plan", 0);
-    for (i, p) in plan.points().iter().enumerate() {
-        let _span = mlpa_obs::span_labeled("core.plan.point", &format!("point {i}"));
-        let (skipped, m) = worker.busy(|| point(p.start.saturating_sub(pos), p.len));
-        pos += skipped + m.instructions;
-        cost.functional_insts += skipped;
-        cost.detailed_insts += m.instructions;
-        per_point.push(m);
-    }
-    (per_point, cost)
+/// How the functional walk passes over the trace between points.
+trait Walk<S> {
+    /// Pass at least `count` more instructions of `stream`, stopping at
+    /// a block boundary, and return how many passed: fewer only where
+    /// the trace ended.
+    fn advance(&mut self, stream: &mut S, count: u64) -> u64;
+
+    /// Refill `snapshot` with the warm state where the walk stands.
+    fn warm(&mut self, snapshot: Snapshot) -> Snapshot;
 }
 
-/// Record buffers in flight between the two stages of a warmed plan
-/// execution, the one being filled included: 128 KiB.
+/// A cold walk: fast-forward, no microarchitectural state.
+struct ColdWalk<'p>(FunctionalSim<'p>);
+
+impl<S: InstructionStream> Walk<S> for ColdWalk<'_> {
+    fn advance(&mut self, stream: &mut S, count: u64) -> u64 {
+        self.0.fast_forward(stream, count, &mut ())
+    }
+
+    fn warm(&mut self, _: Snapshot) -> Snapshot {
+        unreachable!("cold points start from a fresh simulator")
+    }
+}
+
+/// A warm walk: the front stage trains `bu` and hands its records to
+/// the cache stage.
+struct WarmWalk<'p, 'a, 'scope> {
+    func: FunctionalSim<'p>,
+    bu: BranchUnit,
+    caches: CacheStage<'a, 'scope>,
+}
+
+impl<S: InstructionStream> Walk<S> for WarmWalk<'_, '_, '_> {
+    fn advance(&mut self, stream: &mut S, count: u64) -> u64 {
+        self.func.warm_walk(stream, count, &mut self.bu, &mut self.caches)
+    }
+
+    fn warm(&mut self, (hier, mut bu): Snapshot) -> Snapshot {
+        bu.clone_from(&self.bu);
+        (self.caches.snapshot(hier), bu)
+    }
+}
+
+/// Record buffers in flight between the two stages of a warm walk, the
+/// one being filled included: 128 KiB.
 const QUEUED_BATCHES: usize = 4;
 
-/// The cache side of a warmed plan execution: the memory hierarchy,
-/// its L1D and L2 warmed from the front stage's records on the calling
-/// thread or on a helper.
+/// The cache side of a warm walk: the memory hierarchy, its L1D and L2
+/// warmed from the front stage's records on the calling thread or on a
+/// helper.
 enum CacheStage<'a, 'scope> {
     Inline(Replay<'a>),
     Helper(HelperStage<'scope>),
@@ -393,13 +383,14 @@ pub fn ground_truth(cb: &CompiledBenchmark, config: &MachineConfig) -> SimMetric
     ground_truth_segmented(cb, config, &[u64::MAX])[0]
 }
 
-/// Ground truth measured in segments: one persistent-state detailed
-/// pass over the trace, slicing the *statistics* at the cumulative
-/// boundaries of `lens`. Microarchitectural state persists across
-/// `simulate` calls while statistics reset, and cycles are counted as
-/// commit-cycle deltas, so segments that tile the trace sum exactly to
-/// the one-segment [`ground_truth`] — accuracy attribution gets the
-/// per-interval truth without paying a second full pass.
+/// Ground truth measured in segments: the detailed pass of
+/// [`truth_and_plans`] with no plans, one persistent-state detailed
+/// simulation of the trace that slices the *statistics* at the
+/// cumulative boundaries of `lens`. Microarchitectural state persists
+/// across `simulate` calls while statistics reset, and cycles are
+/// counted as commit-cycle deltas, so segments that tile the trace sum
+/// exactly to the one-segment [`ground_truth`] — accuracy attribution
+/// gets the per-interval truth without paying a second full pass.
 ///
 /// Each segment runs to the cumulative target, so a segment that
 /// overshoots its boundary (blocks are atomic) shortens the next one
@@ -411,51 +402,7 @@ pub fn ground_truth_segmented(
     config: &MachineConfig,
     lens: &[u64],
 ) -> Vec<SimMetrics> {
-    segmented_on(cb.program(), WorkloadStream::new(cb), config, lens)
-}
-
-/// [`ground_truth_segmented`] over any stream of `program`.
-fn segmented_on<S: InstructionStream>(
-    program: &Program,
-    mut stream: S,
-    config: &MachineConfig,
-    lens: &[u64],
-) -> Vec<SimMetrics> {
-    let _span = mlpa_obs::span("core.truth.segmented");
-    mlpa_obs::add("core.truth.passes", 1);
-    let mut sim = DetailedSim::new(*config, program);
-    let mut pos = 0u64;
-    let mut target = 0u64;
-    lens.iter()
-        .map(|&len| {
-            target = target.saturating_add(len);
-            let m = sim.simulate(&mut stream, target.saturating_sub(pos));
-            pos += m.instructions;
-            m
-        })
-        .collect()
-}
-
-/// [`execute_plan`] behind the artifact cache. The key covers the
-/// benchmark, machine config, warmup mode, and the full plan contents.
-pub fn execute_plan_cached(
-    cache: Option<&ArtifactCache>,
-    cb: &CompiledBenchmark,
-    config: &MachineConfig,
-    plan: &SimulationPlan,
-    mode: WarmupMode,
-) -> ExecutionOutcome {
-    let key = cache.map(|_| plan_key(cb, config, plan, mode));
-    if let (Some(c), Some(k)) = (cache, &key) {
-        if let Some(out) = c.get::<ExecutionOutcome>(k) {
-            return out;
-        }
-    }
-    let out = execute_plan(cb, config, plan, mode);
-    if let (Some(c), Some(k)) = (cache, &key) {
-        c.put(k, &out);
-    }
-    out
+    detailed_on(cb.program(), WorkloadStream::new(cb), config, lens, &[], WarmupMode::Cold).0
 }
 
 /// The store key of a segmented truth. The segment boundaries are part
@@ -479,25 +426,19 @@ fn plan_key(
         .field("plan", plan)
 }
 
-/// [`ground_truth_segmented`] and [`execute_plan`] for every plan, from
-/// one detailed pass, with results bit-identical to the separate calls.
+/// The truth segments of `lens`, as [`ground_truth_segmented`] measures
+/// them, and every plan's outcome, as [`execute_plan`] gives it, from
+/// one traversal.
 ///
-/// The pass measures the truth segments of `lens` and stops at each
-/// block boundary where a plan's next point starts: the first boundary
-/// at or past both the point's `start` and the end of the plan's
-/// previous point, as `execute_plan`'s fast-forward lands. There it
-/// simulates the point on a fork of the stream. With
-/// [`WarmupMode::Cold`] the point starts from a fresh simulator. With
-/// [`WarmupMode::Warmed`] it starts from the functional warm state of
-/// its prefix, assembled without a warming traversal: the truth
-/// simulator's L1s and branch unit, which functional warming would leave
-/// identical, plus an [`L2Replica`] fed the truth's L2-bound traffic in
-/// functional order until the last point has started (DESIGN.md
-/// "Parallel execution" gives the exactness argument).
-///
-/// Points that start past the last truth boundary still run: the pass
-/// simulates on, outside the truth, until each has started, and points
-/// past the end of the trace come back empty as `execute_plan`'s do.
+/// With an empty `lens` the traversal is the functional walk, over every
+/// plan at once. Otherwise it is the detailed pass that measures the
+/// truth, and a warmed point starts from the truth simulator's L1s and
+/// branch unit, which functional warming would leave identical, plus an
+/// [`L2Replica`] fed the truth's L2-bound traffic in functional order
+/// until the last point has started (DESIGN.md "Parallel execution"
+/// gives the exactness argument). Points past the last truth boundary
+/// make the pass simulate on, outside the truth, until each has started.
+/// Either way, points past the end of the trace come back empty.
 pub fn truth_and_plans(
     cb: &CompiledBenchmark,
     config: &MachineConfig,
@@ -505,12 +446,18 @@ pub fn truth_and_plans(
     plans: &[&SimulationPlan],
     mode: WarmupMode,
 ) -> (Vec<SimMetrics>, Vec<ExecutionOutcome>) {
-    fused_on(cb.program(), WorkloadStream::new(cb), config, lens, plans, mode)
+    let (program, stream) = (cb.program(), WorkloadStream::new(cb));
+    if lens.is_empty() {
+        (Vec::new(), walk_on(program, stream, config, plans, mode, None))
+    } else {
+        detailed_on(program, stream, config, lens, plans, mode)
+    }
 }
 
-/// [`truth_and_plans`] over any stream of `program` whose dynamic
-/// blocks span their static blocks whole.
-fn fused_on<S: InstructionStream + Clone>(
+/// The detailed pass over any stream of `program` whose dynamic blocks
+/// span their static blocks whole: the truth segments of `lens`, and
+/// every point of `plans` started from the truth simulator's state.
+fn detailed_on<S: InstructionStream + Clone>(
     program: &Program,
     mut stream: S,
     config: &MachineConfig,
@@ -521,33 +468,37 @@ fn fused_on<S: InstructionStream + Clone>(
     let _span = mlpa_obs::span("core.truth.fused");
     mlpa_obs::add("core.truth.passes", 1);
     let mut sim = DetailedSim::new(*config, program);
-    let mut points = PointStarts::new(program, config, plans, mode);
-    points.start_due(&sim, &stream, false);
+    let points = Points::new(program, config, plans, mode);
+    let replica = points.warmed().then(|| L2Replica::new(config));
+    let mut pass = DetailedPass { points, replica };
+    pass.start_due(&sim, &stream, false);
     let mut target = 0u64;
     let segments = lens
         .iter()
         .map(|&len| {
             target = target.saturating_add(len);
-            let limit = target.saturating_sub(points.pos);
-            sim.simulate_with(&mut stream, limit, &mut points)
+            let limit = target.saturating_sub(pass.points.pos);
+            sim.simulate_with(&mut stream, limit, &mut pass)
         })
         .collect();
-    while let Some(next) = points.next_target() {
-        let limit = next - points.pos;
-        if sim.simulate_with(&mut stream, limit, &mut points).instructions < limit {
+    while let Some(next) = pass.points.next_target() {
+        let limit = next - pass.points.pos;
+        if sim.simulate_with(&mut stream, limit, &mut pass).instructions < limit {
             // The trace ended first: fast-forwarding would stop at its end.
-            points.start_due(&sim, &stream, true);
+            pass.start_due(&sim, &stream, true);
         }
     }
-    (segments, points.finish())
+    (segments, pass.points.finish())
 }
 
 /// [`truth_and_plans`] behind the artifact cache, with `cache = None`
-/// exactly [`truth_and_plans`]. Plans are stored under
-/// [`execute_plan_cached`]'s keys, so either reuses the other's entries,
-/// and the truth under the key segmented truths have always had. When
-/// the store holds every entry nothing is simulated; otherwise one pass
-/// runs the truth and the missing plans, and stores what was missing.
+/// exactly [`truth_and_plans`]. Each plan is stored under a key of its
+/// benchmark, machine config, warmup mode and full contents, so a run
+/// with truth and one without reuse each other's entries; the truth is
+/// stored under the key segmented truths have always had, and an empty
+/// `lens` reads and writes no truth entry. When the store holds every
+/// entry nothing is simulated; otherwise one traversal runs the truth
+/// and the missing plans, and stores what was missing.
 pub fn truth_and_plans_cached(
     cache: Option<&ArtifactCache>,
     cb: &CompiledBenchmark,
@@ -557,9 +508,12 @@ pub fn truth_and_plans_cached(
     mode: WarmupMode,
 ) -> (Vec<SimMetrics>, Vec<ExecutionOutcome>) {
     let Some(c) = cache else { return truth_and_plans(cb, config, lens, plans, mode) };
-    let truth_key = truth_key(cb, config, lens);
+    let truth_key = (!lens.is_empty()).then(|| truth_key(cb, config, lens));
     let plan_keys: Vec<CacheKey> = plans.iter().map(|p| plan_key(cb, config, p, mode)).collect();
-    let stored_truth = c.get::<Vec<SimMetrics>>(&truth_key);
+    let stored_truth = match &truth_key {
+        Some(key) => c.get::<Vec<SimMetrics>>(key),
+        None => Some(Vec::new()),
+    };
     let mut outcomes: Vec<Option<ExecutionOutcome>> =
         plan_keys.iter().map(|k| c.get::<ExecutionOutcome>(k)).collect();
     let missing: Vec<usize> = (0..plans.len()).filter(|&i| outcomes[i].is_none()).collect();
@@ -568,8 +522,8 @@ pub fn truth_and_plans_cached(
         stored => {
             let todo: Vec<&SimulationPlan> = missing.iter().map(|&i| plans[i]).collect();
             let (segments, fresh) = truth_and_plans(cb, config, lens, &todo, mode);
-            if stored.is_none() {
-                c.put(&truth_key, &segments);
+            if let (None, Some(key)) = (stored, &truth_key) {
+                c.put(key, &segments);
             }
             for (&i, out) in missing.iter().zip(fresh) {
                 c.put(&plan_keys[i], &out);
@@ -581,7 +535,12 @@ pub fn truth_and_plans_cached(
     (segments, outcomes.into_iter().map(|o| o.expect("every plan executed")).collect())
 }
 
-/// One plan's progress through a [`truth_and_plans`] pass.
+/// A warmed point's starting state, the memory hierarchy and the branch
+/// unit: allocated once per traversal and refilled in place at every
+/// point.
+type Snapshot = (MemoryHierarchy, BranchUnit);
+
+/// One plan's progress through a traversal.
 struct PlanCursor<'a> {
     plan: &'a SimulationPlan,
     /// Index of the next point to start.
@@ -600,35 +559,34 @@ impl PlanCursor<'_> {
     }
 }
 
-/// The [`RegionVisitor`] of a [`truth_and_plans`] pass: tracks the
-/// pass's position, feeds the replica L2, and simulates every point
-/// whose boundary the pass has reached.
-struct PointStarts<'a> {
+/// The point scheduler of every traversal. Its driver moves
+/// [`Points::pos`] over the trace block by block, calls
+/// [`Points::start_due`] at each boundary the next point waits for, and
+/// supplies the warm state there; the scheduler simulates the points,
+/// charges each plan the instructions its own walk would have passed,
+/// and assembles the outcomes.
+struct Points<'a> {
     program: &'a Program,
     config: MachineConfig,
     plans: Vec<PlanCursor<'a>>,
-    /// Instructions the pass has simulated so far.
+    /// Instructions the traversal has passed so far.
     pos: u64,
     /// The smallest target over the plans; `u64::MAX` once every point
     /// has started.
     due: u64,
-    /// Warmed mode: the functional-order L2, fed until the last point
-    /// has started.
-    replica: Option<L2Replica>,
-    /// Warmed mode: the point snapshot, refilled in place at every point.
-    snapshot: Option<(MemoryHierarchy, BranchUnit)>,
-    /// Reports the point simulations as the `plan` pool's jobs, as
-    /// [`execute_plan`] does.
+    /// Warmed mode: the point snapshot, until every point has started.
+    snapshot: Option<Snapshot>,
+    /// Reports the point simulations as the `plan` pool's jobs.
     worker: mlpa_obs::Worker,
 }
 
-impl<'a> PointStarts<'a> {
+impl<'a> Points<'a> {
     fn new(
         program: &'a Program,
         config: &MachineConfig,
         plans: &[&'a SimulationPlan],
         mode: WarmupMode,
-    ) -> PointStarts<'a> {
+    ) -> Points<'a> {
         let plans: Vec<PlanCursor<'a>> = plans
             .iter()
             .map(|&plan| PlanCursor {
@@ -640,19 +598,23 @@ impl<'a> PointStarts<'a> {
             })
             .collect();
         let warmed = mode == WarmupMode::Warmed && !plans.is_empty();
-        let mut starts = PointStarts {
+        let mut points = Points {
             program,
             config: *config,
             plans,
             pos: 0,
             due: 0,
-            replica: warmed.then(|| L2Replica::new(config)),
             snapshot: warmed
                 .then(|| (MemoryHierarchy::new(config), BranchUnit::new(&config.predictor))),
             worker: mlpa_obs::worker("plan", 0),
         };
-        starts.refresh_due();
-        starts
+        points.refresh_due();
+        points
+    }
+
+    /// Whether points still to start want a warm state.
+    fn warmed(&self) -> bool {
+        self.snapshot.is_some()
     }
 
     fn next_target(&self) -> Option<u64> {
@@ -663,19 +625,36 @@ impl<'a> PointStarts<'a> {
         self.due = self.next_target().unwrap_or(u64::MAX);
         if self.due == u64::MAX {
             // Every point has started: nothing reads the warm state again.
-            self.replica = None;
             self.snapshot = None;
         }
     }
 
-    /// Simulate every point whose target the pass has reached (every
-    /// remaining point when `at_end`, the trace having ended), with
-    /// `sim` and `stream` stopped at the pass's position.
+    /// Drive the functional walk `walk` over `stream`: start the due
+    /// points, pass on to the next target, and repeat until every point
+    /// has started.
+    fn walk<S: InstructionStream + Clone, W: Walk<S>>(&mut self, stream: &mut S, walk: &mut W) {
+        let mut at_end = false;
+        loop {
+            self.start_due(stream, at_end, |snapshot| walk.warm(snapshot));
+            let Some(next) = self.next_target() else { return };
+            let limit = next - self.pos;
+            let passed = walk.advance(stream, limit);
+            self.pos += passed;
+            at_end = passed < limit;
+        }
+    }
+
+    /// Simulate every point whose target the traversal has reached
+    /// (every remaining point when `at_end`, the trace having ended),
+    /// with `stream` stopped at the traversal's position. `warm` refills
+    /// a snapshot with the driver's warm state there; it is asked once
+    /// per warmed point, since each point's simulation changes the
+    /// snapshot it ran from.
     fn start_due<S: InstructionStream + Clone>(
         &mut self,
-        sim: &DetailedSim<'_>,
         stream: &S,
         at_end: bool,
+        mut warm: impl FnMut(Snapshot) -> Snapshot,
     ) {
         for c in 0..self.plans.len() {
             while let Some(target) = self.plans[c].target() {
@@ -684,7 +663,7 @@ impl<'a> PointStarts<'a> {
                 }
                 let i = self.plans[c].next;
                 let len = self.plans[c].plan.points()[i].len;
-                let m = self.simulate_point(sim, stream, i, len);
+                let m = self.simulate_point(stream, i, len, &mut warm);
                 let cursor = &mut self.plans[c];
                 cursor.cost.functional_insts += self.pos - cursor.end;
                 cursor.cost.detailed_insts += m.instructions;
@@ -700,22 +679,20 @@ impl<'a> PointStarts<'a> {
     /// `stream`, from the state its warmup mode defines.
     fn simulate_point<S: InstructionStream + Clone>(
         &mut self,
-        sim: &DetailedSim<'_>,
         stream: &S,
         i: usize,
         len: u64,
+        warm: &mut impl FnMut(Snapshot) -> Snapshot,
     ) -> SimMetrics {
         let _span = mlpa_obs::span_labeled("core.plan.point", &format!("point {i}"));
         let (config, program) = (self.config, self.program);
-        let (replica, snapshot) = (&self.replica, &mut self.snapshot);
+        let snapshot = &mut self.snapshot;
         self.worker.busy(|| {
             let mut fork = stream.clone();
-            let Some(replica) = replica else {
+            let Some(stale) = snapshot.take() else {
                 return DetailedSim::new(config, program).simulate(&mut fork, len);
             };
-            let (mut hier, mut bu) = snapshot.take().expect("snapshot returned");
-            replica.snapshot_into(sim.hierarchy(), &mut hier);
-            bu.clone_from(sim.branch_unit());
+            let (hier, bu) = warm(stale);
             let mut point = DetailedSim::with_warm_state(config, program, hier, bu);
             let m = point.simulate(&mut fork, len);
             *snapshot = Some(point.into_warm_state());
@@ -741,7 +718,38 @@ impl<'a> PointStarts<'a> {
     }
 }
 
-impl L2Hook for PointStarts<'_> {
+/// The [`RegionVisitor`] of the detailed pass: moves the scheduler's
+/// position, feeds the replica L2, and starts every point whose boundary
+/// the pass has reached.
+struct DetailedPass<'a> {
+    points: Points<'a>,
+    /// Warmed mode: the functional-order L2, fed until the last point
+    /// has started.
+    replica: Option<L2Replica>,
+}
+
+impl DetailedPass<'_> {
+    /// [`Points::start_due`] from the warm state of `sim`, stopped at the
+    /// pass's position, and the replica.
+    fn start_due<S: InstructionStream + Clone>(
+        &mut self,
+        sim: &DetailedSim<'_>,
+        stream: &S,
+        at_end: bool,
+    ) {
+        let replica = &self.replica;
+        self.points.start_due(stream, at_end, |(mut hier, mut bu)| {
+            replica.as_ref().expect("a warmed pass").snapshot_into(sim.hierarchy(), &mut hier);
+            bu.clone_from(sim.branch_unit());
+            (hier, bu)
+        });
+        if !self.points.warmed() {
+            self.replica = None;
+        }
+    }
+}
+
+impl L2Hook for DetailedPass<'_> {
     #[inline]
     fn fetch_miss(&mut self, line: u64) {
         if let Some(r) = &mut self.replica {
@@ -757,14 +765,14 @@ impl L2Hook for PointStarts<'_> {
     }
 }
 
-impl<S: InstructionStream + Clone> RegionVisitor<S> for PointStarts<'_> {
+impl<S: InstructionStream + Clone> RegionVisitor<S> for DetailedPass<'_> {
     #[inline]
     fn block_end(&mut self, sim: &DetailedSim<'_>, stream: &S, insts: u64) {
-        self.pos += insts;
+        self.points.pos += insts;
         if let Some(r) = &mut self.replica {
             r.block_end(sim, stream, insts);
         }
-        if self.due <= self.pos {
+        if self.points.due <= self.points.pos {
             self.start_due(sim, stream, false);
         }
     }
@@ -965,42 +973,35 @@ mod tests {
         assert!(err.contains(&format!("and {after};")), "boundary after: {err}");
     }
 
-    /// The cached execution wrappers are exact: a warm lookup returns
-    /// bit-identical results to the computation that stored it, and
-    /// `cache = None` degrades to the plain paths.
+    /// The cached traversal is exact: a warm lookup returns bit-identical
+    /// results to the computation that stored it, with truth and without,
+    /// and `cache = None` degrades to the plain paths.
     #[test]
     fn cached_wrappers_roundtrip_exactly() {
         let bench = cb();
         let config = MachineConfig::table1_base();
         let plan = plan_of(&bench, &[(0.1, 0.05, 0.5), (0.6, 0.05, 0.5)]);
-        let root =
-            std::env::temp_dir().join(format!("mlpa-estimate-cache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let cache = crate::cache::ArtifactCache::open(&root).unwrap();
-        let c = Some(&cache);
-
-        let lens = [100_000u64, 100_000, 100_000];
         let plans = [&plan];
-        let fused_cold =
-            truth_and_plans_cached(c, &bench, &config, &lens, &plans, WarmupMode::Warmed);
-        let fused_warm =
-            truth_and_plans_cached(c, &bench, &config, &lens, &plans, WarmupMode::Warmed);
-        assert_eq!(fused_cold, fused_warm);
-        assert_eq!(
-            fused_cold,
-            truth_and_plans_cached(None, &bench, &config, &lens, &plans, WarmupMode::Warmed)
-        );
+        let lens = [100_000u64, 100_000, 100_000];
+        let run = |cache: Option<&ArtifactCache>, lens: &[u64]| {
+            truth_and_plans_cached(cache, &bench, &config, lens, &plans, WarmupMode::Warmed)
+        };
+
+        let dir = crate::testdir::TempDir::new("estimate-cache-test");
+        let cache = ArtifactCache::open(dir.path()).unwrap();
+        let fused_cold = run(Some(&cache), &lens);
+        assert_eq!(fused_cold, run(Some(&cache), &lens));
+        assert_eq!(fused_cold, run(None, &lens));
         assert_eq!(fused_cold.0, ground_truth_segmented(&bench, &config, &lens));
-        let _ = std::fs::remove_dir_all(&root);
-        let cache = crate::cache::ArtifactCache::open(&root).unwrap();
-        let c = Some(&cache);
 
-        let exec_cold = execute_plan_cached(c, &bench, &config, &plan, WarmupMode::Warmed);
-        let exec_warm = execute_plan_cached(c, &bench, &config, &plan, WarmupMode::Warmed);
-        assert_eq!(exec_cold, exec_warm);
-        assert_eq!(exec_cold, execute_plan(&bench, &config, &plan, WarmupMode::Warmed));
-
-        let _ = std::fs::remove_dir_all(&root);
+        let dir = crate::testdir::TempDir::new("estimate-walk-cache-test");
+        let cache = ArtifactCache::open(dir.path()).unwrap();
+        let walk_cold = run(Some(&cache), &[]);
+        assert_eq!(walk_cold, run(Some(&cache), &[]));
+        assert_eq!(
+            walk_cold,
+            (vec![], vec![execute_plan(&bench, &config, &plan, WarmupMode::Warmed)])
+        );
     }
 
     #[test]
@@ -1149,8 +1150,16 @@ mod tests {
         ]
     }
 
-    /// [`truth_and_plans`] over `stream` must equal the separate calls it
-    /// replaces, field by field.
+    /// Every field of `got` equals `want`'s.
+    fn assert_outcome_eq(got: &ExecutionOutcome, want: &ExecutionOutcome, what: &str) {
+        assert_eq!(got.per_point, want.per_point, "{what} per-point metrics");
+        assert_eq!(got.cost, want.cost, "{what} cost");
+        assert_eq!(got.estimate, want.estimate, "{what} estimate");
+    }
+
+    /// The detailed pass over `stream` must give the truth it gives with
+    /// no plans, and each plan what the functional walk gives it alone,
+    /// field by field.
     fn assert_fused_exact<S: InstructionStream + Clone>(
         program: &Program,
         stream: &S,
@@ -1159,15 +1168,15 @@ mod tests {
         plans: &[&SimulationPlan],
         mode: WarmupMode,
     ) {
-        let (segments, outcomes) = fused_on(program, stream.clone(), config, lens, plans, mode);
-        assert_eq!(segments, segmented_on(program, stream.clone(), config, lens), "segments");
+        let (segments, outcomes) = detailed_on(program, stream.clone(), config, lens, plans, mode);
+        let (truth, none) = detailed_on(program, stream.clone(), config, lens, &[], mode);
+        assert_eq!(segments, truth, "segments");
+        assert!(none.is_empty());
         assert_eq!(outcomes.len(), plans.len());
         for (i, (got, plan)) in outcomes.iter().zip(plans).enumerate() {
-            let want = execute_on(program, stream.clone(), config, plan, mode, None);
+            let want = walk_on(program, stream.clone(), config, &[plan], mode, None);
             assert_eq!(got.per_point.len(), plan.len(), "plan {i} kept every point");
-            assert_eq!(got.per_point, want.per_point, "plan {i} per-point metrics");
-            assert_eq!(got.cost, want.cost, "plan {i} cost");
-            assert_eq!(got.estimate, want.estimate, "plan {i} estimate");
+            assert_outcome_eq(got, &want[0], &format!("plan {i}"));
         }
     }
 
@@ -1321,7 +1330,7 @@ mod tests {
     ) {
         for (i, plan) in plans.iter().enumerate() {
             let run = |workers| {
-                execute_on(program, stream.clone(), config, plan, WarmupMode::Warmed, Some(workers))
+                walk_on(program, stream.clone(), config, &[plan], WarmupMode::Warmed, Some(workers))
             };
             assert_eq!(run(2), run(1), "plan {i}, l2 {:?}", config.l2);
         }
@@ -1356,6 +1365,56 @@ mod tests {
         }
     }
 
+    /// One functional walk over several plans gives each plan exactly
+    /// what it gets walking alone: its points start where its own walk
+    /// would start them, each from a warm state of its own, and it is
+    /// charged what its own walk would pass. [`plans`] has a point at 0,
+    /// an adjacent point pushed back by the first one's overshoot, a
+    /// point two plans share, and a point near the end.
+    fn assert_walk_serves_every_plan<S: InstructionStream + Clone>(
+        program: &Program,
+        stream: &S,
+        config: &MachineConfig,
+        plans: &[SimulationPlan],
+    ) {
+        let plans = plans.iter().collect::<Vec<_>>();
+        let schedules = [
+            (WarmupMode::Warmed, Some(1)),
+            (WarmupMode::Warmed, Some(2)),
+            (WarmupMode::Cold, None),
+        ];
+        for (mode, workers) in schedules {
+            let together = walk_on(program, stream.clone(), config, &plans, mode, workers);
+            assert_eq!(together.len(), plans.len());
+            for (i, (got, plan)) in together.iter().zip(&plans).enumerate() {
+                let alone = walk_on(program, stream.clone(), config, &[plan], mode, workers);
+                assert_outcome_eq(got, &alone[0], &format!("plan {i}, {mode:?}, {workers:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn one_walk_over_several_plans_equals_one_walk_per_plan() {
+        let cb = l2_cb();
+        let config = MachineConfig::table1_base();
+        assert_walk_serves_every_plan(
+            cb.program(),
+            &WorkloadStream::new(&cb),
+            &config,
+            &plans(ground_truth_len(&cb)),
+        );
+        let (program, trace) = calls_trace();
+        let trace_plans = plans(trace.len() as u64 * 9);
+        for config in &small_and_tiny() {
+            assert_walk_serves_every_plan(
+                &program,
+                &SliceStream::new(&trace),
+                config,
+                &trace_plans,
+            );
+        }
+    }
+
     /// A data address at or above 2^62 does not fit a packed record. It
     /// must reach the cache whole and fail there with the serial walk's
     /// panic, never decode as a block record or as another address, on
@@ -1381,7 +1440,7 @@ mod tests {
             for workers in [Some(1), Some(2), None] {
                 let stream = SliceStream::new(&trace);
                 let run =
-                    || execute_on(&program, stream, &config, &late, WarmupMode::Warmed, workers);
+                    || walk_on(&program, stream, &config, &[&late], WarmupMode::Warmed, workers);
                 let payload =
                     catch_unwind(AssertUnwindSafe(run)).expect_err("a wide address warmed");
                 assert_eq!(panic_message(&*payload), serial, "{workers:?} workers, {wide:#x}");
@@ -1389,14 +1448,15 @@ mod tests {
         }
         let stream = SliceStream::new(&clean);
         let run = |workers| {
-            execute_on(&program, stream.clone(), &config, &late, WarmupMode::Warmed, workers)
+            walk_on(&program, stream.clone(), &config, &[&late], WarmupMode::Warmed, workers)
         };
         assert_eq!(run(None), run(Some(1)));
     }
 
-    /// The cached twin shares its plan keys with `execute_plan_cached`:
-    /// an entry either stored is reused, the rest is computed in one pass
-    /// and stored, and a fully stored lane runs no pass at all.
+    /// A run with truth and one without share their plan keys: an entry
+    /// either stored is reused, the rest is computed in one traversal and
+    /// stored, and a fully stored lane runs no pass at all. A run without
+    /// truth reads and writes plan entries only.
     #[test]
     fn fused_cache_shares_the_separate_keys() {
         let _g = crate::testobs::counter_lock();
@@ -1406,32 +1466,30 @@ mod tests {
         let lens = coarse_lens(total);
         let plans = plans(total);
         let plans = plans.each_ref();
-        let root =
-            std::env::temp_dir().join(format!("mlpa-fused-cache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let cache = crate::cache::ArtifactCache::open(&root).unwrap();
+        let dir = crate::testdir::TempDir::new("fused-cache-test");
+        let cache = ArtifactCache::open(dir.path()).unwrap();
         let c = Some(&cache);
+        let run = |lens: &[u64], plans: &[&SimulationPlan]| {
+            truth_and_plans_cached(c, &bench, &config, lens, plans, WarmupMode::Warmed)
+        };
         let want = truth_and_plans(&bench, &config, &lens, &plans, WarmupMode::Warmed);
 
-        // One plan stored by the separate call; the pass fills in the rest.
-        let first = execute_plan_cached(c, &bench, &config, plans[0], WarmupMode::Warmed);
-        assert_eq!(first, want.1[0]);
-        let got = truth_and_plans_cached(c, &bench, &config, &lens, &plans, WarmupMode::Warmed);
-        assert_eq!(got, want);
-        // Everything is stored now, the plans under the separate call's
-        // keys too.
-        let passes = mlpa_obs::counter_value("core.truth.passes");
-        let again = truth_and_plans_cached(c, &bench, &config, &lens, &plans, WarmupMode::Warmed);
-        assert_eq!(again, want);
-        for (plan, out) in plans.iter().zip(&want.1) {
-            assert_eq!(&execute_plan_cached(c, &bench, &config, plan, WarmupMode::Warmed), out);
-        }
-        assert_eq!(
-            mlpa_obs::counter_value("core.truth.passes"),
-            passes,
-            "all served from the store"
-        );
-        let _ = std::fs::remove_dir_all(&root);
+        // One plan stored by a run without truth, which looks up and
+        // stores that plan alone; the pass fills in the rest.
+        let count = |name| mlpa_obs::counter_value(name);
+        let (lookups, stores) =
+            (count("core.cache.hits") + count("core.cache.misses"), count("core.cache.stores"));
+        let first = run(&[], &plans[..1]);
+        assert_eq!(first, (vec![], vec![want.1[0].clone()]));
+        assert_eq!(count("core.cache.hits") + count("core.cache.misses"), lookups + 1);
+        assert_eq!(count("core.cache.stores"), stores + 1);
+        assert_eq!(run(&lens, &plans), want);
+        // Everything is stored now, the plans under the keys of runs
+        // without truth too.
+        let passes = count("core.truth.passes");
+        assert_eq!(run(&lens, &plans), want);
+        assert_eq!(run(&[], &plans), (vec![], want.1.clone()));
+        assert_eq!(count("core.truth.passes"), passes, "all served from the store");
     }
 
     #[test]

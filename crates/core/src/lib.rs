@@ -51,15 +51,14 @@ pub mod timing;
 
 pub use artifact::Artifact;
 pub use attribution::{
-    attribute, attribute_segments, render_attribution_json, render_report, AccuracyAttribution,
+    attribute_segments, render_attribution_json, render_report, AccuracyAttribution,
     PhaseAttribution,
 };
 pub use cache::{atomic_write, ArtifactCache, CacheKey, FlightRole, Singleflight, CACHE_SCHEMA};
 pub use coasts::{coasts, coasts_with, CoastsConfig, CoastsOutcome};
 pub use estimate::{
-    execute_plan, execute_plan_cached, execute_plan_checked, ground_truth, ground_truth_segmented,
-    panic_message, truth_and_plans, truth_and_plans_cached, ExecutionCost, ExecutionOutcome,
-    WarmupMode,
+    execute_plan, execute_plan_checked, ground_truth, ground_truth_segmented, panic_message,
+    truth_and_plans, truth_and_plans_cached, ExecutionCost, ExecutionOutcome, WarmupMode,
 };
 pub use multilevel::{multilevel, multilevel_with, MultilevelConfig, MultilevelOutcome};
 pub use pipeline::{

@@ -483,17 +483,14 @@ mod tests {
         });
         assert!(clean, "a profiling pass materialised instructions");
 
-        let root =
-            std::env::temp_dir().join(format!("mlpa-pipeline-cached-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let dir = crate::testdir::TempDir::new("pipeline-cached");
         let mut ctx = fresh();
-        ctx.set_cache(Arc::new(ArtifactCache::open(&root).unwrap()));
+        ctx.set_cache(Arc::new(ArtifactCache::open(dir.path()).unwrap()));
         ctx.fine_intervals();
         ctx.boundary_intervals(header);
         for kind in ["loop-profile", "intervals", "boundary"] {
-            assert!(root.join(kind).exists(), "{kind} not cached");
+            assert!(dir.path().join(kind).exists(), "{kind} not cached");
         }
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// The walk sets the progress gauge at most once per per-mille step.

@@ -54,7 +54,7 @@ use mlpa_workloads::{suite, BenchmarkSpec, CompiledBenchmark};
 use crate::artifact::{Artifact, Dec, Enc};
 use crate::cache::{ArtifactCache, CacheKey, FlightRole, Singleflight};
 use crate::coasts::{coasts_with, CoastsConfig};
-use crate::estimate::{execute_plan_cached, panic_message, WarmupMode};
+use crate::estimate::{panic_message, truth_and_plans_cached, WarmupMode};
 use crate::multilevel::{multilevel_with, MultilevelConfig};
 use crate::pipeline::{simpoint_baseline_with, ProfilingContext, FINE_INTERVAL};
 
@@ -274,8 +274,9 @@ pub fn analyze(req: &AnalyzeRequest, cache: Option<Arc<ArtifactCache>>) -> Resul
         ServeMethod::Multilevel => multilevel_with(&mut ctx, &MultilevelConfig::default())?.plan,
     };
     let machine = req.config.machine();
-    let out = execute_plan_cached(cache.as_deref(), &cb, &machine, &plan, WarmupMode::Warmed);
-    let e = out.estimate;
+    let (_, outcomes) =
+        truth_and_plans_cached(cache.as_deref(), &cb, &machine, &[], &[&plan], WarmupMode::Warmed);
+    let e = outcomes[0].estimate;
     Ok(format!(
         "{{\"schema\":\"{SERVE_RESULT_SCHEMA}\",\"benchmark\":\"{}\",\"method\":\"{}\",\
          \"config\":\"{}\",\"iters\":{},\"scale\":{:?},\"points\":{},\"total_insts\":{},\
@@ -631,18 +632,10 @@ fn get_job(inner: &Arc<Inner>, path: &str) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdir::TempDir;
     use std::io::{Read as _, Write as _};
     use std::sync::atomic::AtomicU64;
     use std::time::{Duration, Instant};
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir()
-            .join(format!("mlpa-serve-test-{tag}-{}-{seq}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn post_analyze_json(addr: SocketAddr, body: &str) -> (u16, String) {
         http::post(addr, "/analyze", "application/json", body).expect("POST /analyze")
@@ -824,7 +817,8 @@ mod tests {
         let exec_gate = Arc::clone(&gate);
         let executions = Arc::new(AtomicU64::new(0));
         let exec_count = Arc::clone(&executions);
-        let cache_dir = tmp_dir("dedup-cache");
+        let tmp = TempDir::new("serve-test-dedup-cache");
+        let cache_dir = tmp.path().to_path_buf();
         let daemon = Daemon::start_with_executor(
             ServeOptions {
                 workers: 2,
@@ -872,7 +866,6 @@ mod tests {
         assert_eq!(result1, result2, "deduplicated responses must be byte-identical");
 
         daemon.stop();
-        let _ = std::fs::remove_dir_all(&cache_dir);
     }
 
     #[test]
@@ -880,7 +873,8 @@ mod tests {
         // Uses the cache, so its counter bumps must not land inside
         // another test's measurement window.
         let _g = crate::testobs::counter_lock();
-        let cache_dir = tmp_dir("restart-cache");
+        let tmp = TempDir::new("serve-test-restart-cache");
+        let cache_dir = tmp.path().to_path_buf();
         let build = |marker: &'static str, executions: Arc<AtomicU64>| {
             let dir = cache_dir.clone();
             Daemon::start_with_executor(
@@ -925,7 +919,6 @@ mod tests {
         assert_eq!(warm_execs.load(Ordering::SeqCst), 0, "warm hit must not re-execute");
         assert_eq!(cold_result, warm_result, "warm response must be byte-identical");
         daemon.stop();
-        let _ = std::fs::remove_dir_all(&cache_dir);
     }
 
     #[test]

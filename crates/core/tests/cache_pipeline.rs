@@ -23,11 +23,22 @@ fn two_phase_cb() -> CompiledBenchmark {
     CompiledBenchmark::compile(&spec).unwrap()
 }
 
-fn tmp_root(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("mlpa-cache-pipeline-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
+/// A store directory, removed on drop, panics included.
+struct Store(PathBuf);
+
+impl Store {
+    fn new(tag: &str) -> Store {
+        let dir =
+            std::env::temp_dir().join(format!("mlpa-cache-pipeline-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        Store(dir)
+    }
+}
+
+impl Drop for Store {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
 }
 
 fn run_pipeline(
@@ -49,8 +60,9 @@ fn run_pipeline(
 #[test]
 fn warm_run_reproduces_cold_run_exactly() {
     let cb = two_phase_cb();
-    let root = tmp_root("warm");
-    let cache = Arc::new(ArtifactCache::open(&root).unwrap());
+    let store = Store::new("warm");
+    let root = &store.0;
+    let cache = Arc::new(ArtifactCache::open(root).unwrap());
 
     let uncached = run_pipeline(&cb, None);
     let cold = run_pipeline(&cb, Some(cache.clone()));
@@ -60,7 +72,7 @@ fn warm_run_reproduces_cold_run_exactly() {
     assert_eq!(warm, cold, "warm run must be bit-identical to cold");
 
     // The store holds every artifact family the pipeline produced.
-    let kinds: Vec<String> = fs::read_dir(&root)
+    let kinds: Vec<String> = fs::read_dir(root)
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
@@ -74,15 +86,14 @@ fn warm_run_reproduces_cold_run_exactly() {
     ] {
         assert!(kinds.iter().any(|k| k == expected), "missing artifact kind {expected}: {kinds:?}");
     }
-
-    let _ = fs::remove_dir_all(&root);
 }
 
 #[test]
 fn config_change_is_a_miss_not_a_wrong_hit() {
     let cb = two_phase_cb();
-    let root = tmp_root("keys");
-    let cache = Arc::new(ArtifactCache::open(&root).unwrap());
+    let store = Store::new("keys");
+    let root = &store.0;
+    let cache = Arc::new(ArtifactCache::open(root).unwrap());
 
     let base = run_pipeline(&cb, Some(cache.clone()));
 
@@ -102,22 +113,21 @@ fn config_change_is_a_miss_not_a_wrong_hit() {
         co2.intervals[0].vector, base.1.intervals[0].vector,
         "projection change must not reuse old interval signatures"
     );
-
-    let _ = fs::remove_dir_all(&root);
 }
 
 #[test]
 fn corrupted_entries_are_regenerated() {
     let cb = two_phase_cb();
-    let root = tmp_root("corrupt");
-    let cache = Arc::new(ArtifactCache::open(&root).unwrap());
+    let store = Store::new("corrupt");
+    let root = &store.0;
+    let cache = Arc::new(ArtifactCache::open(root).unwrap());
 
     let cold = run_pipeline(&cb, Some(cache.clone()));
 
     // Corrupt every stored entry: flip a payload byte in one file per
     // kind, truncate the rest.
     let mut corrupted = 0usize;
-    for kind in fs::read_dir(&root).unwrap() {
+    for kind in fs::read_dir(root).unwrap() {
         for (i, entry) in fs::read_dir(kind.unwrap().path()).unwrap().enumerate() {
             let path = entry.unwrap().path();
             let mut bytes = fs::read(&path).unwrap();
@@ -140,6 +150,4 @@ fn corrupted_entries_are_regenerated() {
     assert_eq!(regen, cold, "regenerated results must match the cold run");
     let warm = run_pipeline(&cb, Some(cache.clone()));
     assert_eq!(warm, cold, "entries rewritten after corruption must verify");
-
-    let _ = fs::remove_dir_all(&root);
 }

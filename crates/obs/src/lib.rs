@@ -27,8 +27,9 @@
 //! the JSONL sink and a std-only HTTP status server exposing
 //! Prometheus-format `/metrics` (see [`promtext`]) and JSON `/status`.
 //! [`selfprofile`] turns the span stream into a per-span-name
-//! self/total-time tree embedded in the run report, and [`check`]
-//! validates every one of these outputs against its contract.
+//! self/total-time tree embedded in the run report, [`check`]
+//! validates every one of these outputs against its contract, and
+//! [`diff`] compares two run reports for regressions.
 //!
 //! Everything above is inert until [`init`] or [`set_enabled`] flips
 //! the runtime switch: while it is off an instrument call costs one
@@ -49,6 +50,7 @@
 
 pub mod calibrate;
 pub mod check;
+pub mod diff;
 pub mod http;
 pub mod json;
 pub mod pool;

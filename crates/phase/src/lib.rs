@@ -16,8 +16,6 @@
 //!   [`LoopMonitor`] observer it is tested against;
 //! * [`lfv`] / [`wss`] — the alternative phase metrics the paper cites
 //!   (loop-frequency vectors and working-set signatures);
-//! * [`sequence`] — phase-sequence analysis (run lengths, transitions,
-//!   next-phase prediction);
 //! * [`matrix`] — flat row-major storage the clustering kernels run on;
 //! * [`kmeans`] / [`bic`] — the phase classifier (Hamerly-pruned
 //!   Lloyd's over contiguous storage) and SimPoint's BIC-based choice
@@ -64,7 +62,6 @@ pub mod matrix;
 pub mod pca;
 pub mod project;
 pub mod reference;
-pub mod sequence;
 pub mod simpoint;
 pub mod wss;
 
